@@ -3,8 +3,6 @@
 from .channels import (
     DENSE_MAX_QUBITS,
     PauliChannel,
-    eigenvalue_query,
-    sample_error,
     wht_forward,
     wht_inverse,
 )
@@ -17,12 +15,14 @@ from .errors import (
 )
 from .estimation import (
     BenchmarkResult,
+    DecayFits,
     DecaySeries,
     EstimateSet,
     FitResult,
     benchmark_alg2,
     estimate_alg1,
     fit_decay,
+    fit_decays,
     required_samples,
 )
 from .pauli import (
@@ -34,13 +34,10 @@ from .pauli import (
     weight,
 )
 from .sampler import (
-    Alg1Outcome,
-    Alg2Shot,
     NoiseModel,
-    alg2_statistic,
     outcome_distribution_alg1,
-    simulate_round_alg1,
-    simulate_shot_alg2,
+    simulate_alg2_batch,
+    simulate_rounds_alg1,
 )
 from .seeding import derive_rng
 from .stabilizer import (
@@ -56,8 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DENSE_MAX_QUBITS",
     "PauliChannel",
-    "eigenvalue_query",
-    "sample_error",
     "wht_forward",
     "wht_inverse",
     "CapabilityError",
@@ -66,12 +61,14 @@ __all__ = [
     "PauliBenchError",
     "UsageError",
     "BenchmarkResult",
+    "DecayFits",
     "DecaySeries",
     "EstimateSet",
     "FitResult",
     "benchmark_alg2",
     "estimate_alg1",
     "fit_decay",
+    "fit_decays",
     "required_samples",
     "PauliLabel",
     "compose",
@@ -79,13 +76,10 @@ __all__ = [
     "parse_label",
     "symplectic_product",
     "weight",
-    "Alg1Outcome",
-    "Alg2Shot",
     "NoiseModel",
-    "alg2_statistic",
     "outcome_distribution_alg1",
-    "simulate_round_alg1",
-    "simulate_shot_alg2",
+    "simulate_alg2_batch",
+    "simulate_rounds_alg1",
     "derive_rng",
     "Covering",
     "StabilizerGroup",

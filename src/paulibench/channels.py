@@ -16,7 +16,10 @@ butterfly whose per-qubit kernel over the two-bit labels (I, X, Z, Y) is
     [ 1 -1 -1  1 ]
 
 rather than by bit-swap reindexing into a standard Hadamard transform; the
-two routes are cross-tested in the suite.
+two routes are cross-tested in the suite.  The same digit-by-digit kernel
+also applies the radix-2 Hadamard to low syndrome bits, so the estimator's
+per-group transform over (v << m) | e indices is one `wht_forward` call with
+`syndrome_digits=m`; there is no second transform implementation.
 
 Channels come in two representations:
 
@@ -48,33 +51,43 @@ EIGENVALUE_TOL = 1e-12
 _JSON_FLOAT = "{:.17g}"
 
 
-def _check_dense_length(length: int) -> int:
-    n = 0
-    size = 1
-    while size < length:
-        size *= 4
-        n += 1
-    if size != length:
-        raise UsageError(f"vector length {length} is not a power of 4")
+def _pauli_digits(length: int, syndrome_digits: int) -> int:
+    """n with length == 2^syndrome_digits * 4^n, else a UsageError."""
+    n = (length.bit_length() - 1 - syndrome_digits) // 2
+    if syndrome_digits < 0 or n < 0 or length != 4**n << syndrome_digits:
+        raise UsageError(f"vector length {length} is not 2^{syndrome_digits} "
+                         "times a power of 4")
     return n
 
 
-def _butterfly(vec: np.ndarray) -> np.ndarray:
-    """Apply the symplectic kernel across every base-4 digit of the index."""
+def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
+    """The one transform kernel: walk the last axis digit by digit, from
+    the least significant, applying the radix-2 Hadamard H to the first
+    `syndrome_digits` bits and the radix-4 symplectic kernel to every
+    base-4 digit above them."""
     length = vec.shape[-1]
-    n = _check_dense_length(length)
+    n = _pauli_digits(length, syndrome_digits)
     if not np.all(np.isfinite(vec)):
         raise UsageError("transform input has non-finite entries")
     out = np.array(vec, dtype=np.float64)
     lead = out.shape[:-1]
     step = 1
+    for _ in range(syndrome_digits):
+        blocks = out.reshape(lead + (length // (2 * step), 2, step))
+        b0 = blocks[..., 0, :]
+        b1 = blocks[..., 1, :]
+        # the sums materialize before any write-back into the views
+        t0 = b0 + b1
+        t1 = b0 - b1
+        blocks[..., 0, :] = t0
+        blocks[..., 1, :] = t1
+        step *= 2
     for _ in range(n):
         blocks = out.reshape(lead + (length // (4 * step), 4, step))
         b0 = blocks[..., 0, :]
         b1 = blocks[..., 1, :]
         b2 = blocks[..., 2, :]
         b3 = blocks[..., 3, :]
-        # the sums materialize before any write-back into the views
         t0 = b0 + b1
         t1 = b0 - b1
         t2 = b2 + b3
@@ -87,20 +100,28 @@ def _butterfly(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def wht_forward(p: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Error rates -> eigenvalues: lambda_b = sum_a p_a (-1)^<a,b>."""
-    p = np.asarray(p, dtype=np.float64)
-    if n is not None and p.shape[-1] != 4**n:
-        raise UsageError(f"expected length {4**n}, got {p.shape[-1]}")
-    return _butterfly(p)
+def wht_forward(p: np.ndarray, n: int | None = None, *,
+                syndrome_digits: int = 0) -> np.ndarray:
+    """Error rates -> eigenvalues: lambda_b = sum_a p_a (-1)^<a,b>.
+
+    With `syndrome_digits = m` the last axis is indexed by (v << m) | e,
+    and the standard +-1 transform runs over the m syndrome bits e as well:
+    out[(u << m) | alpha] = sum_{v,e} p[(v << m) | e] (-1)^(<u,v> + alpha.e).
+    """
+    p = np.asarray(p)
+    if n is not None and p.shape[-1] != 4**n << syndrome_digits:
+        raise UsageError(
+            f"expected length {4**n << syndrome_digits}, got {p.shape[-1]}"
+        )
+    return _digit_transform(p, syndrome_digits)
 
 
 def wht_inverse(lam: np.ndarray, n: int | None = None) -> np.ndarray:
     """Eigenvalues -> error rates: p_a = 4^-n sum_b lambda_b (-1)^<a,b>."""
-    lam = np.asarray(lam, dtype=np.float64)
+    lam = np.asarray(lam)
     if n is not None and lam.shape[-1] != 4**n:
         raise UsageError(f"expected length {4**n}, got {lam.shape[-1]}")
-    return _butterfly(lam) / lam.shape[-1]
+    return _digit_transform(lam, 0) / lam.shape[-1]
 
 
 def _validate_probs(probs: np.ndarray):
@@ -110,6 +131,17 @@ def _validate_probs(probs: np.ndarray):
     total = float(probs.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise UsageError(f"probabilities sum to {total!r}, not 1")
+
+
+def _label_bits(label: int | str | PauliLabel, n: int) -> int:
+    """Bit-packed form of a raw int, a letter string or an n-qubit label."""
+    if isinstance(label, str):
+        return parse_bits(label, n)
+    if isinstance(label, PauliLabel):
+        if label.n != n:
+            raise UsageError(f"label on {label.n} qubits in {n}-qubit channel")
+        return label.bits
+    return label
 
 
 class PauliChannel:
@@ -125,6 +157,7 @@ class PauliChannel:
         "support_labels",
         "support_probs",
         "_cdf",
+        "_guide",
     )
 
     def __init__(self, n, *, error_rates=None, eigenvalues=None,
@@ -135,6 +168,7 @@ class PauliChannel:
         self.support_labels = support_labels
         self.support_probs = support_probs
         self._cdf = None
+        self._guide = None
         if error_rates is not None:
             error_rates.setflags(write=False)
         if eigenvalues is not None:
@@ -183,12 +217,7 @@ class PauliChannel:
         labels = []
         probs = []
         for label, prob in entries:
-            if isinstance(label, str):
-                label = parse_bits(label, n)
-            if isinstance(label, PauliLabel):
-                if label.n != n:
-                    raise UsageError(f"label on {label.n} qubits in {n}-qubit channel")
-                label = label.bits
+            label = _label_bits(label, n)
             if label < 0 or label >> (2 * n):
                 raise UsageError(f"label {label:#x} out of range for n={n}")
             labels.append(int(label))
@@ -229,12 +258,7 @@ class PauliChannel:
 
         Its error rates are p_b = 4^-n (1 + s(-1)^<a,b>).
         """
-        if isinstance(a, str):
-            a = parse_bits(a, n)
-        elif isinstance(a, PauliLabel):
-            if a.n != n:
-                raise UsageError(f"label on {a.n} qubits in {n}-qubit channel")
-            a = a.bits
+        a = _label_bits(a, n)
         if a == 0:
             raise UsageError("spike label must be nonzero (lambda_0 stays 1)")
         if s not in (1, -1):
@@ -266,6 +290,8 @@ class PauliChannel:
     def random_dirichlet(cls, n: int, rng: np.random.Generator,
                          alpha: float = 1.0) -> "PauliChannel":
         """Dense channel with Dirichlet(alpha) error rates."""
+        if not 0.0 < alpha < np.inf:
+            raise UsageError(f"alpha must be positive and finite, got {alpha}")
         p = rng.dirichlet(np.full(4**n, alpha))
         return cls.from_error_rates(n, p)
 
@@ -290,10 +316,7 @@ class PauliChannel:
 
     def eigenvalue(self, b: int | str | PauliLabel) -> float:
         """lambda_b; O(|support|) for sparse channels, a lookup for dense."""
-        if isinstance(b, str):
-            b = parse_bits(b, self.n)
-        elif isinstance(b, PauliLabel):
-            b = b.bits
+        b = _label_bits(b, self.n)
         if self.eigenvalues is not None:
             return float(self.eigenvalues[b])
         if self.support_labels.dtype == object:
@@ -320,11 +343,39 @@ class PauliChannel:
             self._cdf = np.cumsum(np.clip(probs, 0.0, None))
         return self._cdf
 
+    def _guide_table(self) -> np.ndarray:
+        """Per cell [j/G, (j+1)/G) of [0, 1), G the power of two at or above
+        4 |cdf|: the number of CDF entries <= u, the same for every u in
+        the cell, or -1 where a CDF entry falls inside the cell."""
+        # benign race, as in _cumulative
+        if self._guide is None:
+            cdf = self._cumulative()
+            cells = 1 << (4 * len(cdf) - 1).bit_length()
+            bounds = np.searchsorted(cdf, np.arange(cells + 1) / cells,
+                                     side="right")
+            self._guide = np.where(bounds[:-1] == bounds[1:], bounds[:-1], -1)
+        return self._guide
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw error labels a ~ p; returns an int, or a label array."""
+        """Draw error labels a ~ p; returns an int, or a label array.
+
+        Inverse CDF: the label index of a uniform u is the number of CDF
+        entries <= u.  Batches of at least 4 |cdf| draws look it up in the
+        guide table (u * G is exact, G being a power of two) and
+        binary-search only the draws whose cell holds a CDF entry.  Smaller
+        batches binary-search every draw, so a large channel sampled a few
+        rounds at a time never builds a table bigger than its batches.
+        """
         cdf = self._cumulative()
         u = rng.random(size=1 if size is None else size)
-        idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+        if u.size >= 4 * len(cdf):
+            guide = self._guide_table()
+            idx = guide[(u * len(guide)).astype(np.intp)]
+            search = np.nonzero(idx < 0)[0]
+            idx[search] = np.searchsorted(cdf, u[search], side="right")
+        else:
+            idx = np.searchsorted(cdf, u, side="right")
+        np.minimum(idx, len(cdf) - 1, out=idx)
         if self.is_sparse:
             out = self.support_labels[idx]
         else:
@@ -369,12 +420,3 @@ class PauliChannel:
         kind = "sparse" if self.is_sparse else "dense"
         return f"PauliChannel(n={self.n}, {kind})"
 
-
-def sample_error(ch: PauliChannel, rng: np.random.Generator) -> int:
-    """Single error label drawn from the channel's rate distribution."""
-    return ch.sample(rng)
-
-
-def eigenvalue_query(ch: PauliChannel, b: int | str | PauliLabel) -> float:
-    """lambda_b without materializing the dense eigenvalue vector."""
-    return ch.eigenvalue(b)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import subprocess
 import sys
@@ -42,6 +41,7 @@ from .estimation import (
     benchmark_alg2,
     estimate_alg1,
     required_samples,
+    two_sample_consistency,
 )
 from .pauli import format_bits, symp_u64
 from .sampler import NoiseModel
@@ -80,6 +80,37 @@ def _require_keys(cfg: dict, required, optional, where: str):
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
+def _int(value, what: str, minimum: int | None = None,
+         maximum: int | None = None) -> int:
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    try:
+        out = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and out < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}, got {out}")
+    if maximum is not None and out > maximum:
+        raise ConfigError(f"{what} must be at most {maximum}, got {out}")
+    return out
+
+
+def _float(value, what: str) -> float:
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
+    return value
+
+
 _CHANNEL_KINDS = {
     "identity": ((), ()),
     "depolarizing": (("rate",), ()),
@@ -104,33 +135,40 @@ def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
     if kind == "identity":
         return PauliChannel.identity(n)
     if kind == "depolarizing":
-        return PauliChannel.depolarizing(n, float(spec["rate"]))
+        return PauliChannel.depolarizing(n, _float(spec["rate"], "rate"))
     if kind == "fully-depolarizing":
         return PauliChannel.fully_depolarizing(n)
     if kind == "spike":
-        return PauliChannel.spike(n, spec["label"], int(spec["sign"]))
+        return PauliChannel.spike(n, spec["label"], _int(spec["sign"], "sign"))
     if kind == "random-dirichlet":
-        return PauliChannel.random_dirichlet(n, rng, float(spec.get("alpha", 1.0)))
+        return PauliChannel.random_dirichlet(
+            n, rng, _float(spec.get("alpha", 1.0), "alpha"))
     if kind == "random-sparse":
-        return PauliChannel.random_sparse(n, int(spec["support"]), rng)
+        return PauliChannel.random_sparse(n, _int(spec["support"], "support"),
+                                          rng)
     if kind == "tensor":
         factors = []
         consumed = 0
-        for sub in spec["factors"]:
+        for sub in _list(spec["factors"], "tensor factors"):
             if not isinstance(sub, dict):
                 raise ConfigError(f"tensor factor must be an object: {sub!r}")
-            sub_n = int(sub.get("n", 1))
+            sub_n = _int(sub.get("n", 1), "tensor factor n", 1)
             inner = {key: val for key, val in sub.items() if key != "n"}
             factors.append(build_channel(inner, sub_n, rng))
             consumed += sub_n
         if consumed != n:
             raise ConfigError(f"tensor factors cover {consumed} qubits, expected {n}")
         return PauliChannel.tensor(factors)
+    if not isinstance(spec["path"], str):
+        raise ConfigError(f"channel file path must be a string: {spec['path']!r}")
     try:
         text = Path(spec["path"]).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read channel file: {exc}") from None
-    ch = PauliChannel.loads(text)
+    try:
+        ch = PauliChannel.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed channel file: {exc}") from None
     if ch.n != n:
         raise ConfigError(f"channel file has n={ch.n}, config says {n}")
     return ch
@@ -166,11 +204,12 @@ class RunWriter:
             path.write_text(json.dumps(payload, indent=1) + "\n")
         else:
             path = self.dir / f"{name}.csv"
-            buf = io.StringIO()
-            buf.write(",".join(header) + "\n")
-            for row in rows:
-                buf.write(",".join(_cell(x) for x in row) + "\n")
-            path.write_text(buf.getvalue())
+            # row by row, so no second copy of a 4^n-row table is held
+            with path.open("w") as fh:
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    fh.write(",".join([_FLOAT.format(x) if isinstance(x, float)
+                                       else str(x) for x in row]) + "\n")
         self.outputs.append(path.name)
         return path
 
@@ -198,12 +237,6 @@ class RunWriter:
         if summary is not None:
             meta["summary"] = summary
         (self.dir / "run.json").write_text(json.dumps(meta, indent=1) + "\n")
-
-
-def _cell(x) -> str:
-    if isinstance(x, float):
-        return _FLOAT.format(x)
-    return str(x)
 
 
 def _git_describe():
@@ -236,16 +269,16 @@ def cmd_estimate(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict:
         ("covering", "epsilon", "delta", "samples", "clamp"),
         "estimate config",
     )
-    n = int(cfg["n"])
-    k = int(cfg["k"])
+    n = _int(cfg["n"], "n", 1)
+    k = _int(cfg["k"], "k", 0, n)
     cov = _covering(cfg.get("covering", "mub"), n - k)
     if "samples" in cfg:
-        total = int(cfg["samples"])
+        total = _int(cfg["samples"], "samples")
     else:
         if "epsilon" not in cfg or "delta" not in cfg:
             raise ConfigError("estimate config needs samples or epsilon+delta")
-        total = required_samples(n, k, float(cfg["epsilon"]),
-                                 float(cfg["delta"]), len(cov.groups))
+        total = required_samples(n, k, _float(cfg["epsilon"], "epsilon"),
+                                 _float(cfg["delta"], "delta"), len(cov.groups))
     channel = build_channel(cfg["channel"], n, derive_rng(seed, "channel"))
     est = estimate_alg1(channel, k, cov, total, derive_rng(seed, "shots"))
     if cfg.get("clamp", False):
@@ -266,14 +299,6 @@ def cmd_estimate(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict:
     }
 
 
-def _two_sample_z(est_a, est_b) -> float:
-    num = np.abs(est_a.lambda_hat - est_b.lambda_hat)
-    den = np.sqrt(est_a.stderr**2 + est_b.stderr**2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(num == 0.0, 0.0, num / den)
-    return float(np.nanmax(z))
-
-
 def cmd_benchmark(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict:
     _require_keys(
         cfg,
@@ -281,17 +306,19 @@ def cmd_benchmark(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict
         ("m_list", "spam_depolarizing", "spam_sweep", "prep", "meas"),
         "benchmark config",
     )
-    n = int(cfg["n"])
+    n = _int(cfg["n"], "n", 1)
     gate = build_channel(cfg["gate"], n, derive_rng(seed, "gate-channel"))
-    m_list = [int(m) for m in cfg.get("m_list", DEFAULT_LENGTHS)]
-    shots = int(cfg["shots_per_m"])
+    m_list = [_int(m, "m_list entry", 0)
+              for m in _list(cfg.get("m_list", list(DEFAULT_LENGTHS)), "m_list")]
+    shots = _int(cfg["shots_per_m"], "shots_per_m", 1)
     explicit_spam = "prep" in cfg or "meas" in cfg
     if explicit_spam and ("spam_sweep" in cfg or "spam_depolarizing" in cfg):
         raise ConfigError("give either prep/meas channels or a SPAM rate, not both")
     if "spam_sweep" in cfg:
-        rates = [float(r) for r in cfg["spam_sweep"]]
+        rates = [_float(r, "spam_sweep entry")
+                 for r in _list(cfg["spam_sweep"], "spam_sweep")]
     elif "spam_depolarizing" in cfg:
-        rates = [float(cfg["spam_depolarizing"])]
+        rates = [_float(cfg["spam_depolarizing"], "spam_depolarizing")]
     else:
         rates = [0.0]
 
@@ -308,22 +335,20 @@ def cmd_benchmark(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict
         return benchmark_alg2(model, m_list, shots, rng)
 
     results = _pmap(one_rate, rates, threads)
+    names = [format_bits(lbl, n)
+             for lbl in results[0].estimates.label_list().tolist()]
     est_rows = []
     decay_rows = []
     for rate, res in zip(rates, results):
-        labels = res.estimates.label_list()
-        stderr = res.estimates.stderr
-        for i, lbl in enumerate(labels):
-            est_rows.append([
-                _FLOAT.format(rate), format_bits(int(lbl), n),
-                float(res.estimates.lambda_hat[i]),
-                int(res.estimates.n_shots[i]), float(stderr[i]),
-            ])
-        for series in res.series:
-            name = format_bits(series.label, n)
-            for m, fm, r in zip(series.lengths, series.f_mean, series.shots):
-                decay_rows.append([_FLOAT.format(rate), name, int(m),
-                                   float(fm), int(r)])
+        rate_s = _FLOAT.format(rate)
+        est = res.estimates
+        est_rows += [[rate_s, name, lam, cnt, se] for name, lam, cnt, se in zip(
+            names, est.lambda_hat.tolist(), est.n_shots.tolist(),
+            est.stderr.tolist())]
+        lengths = list(zip(res.lengths.tolist(), res.shots.tolist()))
+        for name, f_col in zip(names, res.f_mean.T.tolist()):
+            decay_rows += [[rate_s, name, m, fm, r]
+                           for (m, r), fm in zip(lengths, f_col)]
     writer.write_table("estimates",
                        ["spam_rate", "label", "lambda_hat", "n_shots", "stderr"],
                        est_rows)
@@ -338,14 +363,12 @@ def cmd_benchmark(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict
         },
     }
     if len(results) > 1:
-        worst = 0.0
-        for i in range(len(results)):
-            for j in range(i + 1, len(results)):
-                worst = max(worst, _two_sample_z(results[i].estimates,
-                                                 results[j].estimates))
-        # two-sided normal test at significance 1e-3
+        worst, comparisons, critical = two_sample_consistency(
+            [res.estimates for res in results])
         summary["spam_sweep_max_z"] = worst
-        summary["spam_sweep_consistent"] = bool(worst < 3.2905267314918945)
+        summary["spam_sweep_comparisons"] = comparisons
+        summary["spam_sweep_z_critical"] = critical
+        summary["spam_sweep_consistent"] = bool(worst < critical)
     return summary
 
 
@@ -357,14 +380,16 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, threads: int,
         ("trials", "success_fraction", "covering", "channel_alpha"),
         "sweep-ancilla config",
     )
-    n = int(cfg["n"])
+    n = _int(cfg["n"], "n", 1)
     if n > 8:
         raise CapabilityError("sweep-ancilla limited to n <= 8 (dense truth)")
-    k_list = [int(k) for k in cfg["k_list"]]
-    epsilon = float(cfg["epsilon"])
-    trials = int(cfg.get("trials", 20))
-    frac = float(cfg.get("success_fraction", 0.9))
-    alpha = float(cfg.get("channel_alpha", 1.0))
+    k_list = [_int(k, "k_list entry", 0, n) for k in _list(cfg["k_list"], "k_list")]
+    epsilon = _float(cfg["epsilon"], "epsilon")
+    trials = _int(cfg.get("trials", 20), "trials", 1)
+    frac = _float(cfg.get("success_fraction", 0.9), "success_fraction")
+    if not 0.0 < frac < 1.0:
+        raise ConfigError(f"success_fraction must lie in (0, 1), got {frac}")
+    alpha = _float(cfg.get("channel_alpha", 1.0), "channel_alpha")
     needed = int(np.ceil(frac * trials))
     covering_kind = cfg.get("covering", "mub")
 
@@ -387,22 +412,19 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, threads: int,
             return bool(est.max_abs_error(truths[t]) <= epsilon)
 
         def probe(rounds: int, early_stop: bool = True) -> tuple[bool, int]:
+            # trials run in chunks of `threads` and are tallied in trial
+            # order, so the stopping point is the same at any thread count
             successes = 0
-            failures = 0
-            if threads > 1 or not early_stop:
-                oks = _pmap(trial_ok, [(rounds, t) for t in range(trials)],
+            chunk = max(threads, 1) if early_stop else trials
+            for start in range(0, trials, chunk):
+                stop = min(start + chunk, trials)
+                oks = _pmap(trial_ok, [(rounds, t) for t in range(start, stop)],
                             threads)
-                successes = sum(oks)
-                return successes >= needed, successes
-            for t in range(trials):
-                if trial_ok((rounds, t)):
-                    successes += 1
-                else:
-                    failures += 1
-                if successes >= needed:
-                    return True, successes
-                if failures > trials - needed:
-                    return False, successes
+                for t, ok in enumerate(oks, start + 1):
+                    successes += ok
+                    if early_stop and (successes >= needed
+                                       or t - successes > trials - needed):
+                        return successes >= needed, successes
             return successes >= needed, successes
 
         base = required_samples(n, k, epsilon, 1.0 - frac, size) // size
@@ -432,6 +454,9 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, threads: int,
         rows,
     )
     return summary
+
+
+_DISCRIMINATE_MODES = ("bell", "ancilla-free")
 
 
 def _discriminate_trial(n: int, mode: str, seed: int, trial: int,
@@ -470,18 +495,12 @@ def _discriminate_trial(n: int, mode: str, seed: int, trial: int,
                 winner = int(labels[int(np.argmax(alive))])
                 return truth, f"spike:{format_bits(winner, n)}", shot
         return truth, "undecided", max_shots
-    if mode != "ancilla-free":
-        raise ConfigError(f"unknown discriminate mode {mode!r}")
     cov = mub_covering(n)
-    group_members = []
-    group_alphas = []
-    for grp in cov.groups:
-        members = np.asarray(grp.elements()[1:], dtype=np.int64)
-        alphas = np.asarray(
-            [grp.coefficients(int(lbl)) for lbl in members], dtype=np.uint64
-        )
-        group_members.append(members)
-        group_alphas.append(alphas)
+    # elements() is indexed by coefficient vector, so member i + 1 of every
+    # group has alpha = i + 1
+    group_members = [np.asarray(grp.elements()[1:], dtype=np.int64)
+                     for grp in cov.groups]
+    alphas = np.arange(1, 2**n, dtype=np.uint64)
     hits = np.zeros(4**n, dtype=np.float64)  # consistent own-group shots
     alive_full = np.ones(4**n, dtype=bool)
     alive_full[0] = False
@@ -490,7 +509,6 @@ def _discriminate_trial(n: int, mode: str, seed: int, trial: int,
         grp = cov.groups[gi]
         e = np.uint64(grp.syndrome(channel.sample(rng)))
         members = group_members[gi]
-        alphas = group_alphas[gi]
         consistent = (np.bitwise_count(alphas & e) & np.uint64(1)) == 0
         alive_full[members[~consistent]] = False
         survivors = members[consistent]
@@ -517,12 +535,15 @@ def cmd_discriminate(cfg: dict, seed: int, threads: int,
         ("modes", "max_shots"),
         "discriminate config",
     )
-    n_list = [int(n) for n in cfg["n_list"]]
+    n_list = [_int(n, "n_list entry", 1) for n in _list(cfg["n_list"], "n_list")]
     if max(n_list) > 10:
         raise CapabilityError("discriminate limited to n <= 10")
-    trials = int(cfg["trials"])
-    modes = cfg.get("modes", ["bell", "ancilla-free"])
-    max_shots = int(cfg.get("max_shots", 100_000))
+    trials = _int(cfg["trials"], "trials", 1)
+    modes = _list(cfg.get("modes", list(_DISCRIMINATE_MODES)), "modes")
+    for mode in modes:
+        if mode not in _DISCRIMINATE_MODES:
+            raise ConfigError(f"unknown discriminate mode {mode!r}")
+    max_shots = _int(cfg.get("max_shots", 100_000), "max_shots", 1)
     rows = []
     summary = {}
     for mode in modes:
@@ -592,10 +613,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
+            seed = _int(args.seed, "seed", 0)
             writer = RunWriter(args.out, "csv") if args.out else None
-            code = cmd_verify(args.level, args.seed, writer)
+            code = cmd_verify(args.level, seed, writer)
             if writer is not None:
-                writer.finish("verify", {"level": args.level}, args.seed, 1)
+                writer.finish("verify", {"level": args.level}, seed, 1)
             return code
         cfg = _load_config(args.config)
         expected = args.command.replace("-", "_")
@@ -606,7 +628,8 @@ def main(argv=None) -> int:
                 f"subcommand {args.command!r}"
             )
         cfg.setdefault("experiment", expected)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = _int(args.seed if args.seed is not None else cfg.get("seed", 0),
+                    "seed", 0)
         config_echo = dict(cfg)
         config_echo["seed"] = seed
         writer = RunWriter(args.out, args.format)

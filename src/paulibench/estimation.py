@@ -1,9 +1,9 @@
 """Estimator aggregation for both protocols.
 
 Channel estimation accumulates, per covering group, a histogram over the
-(v, e) measurement outcomes and converts it to eigenvalue estimates with
-one symplectic Walsh-Hadamard transform along v and one standard transform
-along the syndrome bits:
+flat (v << m) | e measurement outcomes and converts it to eigenvalue
+estimates with one `wht_forward` call, symplectic along v and standard
+along the m syndrome bits:
 
     lambda_hat[u xor s(alpha)] = sum_{v,e} hist[v,e] (-1)^(<u,v> + alpha.e)
 
@@ -23,13 +23,17 @@ copy for downstream use.
 
 Benchmarking estimates come from fitting per-label decay series
 F(m) ~ A * lambda^m by least squares on log F, weighted by shots * F^2
-(the delta-method weight for log of a mean of signs).
+(the delta-method weight for log of a mean of signs).  `fit_decays` fits
+all labels at once from the (lengths x labels) array of means with the
+closed-form 2x2 normal equations; the scalar `fit_decay` is a one-column
+call into it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from .stabilizer import Covering
 
 DECAY_FLOOR = 0.05
 DEFAULT_LENGTHS = (0, 1, 2, 4, 8, 16)
-_FLOAT_FMT = "{:.17g}"
 
 
 @dataclass
@@ -108,41 +111,42 @@ def required_samples(n: int, k: int, epsilon: float, delta: float,
     return covering_size * per_label
 
 
-def _hadamard_last(x: np.ndarray) -> np.ndarray:
-    """Standard +-1 transform along the last axis (length a power of 2)."""
-    out = np.array(x, dtype=np.float64)
-    length = out.shape[-1]
-    if length & (length - 1):
-        raise UsageError(f"length {length} is not a power of 2")
-    lead = out.shape[:-1]
-    step = 1
-    while step < length:
-        blocks = out.reshape(lead + (length // (2 * step), 2, step))
-        b0 = blocks[..., 0, :].copy()
-        b1 = blocks[..., 1, :].copy()
-        blocks[..., 0, :] = b0 + b1
-        blocks[..., 1, :] = b0 - b1
-        step *= 2
-    return out
-
-
-def _group_transform(hist: np.ndarray) -> np.ndarray:
-    """hist[v, e] -> G[u, alpha] = sum (-1)^(<u,v> + alpha.e) hist[v, e]."""
-    over_e = _hadamard_last(hist)
-    return wht_forward(over_e.T).T
-
-
-def _default_source(channel: PauliChannel, k: int):
-    def source(_index, group, rounds, rng):
-        return simulate_rounds_alg1(channel, k, group, rng, rounds)
-
-    return source
-
-
-def _resolve_source(channel_or_source, k: int):
+def _resolve(channel_or_source, k: int, covering: Covering,
+             total_samples: int):
+    """(source, n, rounds per group) of one estimation run, validated."""
     if isinstance(channel_or_source, PauliChannel):
-        return _default_source(channel_or_source, k), channel_or_source.n
-    return channel_or_source, None
+        channel = channel_or_source
+
+        def source(_index, group, rounds, rng):
+            return simulate_rounds_alg1(channel, k, group, rng, rounds)
+
+        n = channel.n
+    else:
+        source, n = channel_or_source, k + covering.m
+    if covering.m != n - k:
+        raise UsageError(
+            f"covering acts on {covering.m} qubits, expected {n - k}"
+        )
+    if total_samples < len(covering.groups):
+        raise UsageError(
+            f"fewer samples ({total_samples}) than covering size "
+            f"({len(covering.groups)})"
+        )
+    return source, n, total_samples // len(covering.groups)
+
+
+def _estimate_set(n: int, sums: np.ndarray, counts: np.ndarray,
+                  labels: np.ndarray | None = None) -> EstimateSet:
+    """Per-label means sums / counts; every label must have been sampled."""
+    if np.any(counts == 0):
+        first = int(np.argmax(counts == 0))
+        missing = first if labels is None else int(labels[first])
+        raise UsageError(
+            f"covering leaves label {format_bits(missing, n)} unsampled"
+        )
+    lam = np.asarray(sums, dtype=np.float64) / counts
+    stderr = np.sqrt(np.clip(1.0 - lam**2, 0.0, None) / counts)
+    return EstimateSet(n, lam, counts, stderr, labels)
 
 
 def estimate_alg1(channel_or_source, k: int, covering: Covering,
@@ -154,18 +158,7 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
     a callable (group_index, group, rounds, rng) -> (v_array, e_array) for
     injecting a fixed shot stream.
     """
-    source, n_from_channel = _resolve_source(channel_or_source, k)
-    n = k + covering.m if n_from_channel is None else n_from_channel
-    if covering.m != n - k:
-        raise UsageError(
-            f"covering acts on {covering.m} qubits, expected {n - k}"
-        )
-    if total_samples < len(covering.groups):
-        raise UsageError(
-            f"fewer samples ({total_samples}) than covering size "
-            f"({len(covering.groups)})"
-        )
-    rounds = total_samples // len(covering.groups)
+    source, n, rounds = _resolve(channel_or_source, k, covering, total_samples)
     if labels is not None:
         return _estimate_restricted(source, n, k, covering, rounds, rng, labels)
     if n > DENSE_MAX_QUBITS:
@@ -180,28 +173,19 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
     for gi, group in enumerate(covering.groups):
         v, e = source(gi, group, rounds, rng)
         idx = (np.asarray(v, dtype=np.int64) << m) | np.asarray(e, dtype=np.int64)
-        hist = np.bincount(idx, minlength=4**k * 2**m).reshape(4**k, 2**m)
-        transformed = _group_transform(hist)
+        hist = np.bincount(idx, minlength=4**k << m)
+        # transformed[(u << m) | alpha], already in the row order of `full`
+        transformed = wht_forward(hist, syndrome_digits=m)
         elems = np.asarray(group.elements(), dtype=np.int64)
         full = u_vals[:, None] | (elems[None, :] << (2 * k))
-        np.add.at(sums, full.ravel(), transformed.ravel())
+        np.add.at(sums, full.ravel(), transformed)
         np.add.at(counts, full.ravel(), rounds)
-    if np.any(counts == 0):
-        missing = int(np.argmax(counts == 0))
-        raise UsageError(
-            f"covering leaves label {format_bits(missing, n)} unsampled"
-        )
-    lam = sums / counts
-    stderr = np.sqrt(np.clip(1.0 - lam**2, 0.0, None) / counts)
-    return EstimateSet(n, lam, counts, stderr)
+    return _estimate_set(n, sums, counts)
 
 
 def _estimate_restricted(source, n, k, covering, rounds, rng, labels
                          ) -> EstimateSet:
-    label_arr = np.asarray(
-        [lbl if isinstance(lbl, (int, np.integer)) else int(lbl) for lbl in labels],
-        dtype=np.uint64,
-    )
+    label_arr = np.asarray([int(lbl) for lbl in labels], dtype=np.uint64)
     sums = np.zeros(len(label_arr))
     counts = np.zeros(len(label_arr), dtype=np.int64)
     mask = np.uint64((1 << (2 * k)) - 1)
@@ -218,14 +202,7 @@ def _estimate_restricted(source, n, k, covering, rounds, rng, labels
             bits = symp_u64(u, v) ^ parity_u64(np.uint64(alpha) & e)
             sums[li] += rounds - 2 * int(bits.sum())
             counts[li] += rounds
-    if np.any(counts == 0):
-        missing = int(label_arr[int(np.argmax(counts == 0))])
-        raise UsageError(
-            f"covering leaves label {format_bits(missing, n)} unsampled"
-        )
-    lam = sums / counts
-    stderr = np.sqrt(np.clip(1.0 - lam**2, 0.0, None) / counts)
-    return EstimateSet(n, lam, counts, stderr, labels=label_arr)
+    return _estimate_set(n, sums, counts, label_arr)
 
 
 def estimate_alg1_reference(channel_or_source, k: int, covering: Covering,
@@ -236,20 +213,9 @@ def estimate_alg1_reference(channel_or_source, k: int, covering: Covering,
     Exponentially slower than `estimate_alg1`; kept as the dual
     implementation the fast path is verified against.
     """
-    source, n_from_channel = _resolve_source(channel_or_source, k)
-    n = k + covering.m if n_from_channel is None else n_from_channel
-    if covering.m != n - k:
-        raise UsageError(
-            f"covering acts on {covering.m} qubits, expected {n - k}"
-        )
-    if total_samples < len(covering.groups):
-        raise UsageError(
-            f"fewer samples ({total_samples}) than covering size "
-            f"({len(covering.groups)})"
-        )
+    source, n, rounds = _resolve(channel_or_source, k, covering, total_samples)
     if n > 6:
         raise CapabilityError("reference estimator limited to n <= 6")
-    rounds = total_samples // len(covering.groups)
     m = covering.m
     sums = np.zeros(4**n, dtype=np.int64)
     counts = np.zeros(4**n, dtype=np.int64)
@@ -266,14 +232,7 @@ def estimate_alg1_reference(channel_or_source, k: int, covering: Covering,
                     lbl = u | (elems[alpha] << (2 * k))
                     sums[lbl] += 1 - 2 * sign_bit
                     counts[lbl] += 1
-    if np.any(counts == 0):
-        missing = int(np.argmax(counts == 0))
-        raise UsageError(
-            f"covering leaves label {format_bits(missing, n)} unsampled"
-        )
-    lam = sums.astype(np.float64) / counts
-    stderr = np.sqrt(np.clip(1.0 - lam**2, 0.0, None) / counts)
-    return EstimateSet(n, lam, counts, stderr)
+    return _estimate_set(n, sums, counts)
 
 
 @dataclass(frozen=True)
@@ -311,58 +270,103 @@ class FitResult:
     warnings: list[str] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class DecayFits:
+    """Column-wise fits of F(m) = A * lambda^m.
+
+    Failed columns are NaN in the float arrays and keyed by column index in
+    `errors` with their FitError message.
+    """
+
+    a_hat: np.ndarray
+    lambda_hat: np.ndarray
+    stderr_lambda: np.ndarray
+    n_used: np.ndarray
+    residual: np.ndarray
+    errors: dict[int, str]
+
+
+def fit_decays(lengths, f_mean, shots, floor: float = DECAY_FLOOR) -> DecayFits:
+    """Fit every column of the (lengths x labels) array `f_mean` at once by
+    weighted least squares on log F, weighted by shots * F^2.
+
+    Each column keeps its own usable points, those with F > floor; a column
+    with fewer than two of them is a fit error that leaves the other
+    columns untouched.  `shots` gives the shot count per length.
+    """
+    m = np.asarray(lengths, dtype=np.float64)[:, None]
+    f = np.asarray(f_mean, dtype=np.float64)
+    shots = np.asarray(shots, dtype=np.float64)[:, None]
+    usable = f > floor
+    n_used = usable.sum(axis=0)
+    f = np.where(usable, f, 1.0)
+    y = np.log(f)
+    w = np.where(usable, shots * f**2, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wsum = w.sum(axis=0)
+        m_bar = (w * m).sum(axis=0) / wsum
+        y_bar = (w * y).sum(axis=0) / wsum
+        dm = m - m_bar
+        denom = (w * dm**2).sum(axis=0)
+        slope = (w * dm * (y - y_bar)).sum(axis=0) / denom
+        intercept = y_bar - slope * m_bar
+        resid = y - (intercept + slope * m)
+        residual = np.sqrt((w * resid**2).sum(axis=0))
+        # delta-method variance of log F sandwiched through the WLS solve;
+        # the slope entry of the 2x2 sandwich is sum w^2 var dm^2 / denom^2
+        var_y = np.clip(1.0 - f**2, 0.0, None) / (shots * f**2)
+        var_slope = (w**2 * var_y * dm**2).sum(axis=0) / denom**2
+        lam = np.exp(slope)
+        se_lambda = lam * np.sqrt(var_slope)
+        a_hat = np.exp(intercept)
+    errors = {}
+    for col in np.nonzero((n_used < 2) | ~(denom > 0.0))[0]:
+        errors[int(col)] = ("decay too fast for chosen M" if n_used[col] < 2
+                            else "degenerate design: repeated sequence length")
+    failed = list(errors)
+    for arr in (a_hat, lam, se_lambda, residual):
+        arr[failed] = np.nan
+    return DecayFits(a_hat, lam, se_lambda, n_used, residual, errors)
+
+
 def fit_decay(series: DecaySeries, floor: float = DECAY_FLOOR) -> FitResult:
-    """Fit F(m) = A * lambda^m by weighted least squares on log F.
+    """Fit one series through `fit_decays`.
 
     Points with F <= floor are dropped (negative means are additionally
     flagged); fewer than two usable points is a fit error.
     """
+    fits = fit_decays(series.lengths, series.f_mean[:, None], series.shots,
+                      floor)
+    if fits.errors:
+        raise FitError(fits.errors[0])
     f = series.f_mean
-    usable = f > floor
-    dropped = [int(m) for m in series.lengths[~usable]]
+    dropped = [int(m) for m in series.lengths[~(f > floor)]]
     warnings = [
         f"negative mean at m={int(m)} excluded"
         for m in series.lengths[f < 0.0]
     ]
-    if int(usable.sum()) < 2:
-        raise FitError("decay too fast for chosen M")
-    m_vals = series.lengths[usable].astype(np.float64)
-    f_vals = f[usable]
-    shots = series.shots[usable].astype(np.float64)
-    y = np.log(f_vals)
-    w = shots * f_vals**2
-    wsum = w.sum()
-    m_bar = (w @ m_vals) / wsum
-    y_bar = (w @ y) / wsum
-    dm = m_vals - m_bar
-    denom = w @ dm**2
-    if denom <= 0.0:
-        raise FitError("degenerate design: repeated sequence length")
-    slope = (w @ (dm * (y - y_bar))) / denom
-    intercept = y_bar - slope * m_bar
-    resid = y - (intercept + slope * m_vals)
-    residual = float(np.sqrt(w @ resid**2))
-    # delta-method variance of log F, sandwiched through the WLS solve
-    var_y = np.clip(1.0 - f_vals**2, 0.0, None) / (shots * f_vals**2)
-    x0 = np.ones_like(m_vals)
-    a_mat = np.array([[wsum, w @ m_vals], [w @ m_vals, w @ m_vals**2]])
-    b_mat = np.zeros((2, 2))
-    for xi, mi, wi, vi in zip(x0, m_vals, w, var_y):
-        col = np.array([xi, mi])
-        b_mat += (wi**2 * vi) * np.outer(col, col)
-    a_inv = np.linalg.inv(a_mat)
-    cov = a_inv @ b_mat @ a_inv
-    lam = float(np.exp(slope))
-    se_lambda = float(lam * np.sqrt(max(cov[1, 1], 0.0)))
-    return FitResult(float(np.exp(intercept)), lam, se_lambda,
-                     int(usable.sum()), residual, dropped, warnings)
+    return FitResult(float(fits.a_hat[0]), float(fits.lambda_hat[0]),
+                     float(fits.stderr_lambda[0]), int(fits.n_used[0]),
+                     float(fits.residual[0]), dropped, warnings)
 
 
 @dataclass
 class BenchmarkResult:
+    """Estimates with the decay data and fits behind them.
+
+    Column i of `f_mean` (lengths x labels) and entry i of `a_hat`, `n_used`
+    and `residual` belong to label `estimates.label_list()[i]`, whose fitted
+    lambda and stderr are in `estimates`; `shots` is per length.  Labels
+    whose fit failed are NaN there and keyed in `fit_errors`.
+    """
+
     estimates: EstimateSet
-    series: list[DecaySeries]
-    fits: list[FitResult | None]
+    lengths: np.ndarray
+    f_mean: np.ndarray
+    shots: np.ndarray
+    a_hat: np.ndarray
+    n_used: np.ndarray
+    residual: np.ndarray
     fit_errors: dict[int, str]
 
 
@@ -372,8 +376,9 @@ def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
 
     Per sequence length, `shots_per_m` shots are simulated in one batch and
     reduced to all F(m) values through a histogram of z = v xor (xor of
-    gate labels) followed by one symplectic transform.  Fit failures are
-    recorded per label, not raised.
+    gate labels) followed by one symplectic transform.  All labels are
+    fitted in one `fit_decays` call; fit failures are recorded per label,
+    not raised.
     """
     lengths = np.asarray(sorted(set(int(m) for m in lengths)), dtype=np.int64)
     if lengths.size == 0:
@@ -402,50 +407,38 @@ def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
                 signs = symp_u64(lbl, z)
                 f_rows[row, li] = 1.0 - 2.0 * float(signs.mean())
     shots = np.full(lengths.size, shots_per_m, dtype=np.int64)
+    fits = fit_decays(lengths, f_rows, shots)
     report_labels = (np.arange(4**n, dtype=np.uint64)
                      if label_arr is None else label_arr)
-    series_list = []
-    fits: list[FitResult | None] = []
-    fit_errors: dict[int, str] = {}
-    lam = np.empty(report_labels.size)
-    stderr = np.empty(report_labels.size)
-    for li, lbl in enumerate(report_labels):
-        series = DecaySeries(int(lbl), lengths, f_rows[:, li], shots)
-        series_list.append(series)
-        try:
-            fit = fit_decay(series)
-            lam[li] = fit.lambda_hat
-            stderr[li] = fit.stderr_lambda
-            fits.append(fit)
-        except FitError as exc:
-            lam[li] = np.nan
-            stderr[li] = np.nan
-            fits.append(None)
-            fit_errors[int(lbl)] = str(exc)
+    fit_errors = {int(report_labels[col]): msg
+                  for col, msg in fits.errors.items()}
     n_shots = np.full(report_labels.size, int(shots.sum()), dtype=np.int64)
-    estimates = EstimateSet(n, lam, n_shots, stderr, labels=label_arr)
-    return BenchmarkResult(estimates, series_list, fits, fit_errors)
+    estimates = EstimateSet(n, fits.lambda_hat, n_shots, fits.stderr_lambda,
+                            labels=label_arr)
+    return BenchmarkResult(estimates, lengths, f_rows, shots, fits.a_hat,
+                           fits.n_used, fits.residual, fit_errors)
 
 
-# --- CSV serialization --------------------------------------------------------
+def two_sample_consistency(estimate_sets) -> tuple[float, int, float]:
+    """Label-by-label two-sample z test between every pair of estimate sets
+    over the same labels.
 
-
-def write_estimates_csv(est: EstimateSet, fileobj):
-    """Columns: label, lambda_hat, n_shots, stderr."""
-    fileobj.write("label,lambda_hat,n_shots,stderr\n")
-    labels = est.label_list()
-    stderr = est.stderr if est.stderr is not None else np.zeros(len(labels))
-    for lbl, lam, cnt, se in zip(labels, est.lambda_hat, est.n_shots, stderr):
-        fileobj.write(
-            f"{format_bits(int(lbl), est.n)},{_FLOAT_FMT.format(lam)},"
-            f"{int(cnt)},{_FLOAT_FMT.format(se)}\n"
-        )
-
-
-def write_decays_csv(series_list, n: int, fileobj):
-    """Columns: label, m, f_mean, shots."""
-    fileobj.write("label,m,f_mean,shots\n")
-    for series in series_list:
-        name = format_bits(series.label, n)
-        for m, fm, r in zip(series.lengths, series.f_mean, series.shots):
-            fileobj.write(f"{name},{int(m)},{_FLOAT_FMT.format(fm)},{int(r)}\n")
+    Returns (largest z, comparisons, critical z).  A comparison is a label
+    whose two estimates are finite and differ; the critical value is the
+    two-sided normal quantile at family-wise significance 1e-3 split over
+    all comparisons (Bonferroni), so the sets are consistent when
+    largest z < critical z.
+    """
+    worst = 0.0
+    comparisons = 0
+    for i, est_a in enumerate(estimate_sets):
+        for est_b in estimate_sets[i + 1:]:
+            a, b = est_a.lambda_hat, est_b.lambda_hat
+            made = np.isfinite(a) & np.isfinite(b) & (a != b)
+            den = np.sqrt(est_a.stderr[made]**2 + est_b.stderr[made]**2)
+            with np.errstate(divide="ignore"):
+                z = np.abs(a[made] - b[made]) / den
+            worst = max(worst, float(z.max(initial=0.0)))
+            comparisons += int(made.sum())
+    critical = NormalDist().inv_cdf(1.0 - 1e-3 / (2.0 * max(comparisons, 1)))
+    return worst, comparisons, critical

@@ -1,4 +1,4 @@
-"""Exact single-shot simulation of both measurement protocols.
+"""Exact batch simulation of both measurement protocols.
 
 No state vectors appear here.  Both circuits are simulated purely on Pauli
 labels, which is exact for Pauli noise:
@@ -7,8 +7,9 @@ labels, which is exact for Pauli noise:
   channel applies P_a with probability p_a.  The Bell pairs on the first k
   qubits turn the error's k-qubit part directly into the Bell outcome
   v = a_B, and on the remaining m = n-k qubits the stabilizer-basis
-  measurement yields the syndrome e_j = <g_j, a_C>.  The induced (v, e)
-  distribution is checked against the dense matrix oracle in the suite.
+  measurement yields the syndrome e_j = <g_j, a_C>, computed for the whole
+  batch by `StabilizerGroup.syndromes`.  The induced (v, e) distribution
+  is checked against the dense matrix oracle in the suite.
 
 * Benchmarking shot of sequence length m: Pauli gates conjugate Pauli
   errors to themselves up to phase, so the Bell outcome is the XOR of the
@@ -18,7 +19,8 @@ labels, which is exact for Pauli noise:
   Pauli error (c, d) across a Bell pair shifts the outcome by c XOR d, so
   single n-qubit prep and meas channels lose no generality for Pauli SPAM.
 
-Per-shot work is O(m) label XORs; batches are vectorized over shots.
+Per-shot work is O(m) label XORs; every sampler is vectorized over shots
+and returns uint64 label arrays, so a single shot is a batch of size 1.
 Callers own the RNG; see `seeding.derive_rng` for the reproducibility
 contract.
 """
@@ -26,31 +28,14 @@ contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .channels import PauliChannel
 from .errors import CapabilityError, UsageError
-from .pauli import symp, symp_u64
 from .stabilizer import StabilizerGroup
 
 _DIST_ARRAY_LIMIT = 1 << 26
-
-
-class Alg1Outcome(NamedTuple):
-    """One estimation round: Bell outcome v (2k bits), syndrome e (m bits)."""
-
-    v: int
-    e: int
-
-
-class Alg2Shot(NamedTuple):
-    """One benchmarking shot: length m, gate labels a_0..a_m, Bell outcome v."""
-
-    m: int
-    gates: tuple[int, ...]
-    v: int
 
 
 @dataclass(frozen=True)
@@ -83,39 +68,23 @@ class NoiseModel:
         return cls(n, ident, ident, ident)
 
 
-def _split_error(a: int, k: int) -> tuple[int, int]:
-    return a & ((1 << (2 * k)) - 1), a >> (2 * k)
-
-
-def simulate_round_alg1(ch: PauliChannel, k: int, group: StabilizerGroup,
-                        rng: np.random.Generator) -> Alg1Outcome:
-    """One estimation round of the k-ancilla protocol with group S."""
+def _check_round(ch: PauliChannel, k: int, group: StabilizerGroup):
     if not 0 <= k <= ch.n:
         raise UsageError(f"k={k} out of range for n={ch.n}")
     if group.m != ch.n - k:
         raise UsageError(f"group acts on {group.m} qubits, expected {ch.n - k}")
-    a = ch.sample(rng)
-    a_b, a_c = _split_error(a, k)
-    return Alg1Outcome(a_b, group.syndrome(a_c))
 
 
 def simulate_rounds_alg1(ch: PauliChannel, k: int, group: StabilizerGroup,
                          rng: np.random.Generator, rounds: int
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized batch of rounds; returns (v, e) uint64 arrays."""
-    if not 0 <= k <= ch.n:
-        raise UsageError(f"k={k} out of range for n={ch.n}")
-    if group.m != ch.n - k:
-        raise UsageError(f"group acts on {group.m} qubits, expected {ch.n - k}")
+    _check_round(ch, k, group)
     if 2 * ch.n > 64:
         raise CapabilityError("vectorized simulation limited to n <= 32")
     a = np.asarray(ch.sample(rng, size=rounds), dtype=np.uint64)
     v = a & np.uint64((1 << (2 * k)) - 1)
-    a_c = a >> np.uint64(2 * k)
-    e = np.zeros(rounds, dtype=np.uint64)
-    for j, g in enumerate(group.generators):
-        e |= symp_u64(np.uint64(g), a_c) << np.uint64(j)
-    return v, e
+    return v, group.syndromes(a >> np.uint64(2 * k))
 
 
 def outcome_distribution_alg1(ch: PauliChannel, k: int, group: StabilizerGroup):
@@ -124,62 +93,27 @@ def outcome_distribution_alg1(ch: PauliChannel, k: int, group: StabilizerGroup):
     Returns a (4^k, 2^m) array when that fits in memory, else (for sparse
     channels on large registers) a dict {(v, e): probability}.
     """
-    if not 0 <= k <= ch.n:
-        raise UsageError(f"k={k} out of range for n={ch.n}")
+    _check_round(ch, k, group)
     m = ch.n - k
-    if group.m != m:
-        raise UsageError(f"group acts on {group.m} qubits, expected {m}")
     cells = 4**k * 2**m
-    if not ch.is_sparse:
-        if cells > _DIST_ARRAY_LIMIT:
-            raise CapabilityError(f"outcome table with {cells} cells too large")
-        p = ch.error_rates
-        labels = np.arange(4**ch.n, dtype=np.uint64)
+    if ch.is_sparse:
+        labels, probs = ch.support_labels, ch.support_probs
+    elif cells > _DIST_ARRAY_LIMIT:
+        raise CapabilityError(f"outcome table with {cells} cells too large")
+    else:
+        labels, probs = np.arange(4**ch.n, dtype=np.uint64), ch.error_rates
+    if cells <= _DIST_ARRAY_LIMIT:  # then 2n < 64 and labels are uint64
         v = labels & np.uint64((1 << (2 * k)) - 1)
-        a_c = labels >> np.uint64(2 * k)
-        e = np.zeros(labels.shape, dtype=np.uint64)
-        for j, g in enumerate(group.generators):
-            e |= symp_u64(np.uint64(g), a_c) << np.uint64(j)
+        e = group.syndromes(labels >> np.uint64(2 * k))
         idx = (v.astype(np.int64) << m) | e.astype(np.int64)
-        flat = np.bincount(idx, weights=p, minlength=cells)
+        flat = np.bincount(idx, weights=probs, minlength=cells)
         return flat.reshape(4**k, 2**m)
     out: dict[tuple[int, int], float] = {}
-    for lbl, pr in zip(ch.support_labels, ch.support_probs):
-        a_b, a_c = _split_error(int(lbl), k)
-        key = (a_b, group.syndrome(a_c))
+    for lbl, pr in zip(labels, probs):
+        a = int(lbl)
+        key = (a & ((1 << (2 * k)) - 1), group.syndrome(a >> (2 * k)))
         out[key] = out.get(key, 0.0) + float(pr)
-    if cells <= _DIST_ARRAY_LIMIT:
-        table = np.zeros((4**k, 2**m))
-        for (v, e), pr in out.items():
-            table[v, e] = pr
-        return table
     return out
-
-
-def simulate_shot_alg2(model: NoiseModel, m: int,
-                       rng: np.random.Generator) -> Alg2Shot:
-    """One benchmarking shot: m+1 random noisy gates between noisy Bell
-    preparation and measurement."""
-    if m < 0:
-        raise UsageError(f"negative sequence length {m}")
-    n = model.n
-    gates = tuple(
-        int.from_bytes(rng.bytes((2 * n + 7) // 8), "little") & ((1 << (2 * n)) - 1)
-        for _ in range(m + 1)
-    )
-    v = model.prep.sample(rng)
-    for a_t in gates:
-        v ^= a_t ^ model.gate.sample(rng)
-    v ^= model.meas.sample(rng)
-    return Alg2Shot(m, gates, v)
-
-
-def alg2_statistic(shot: Alg2Shot, a: int) -> int:
-    """(-1)^(<a,v> + sum_t <a,a_t>) for one shot; +1 or -1."""
-    acc = shot.v
-    for a_t in shot.gates:
-        acc ^= a_t
-    return 1 - 2 * symp(a, acc)
 
 
 def simulate_alg2_batch(model: NoiseModel, m: int, rng: np.random.Generator,
@@ -192,8 +126,11 @@ def simulate_alg2_batch(model: NoiseModel, m: int, rng: np.random.Generator,
     if m < 0:
         raise UsageError(f"negative sequence length {m}")
     high = 1 << (2 * n)
-    gates = rng.integers(0, high, size=(m + 1, shots), dtype=np.uint64)
-    gate_xor = np.bitwise_xor.reduce(gates, axis=0)
+    # row by row draws the same stream as one (m+1, shots) array, without
+    # holding it
+    gate_xor = np.zeros(shots, dtype=np.uint64)
+    for _ in range(m + 1):
+        gate_xor ^= rng.integers(0, high, size=shots, dtype=np.uint64)
     z = np.asarray(model.prep.sample(rng, size=shots), dtype=np.uint64)
     for _ in range(m + 1):
         z ^= np.asarray(model.gate.sample(rng, size=shots), dtype=np.uint64)

@@ -2,8 +2,10 @@
 
 A stabilizer group is generated by m pairwise-commuting, independent Pauli
 labels, i.e. a maximal isotropic subspace of Z_2^(2m).  Syndromes are packed
-ints: bit j of `syndrome(S, c)` is the symplectic product of generator j
-with the error label c.
+ints: bit j of `S.syndrome(c)` is the symplectic product of generator j
+with the error label c.  `S.syndromes(labels)` is the same map over a
+uint64 label array, used by the batch samplers; the scalar form serves
+per-shot Python-int callers.
 
 The quotient-space pairing <s, e> that appears in the outcome distribution
 is represented generator-wise: for s = sum_j alpha_j g_j and an error c
@@ -29,9 +31,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import CapabilityError, UsageError
 from .gf2m import MAX_M, alpha_powers, gf_mul, gf_trace
-from .pauli import format_bits, parse_bits, symp
+from .pauli import format_bits, parse_bits, symp, symp_u64
 
 VERIFY_MAX_M = 10
 _DENSE_MAP_LIMIT = 1 << 22  # total coverage entries kept in memory
@@ -95,6 +99,18 @@ class StabilizerGroup:
             e |= symp(g, c) << j
         return e
 
+    def syndromes(self, labels: np.ndarray) -> np.ndarray:
+        """Packed syndromes of a uint64 array of error labels, elementwise
+        equal to `syndrome`; for the sampler's per-round and per-label
+        batches."""
+        labels = np.asarray(labels, dtype=np.uint64)
+        if 2 * self.m < 64 and np.any(labels >> np.uint64(2 * self.m)):
+            raise UsageError(f"error label out of range for m={self.m}")
+        e = np.zeros(labels.shape, dtype=np.uint64)
+        for j, g in enumerate(self.generators):
+            e |= symp_u64(np.uint64(g), labels) << np.uint64(j)
+        return e
+
     def element(self, alpha: int) -> int:
         """Group element sum_j alpha_j g_j (label XOR)."""
         out = 0
@@ -123,17 +139,9 @@ class StabilizerGroup:
         return alpha if vec == 0 else None
 
 
-def syndrome(group: StabilizerGroup, c: int) -> int:
-    return group.syndrome(c)
-
-
-def element(group: StabilizerGroup, alpha: int) -> int:
-    return group.element(alpha)
-
-
 def pairing_with_syndrome(alpha: int, e: int) -> int:
-    """alpha . e over GF(2); equals <element(S, alpha), c> whenever
-    e = syndrome(S, c)."""
+    """alpha . e over GF(2); equals <S.element(alpha), c> whenever
+    e = S.syndrome(c)."""
     return (alpha & e).bit_count() & 1
 
 

@@ -8,12 +8,10 @@ from paulibench import (
     CapabilityError,
     PauliChannel,
     UsageError,
-    eigenvalue_query,
-    sample_error,
     wht_forward,
     wht_inverse,
 )
-from paulibench.pauli import parse_bits, symp
+from paulibench.pauli import PauliLabel, parse_bits, symp
 
 
 def brute_wht(p):
@@ -42,6 +40,24 @@ def test_fast_kernel_matches_brute_force(n):
     for _ in range(5):
         p = rng.dirichlet(np.ones(4**n))
         assert np.max(np.abs(wht_forward(p) - brute_wht(p))) < 1e-13
+
+
+@pytest.mark.parametrize("k,m", [(0, 3), (2, 0), (1, 2), (2, 1), (1, 1)])
+def test_syndrome_digits_match_brute_force(k, m):
+    # out[(u << m) | alpha] = sum hist[(v << m) | e] (-1)^(<u,v> + alpha.e)
+    rng = np.random.default_rng(10 * k + m)
+    hist = rng.integers(0, 50, size=4**k << m)
+    out = wht_forward(hist, k, syndrome_digits=m)
+    for u in range(4**k):
+        for alpha in range(2**m):
+            expected = sum(
+                hist[(v << m) | e]
+                * (-1) ** (symp(u, v) ^ ((alpha & e).bit_count() & 1))
+                for v in range(4**k) for e in range(2**m)
+            )
+            assert out[(u << m) | alpha] == expected
+    with pytest.raises(UsageError):
+        wht_forward(np.ones(4**k << m), syndrome_digits=m + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -92,8 +108,11 @@ def test_bad_length_rejected():
 
 def test_eigenvalue_query():
     ch = PauliChannel.from_sparse(1, [("I", 0.9), ("X", 0.1)])
-    assert eigenvalue_query(ch, 0) == 1.0
-    assert eigenvalue_query(ch, "Z") == pytest.approx(0.8, abs=1e-15)
+    assert ch.eigenvalue(0) == 1.0
+    assert ch.eigenvalue("Z") == pytest.approx(0.8, abs=1e-15)
+    assert ch.eigenvalue(PauliLabel(parse_bits("Z", 1), 1)) == ch.eigenvalue("Z")
+    with pytest.raises(UsageError):
+        ch.eigenvalue(PauliLabel(0, 2))
     rng = np.random.default_rng(3)
     sparse = PauliChannel.random_sparse(4, 12, rng)
     dense = PauliChannel.from_error_rates(4, _densify(sparse))
@@ -114,7 +133,47 @@ def test_sampling_point_mass():
     ch = PauliChannel.identity(3)
     draws = ch.sample(rng, size=1000)
     assert np.all(draws == 0)
-    assert sample_error(ch, rng) == 0
+    draw = ch.sample(rng)
+    assert isinstance(draw, int) and draw == 0
+
+
+class _FixedUniforms:
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def _inverse_cdf(ch, u):
+    probs = ch.support_probs if ch.is_sparse else ch.error_rates
+    cdf = np.cumsum(np.clip(probs, 0.0, None))
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    return ch.support_labels[idx] if ch.is_sparse else idx.astype(np.uint64)
+
+
+def test_batch_sampling_is_inverse_cdf():
+    # large batches go through the guide table; every draw must equal the
+    # plain binary search on the same uniforms, small batches included
+    rng = np.random.default_rng(12)
+    channels = [PauliChannel.depolarizing(3, 0.02),
+                PauliChannel.random_dirichlet(2, rng),
+                PauliChannel.random_sparse(4, 9, rng),
+                PauliChannel.identity(2),
+                PauliChannel.spike(2, "XZ", -1)]
+    for ch in channels:
+        for size in (3, 50_000):
+            u = np.random.default_rng(size).random(size)
+            draws = ch.sample(np.random.default_rng(size), size=size)
+            assert draws.dtype == np.uint64
+            assert np.array_equal(draws, _inverse_cdf(ch, u))
+    # uniforms on and next to the guide grid, where CDF entries also sit
+    quarter = PauliChannel.from_error_rates(1, [0.25] * 4)
+    grid = np.arange(16) / 16
+    u = np.concatenate([grid, np.nextafter(grid[1:], 0.0), [1.0 - 2.0**-53]])
+    draws = quarter.sample(_FixedUniforms(u), size=u.size)
+    assert np.array_equal(draws, _inverse_cdf(quarter, u))
 
 
 def test_sampling_two_point():
@@ -227,6 +286,9 @@ def test_invalid_inputs_rejected_not_renormalized():
         PauliChannel.from_sparse(1, [("I", 0.5), ("I", 0.5)])
     with pytest.raises(CapabilityError):
         PauliChannel.from_error_rates(14, np.zeros(4**14))
+    for alpha in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(UsageError):
+            PauliChannel.random_dirichlet(1, np.random.default_rng(0), alpha)
 
 
 def test_json_round_trip_sparse_bit_exact():

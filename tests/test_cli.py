@@ -70,24 +70,80 @@ def test_estimate_channel_from_file(tmp_path):
     assert abs(np.mean(values) - (1 - 0.2 * 16 / 15)) < 0.05
 
 
-def test_config_errors(tmp_path):
-    bad = write_config(tmp_path, "bad.json", {
-        "experiment": "estimate", "n": 2, "k": 0,
-        "channel": {"kind": "identity"}, "samples": 100, "bogus": True,
-    })
-    assert run_cli("estimate", "--config", bad, "--out", str(tmp_path)) == 2
-    missing = write_config(tmp_path, "missing.json", {
-        "experiment": "estimate", "n": 2, "k": 0,
-        "channel": {"kind": "identity"},
-    })
-    assert run_cli("estimate", "--config", missing, "--out", str(tmp_path)) == 2
-    mismatch = write_config(tmp_path, "mismatch.json", {
-        "experiment": "benchmark", "n": 2, "k": 0,
-        "channel": {"kind": "identity"}, "samples": 100,
-    })
-    assert run_cli("estimate", "--config", mismatch, "--out", str(tmp_path)) == 2
+_EST = {"experiment": "estimate", "n": 2, "k": 0,
+        "channel": {"kind": "identity"}, "samples": 100}
+_BENCH = {"experiment": "benchmark", "n": 1, "gate": {"kind": "identity"},
+          "m_list": [0, 1], "shots_per_m": 10}
+_SWEEP = {"experiment": "sweep-ancilla", "n": 2, "k_list": [0],
+          "epsilon": 0.5, "trials": 2}
+_DISC = {"experiment": "discriminate", "n_list": [1], "trials": 2,
+         "max_shots": 10}
+
+# (subcommand, config, expected exit code): 2 config error, 3 capability
+CONFIG_ERRORS = [
+    ("estimate", dict(_EST, bogus=True), 2),
+    ("estimate", {key: val for key, val in _EST.items() if key != "samples"}, 2),
+    ("estimate", dict(_EST, experiment="benchmark"), 2),
+    ("estimate", dict(_EST, n="abc"), 2),
+    ("estimate", dict(_EST, n=2.5), 2),
+    ("estimate", dict(_EST, k="x"), 2),
+    ("estimate", dict(_EST, k=3), 2),
+    ("estimate", dict(_EST, k=-1), 2),
+    ("estimate", dict(_EST, samples="many"), 2),
+    ("estimate", dict(_EST, seed="abc"), 2),
+    ("estimate", dict(_EST, seed=-1), 2),
+    ("estimate", dict(_EST, channel={"kind": "random-dirichlet", "alpha": 0}),
+     2),
+    ("estimate", dict(_EST, channel={"kind": "random-dirichlet",
+                                     "alpha": float("nan")}), 2),
+    ("estimate", dict(_EST, channel={"kind": "file", "path": 3}), 2),
+    ("estimate", dict(_EST, channel={"kind": "depolarizing", "rate": "x"}), 2),
+    ("estimate", dict(_EST, channel={"kind": "tensor", "factors": [
+        {"kind": "identity", "n": "q"}, {"kind": "identity"}]}), 2),
+    ("estimate", dict(_EST, channel={"kind": "tensor", "factors": "II"}), 2),
+    ("estimate", dict(_EST, n=14, k=14), 3),
+    ("benchmark", dict(_BENCH, spam_sweep=[]), 2),
+    ("benchmark", dict(_BENCH, spam_sweep=["high"]), 2),
+    ("benchmark", dict(_BENCH, m_list=5), 2),
+    ("benchmark", dict(_BENCH, m_list=[]), 2),
+    ("benchmark", dict(_BENCH, shots_per_m=0), 2),
+    ("sweep-ancilla", dict(_SWEEP, k_list=[]), 2),
+    ("sweep-ancilla", dict(_SWEEP, k_list=[3]), 2),
+    ("sweep-ancilla", dict(_SWEEP, trials=0), 2),
+    ("sweep-ancilla", dict(_SWEEP, success_fraction=2), 2),
+    ("sweep-ancilla", dict(_SWEEP, success_fraction=1.0), 2),
+    ("sweep-ancilla", dict(_SWEEP, channel_alpha=-1), 2),
+    ("sweep-ancilla", dict(_SWEEP, n=9), 3),
+    ("discriminate", dict(_DISC, n_list=[]), 2),
+    ("discriminate", dict(_DISC, n_list=["two"]), 2),
+    ("discriminate", dict(_DISC, trials=0), 2),
+    ("discriminate", dict(_DISC, modes="bell"), 2),
+    ("discriminate", dict(_DISC, modes=["telepathy"]), 2),
+    ("discriminate", dict(_DISC, n_list=[11]), 3),
+]
+
+
+def test_config_errors(tmp_path, capsys):
+    # every malformed config exits with its code and one line on stderr
+    capsys.readouterr()
+    for i, (command, cfg, code) in enumerate(CONFIG_ERRORS):
+        path = write_config(tmp_path, f"bad{i}.json", cfg)
+        got = run_cli(command, "--config", path, "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert got == code, (cfg, got, err)
+        prefix = "config error: " if code == 2 else "capability error: "
+        assert err.startswith(prefix) and err.count("\n") == 1, (cfg, err)
     assert run_cli("estimate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)) == 2
+    (tmp_path / "garbled.json").write_text("{not a channel")
+    path = write_config(tmp_path, "file.json", dict(_EST, channel={
+        "kind": "file", "path": str(tmp_path / "garbled.json")}))
+    assert run_cli("estimate", "--config", path, "--out", str(tmp_path)) == 2
+    assert run_cli("estimate", "--config", path, "--seed", "-1",
+                   "--out", str(tmp_path)) == 2
+    assert run_cli("verify", "--seed", "-1") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 4 and err.count("config error: ") == 4, err
 
 
 def test_capability_exit_code(tmp_path):
@@ -167,6 +223,20 @@ def test_sweep_ancilla_cli(tmp_path):
     n_min = {row["k"]: int(row["n_min"]) for row in rows}
     assert n_min["1"] > n_min["3"]
     assert (out / "sweep.gp").exists()
+
+
+def test_sweep_ancilla_threads_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "sweep-ancilla", "n": 3, "k_list": [0, 2],
+        "epsilon": 0.35, "trials": 7, "seed": 8,
+    })
+    tables = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"t{threads}"
+        assert run_cli("sweep-ancilla", "--config", cfg, "--out", str(out),
+                       "--threads", threads) == 0
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_discriminate_cli(tmp_path):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -13,15 +12,16 @@ from paulibench import (
     benchmark_alg2,
     estimate_alg1,
     fit_decay,
+    fit_decays,
     mub_covering,
     pauli_basis_covering,
     required_samples,
 )
+from paulibench.cli import RunWriter
 from paulibench.estimation import (
     EstimateSet,
     estimate_alg1_reference,
-    write_decays_csv,
-    write_estimates_csv,
+    two_sample_consistency,
 )
 from paulibench.pauli import parse_bits
 from paulibench.sampler import simulate_rounds_alg1
@@ -192,6 +192,59 @@ def test_fit_errors():
     assert fit.n_used == 2
 
 
+def test_batch_fit_columns_independent():
+    # one batch: two exact exponentials, one column that drops its tail
+    # below the floor, one that cannot be fit, and the constant column
+    lengths = np.array([0, 1, 2, 4, 8, 16])
+    f = np.column_stack([
+        0.9 * 0.95**lengths,
+        0.7 * 0.999**lengths,
+        0.99 * 0.6**lengths,          # below 0.05 from m = 8 on
+        [1.0, 0.01, 0.001, 0.0, -0.1, 0.0],
+        np.ones(6),
+    ])
+    fits = fit_decays(lengths, f, [1000] * 6)
+    assert fits.errors == {3: "decay too fast for chosen M"}
+    assert list(fits.n_used) == [6, 6, 4, 1, 6]
+    np.testing.assert_allclose(fits.a_hat[[0, 1, 2, 4]], [0.9, 0.7, 0.99, 1.0],
+                               rtol=1e-12)
+    np.testing.assert_allclose(fits.lambda_hat[[0, 1, 2, 4]],
+                               [0.95, 0.999, 0.6, 1.0], rtol=1e-12)
+    assert np.isnan(fits.lambda_hat[3]) and np.isnan(fits.stderr_lambda[3])
+    assert fits.stderr_lambda[4] == 0.0
+    # each column alone gives the same fit as inside the batch
+    for col in (0, 1, 2, 4):
+        alone = fit_decay(DecaySeries(col, lengths, f[:, col], [1000] * 6))
+        assert alone.lambda_hat == pytest.approx(fits.lambda_hat[col], rel=1e-15)
+        assert alone.stderr_lambda == pytest.approx(fits.stderr_lambda[col],
+                                                    rel=1e-12, abs=1e-300)
+        assert alone.residual == pytest.approx(fits.residual[col], abs=1e-12)
+
+
+def test_batch_fit_matches_matrix_wls():
+    # reference: the weighted normal equations and the delta-method sandwich
+    # (X'WX)^-1 X'W V W X (X'WX)^-1 solved with dense matrices
+    rng = np.random.default_rng(13)
+    lengths = np.array([0, 1, 2, 4, 8, 16])
+    shots = np.array([500, 1000, 1000, 2000, 4000, 4000])
+    f = 0.8 * 0.9**lengths * (1.0 + 0.02 * rng.standard_normal((3, 6)))
+    fits = fit_decays(lengths, f.T, shots)
+    x = np.column_stack([np.ones(6), lengths])
+    for col, fc in enumerate(f):
+        w = shots * fc**2
+        v = (1.0 - fc**2) / (shots * fc**2)
+        a_inv = np.linalg.inv(x.T @ (w[:, None] * x))
+        beta = a_inv @ (x.T @ (w * np.log(fc)))
+        cov = a_inv @ (x.T @ ((w**2 * v)[:, None] * x)) @ a_inv
+        resid = np.log(fc) - x @ beta
+        assert fits.a_hat[col] == pytest.approx(np.exp(beta[0]), rel=1e-12)
+        assert fits.lambda_hat[col] == pytest.approx(np.exp(beta[1]), rel=1e-12)
+        assert fits.stderr_lambda[col] == pytest.approx(
+            np.exp(beta[1]) * np.sqrt(cov[1, 1]), rel=1e-10)
+        assert fits.residual[col] == pytest.approx(
+            np.sqrt(w @ resid**2), rel=1e-9)
+
+
 def test_decay_series_validation():
     with pytest.raises(UsageError):
         DecaySeries(0, [0, 0, 1], [1, 1, 1], [5, 5, 5])
@@ -255,20 +308,44 @@ def test_spam_robustness_two_sample():
             assert np.max(z) < crit
 
 
-def test_csv_writers():
-    est = EstimateSet(1, np.array([1.0, 0.25, -0.5, 0.0]),
-                      np.full(4, 100, dtype=np.int64),
-                      np.array([0.0, 0.1, 0.2, 0.3]))
-    buf = io.StringIO()
-    write_estimates_csv(est, buf)
-    lines = buf.getvalue().splitlines()
+def test_csv_writers(tmp_path):
+    # the one table writer: floats at 17 significant digits, ints as is
+    writer = RunWriter(str(tmp_path), "csv")
+    path = writer.write_table("estimates",
+                              ["label", "lambda_hat", "n_shots", "stderr"],
+                              [["I", 1.0, 100, 0.0], ["X", 0.25, 100, 0.1]])
+    lines = path.read_text().splitlines()
     assert lines[0] == "label,lambda_hat,n_shots,stderr"
     assert lines[1] == "I,1,100,0"
-    assert lines[2].startswith("X,0.25,100,")
-    series = DecaySeries(2, [0, 2], [1.0, 0.5], [10, 10])
-    buf2 = io.StringIO()
-    write_decays_csv([series], 1, buf2)
-    assert buf2.getvalue().splitlines()[1] == "Z,0,1,10"
+    assert lines[2] == "X,0.25,100,0.10000000000000001"
+    path = writer.write_table("decays", ["label", "m", "f_mean", "shots"],
+                              [["Z", 0, 1.0, 10]])
+    assert path.read_text().splitlines()[1] == "Z,0,1,10"
+
+
+def _estimates(lam, stderr):
+    return EstimateSet(1, np.array(lam), np.full(4, 1000, dtype=np.int64),
+                       np.array(stderr))
+
+
+def test_two_sample_consistency_is_bonferroni_corrected():
+    # the identity label is equal everywhere and is not a comparison
+    se = [0.0, 0.01, 0.01, 0.01]
+    base = _estimates([1.0, 0.5, 0.6, 0.7], se)
+    close = _estimates([1.0, 0.501, 0.601, 0.701], se)
+    z_max = 3.6  # above the single-test 3.29, below the corrected value
+    shifted = _estimates([1.0, 0.5 + z_max * 0.01 * np.sqrt(2), 0.6, 0.7], se)
+    worst, comparisons, critical = two_sample_consistency([base, close, shifted])
+    # base/close differ on 3 labels, base/shifted on 1, close/shifted on 3
+    assert comparisons == 7
+    assert worst == pytest.approx(z_max, rel=1e-9)
+    assert 3.2905267314918945 < worst < critical
+    far = _estimates([1.0, 0.5 + 6.0 * 0.01 * np.sqrt(2), 0.6, 0.7], se)
+    worst, _, critical = two_sample_consistency([base, far])
+    assert worst > critical
+    # NaN estimates (failed fits) are not compared
+    nan = _estimates([1.0, np.nan, np.nan, np.nan], se)
+    assert two_sample_consistency([base, nan])[:2] == (0.0, 0)
 
 
 def test_pauli_basis_covering_overlap_merging():

@@ -5,13 +5,11 @@ from paulibench import (
     NoiseModel,
     PauliChannel,
     UsageError,
-    alg2_statistic,
     outcome_distribution_alg1,
-    simulate_round_alg1,
-    simulate_shot_alg2,
+    simulate_alg2_batch,
+    simulate_rounds_alg1,
 )
-from paulibench.pauli import parse_bits, symp
-from paulibench.sampler import Alg2Shot, simulate_alg2_batch, simulate_rounds_alg1
+from paulibench.pauli import parse_bits, symp, symp_u64
 from paulibench.stabilizer import StabilizerGroup, mub_covering
 
 Z1 = StabilizerGroup(1, (parse_bits("Z", 1),))
@@ -39,38 +37,35 @@ def test_identity_round_always_trivial():
     rng = np.random.default_rng(0)
     ch = PauliChannel.identity(3)
     grp = mub_covering(2).groups[0]
-    for _ in range(50):
-        out = simulate_round_alg1(ch, 1, grp, rng)
-        assert out == (0, 0)
+    v, e = simulate_rounds_alg1(ch, 1, grp, rng, 50)
+    assert v.dtype == e.dtype == np.uint64
+    assert np.all(v == 0) and np.all(e == 0)
 
 
 def test_bell_outcome_reveals_error():
     rng = np.random.default_rng(1)
     ch = PauliChannel.from_sparse(1, [("I", 0.9), ("X", 0.1)])
     empty = StabilizerGroup(0, ())
-    hits = sum(
-        simulate_round_alg1(ch, 1, empty, rng).v == parse_bits("X", 1)
-        for _ in range(20_000)
-    )
-    assert abs(hits / 20_000 - 0.1) < 0.01
+    v, e = simulate_rounds_alg1(ch, 1, empty, rng, 20_000)
+    assert set(v.tolist()) <= {0, parse_bits("X", 1)} and np.all(e == 0)
+    assert abs(np.mean(v == parse_bits("X", 1)) - 0.1) < 0.01
 
 
 def test_syndrome_flips_on_x_error():
     rng = np.random.default_rng(2)
     ch = PauliChannel.from_sparse(1, [("I", 0.9), ("X", 0.1)])
-    hits = sum(
-        simulate_round_alg1(ch, 0, Z1, rng).e == 1 for _ in range(20_000)
-    )
-    assert abs(hits / 20_000 - 0.1) < 0.01
+    v, e = simulate_rounds_alg1(ch, 0, Z1, rng, 20_000)
+    assert np.all(v == 0) and set(e.tolist()) <= {0, 1}
+    assert abs(np.mean(e == 1) - 0.1) < 0.01
 
 
 def test_round_argument_validation():
     rng = np.random.default_rng(0)
     ch = PauliChannel.identity(2)
     with pytest.raises(UsageError):
-        simulate_round_alg1(ch, 3, StabilizerGroup(0, ()), rng)
+        simulate_rounds_alg1(ch, 3, StabilizerGroup(0, ()), rng, 10)
     with pytest.raises(UsageError):
-        simulate_round_alg1(ch, 1, StabilizerGroup(0, ()), rng)
+        simulate_rounds_alg1(ch, 1, StabilizerGroup(0, ()), rng, 10)
 
 
 def test_distribution_identity_point_mass():
@@ -134,41 +129,41 @@ def test_empirical_frequencies_converge():
     assert tv < 5 * np.sqrt(cells / shots)
 
 
+def alg2_statistic(a, v, gate_xor):
+    """(-1)^(<a,v> + sum_t <a,a_t>) per shot, through z = v xor gate_xor."""
+    return 1 - 2 * symp_u64(np.uint64(a), v ^ gate_xor).astype(np.int64)
+
+
 def test_alg2_noiseless():
     rng = np.random.default_rng(7)
     model = NoiseModel.noiseless(2)
     for m in (0, 1, 3):
-        shot = simulate_shot_alg2(model, m, rng)
-        acc = 0
-        for g in shot.gates:
-            acc ^= g
-        assert shot.v == acc
+        batch = simulate_alg2_batch(model, m, rng, 200)
+        assert np.array_equal(batch["v"], batch["gate_xor"])
         for a in range(16):
-            assert alg2_statistic(shot, a) == 1
+            assert np.all(alg2_statistic(a, batch["v"], batch["gate_xor"]) == 1)
 
 
 def test_alg2_statistic_basics():
-    shot = Alg2Shot(0, (parse_bits("X", 1),), parse_bits("X", 1))
-    assert alg2_statistic(shot, parse_bits("Z", 1)) == 1  # <Z, X^X> = <Z,0>
-    assert alg2_statistic(shot, 0) == 1
-    noisy = Alg2Shot(0, (parse_bits("X", 1),), parse_bits("Y", 1))
-    # z = X^Y = Z-label; <X,Z> = 1
-    assert alg2_statistic(noisy, parse_bits("X", 1)) == -1
+    x, y, z = (np.array([parse_bits(p, 1)], dtype=np.uint64) for p in "XYZ")
+    # gate X, outcome X: z = X^X = I, so every statistic is +1
+    assert alg2_statistic(parse_bits("Z", 1), x, x)[0] == 1
+    assert alg2_statistic(0, x, x)[0] == 1
+    # gate X, outcome Y: z = X^Y = Z-label; <X,Z> = 1
+    assert alg2_statistic(parse_bits("X", 1), y, x)[0] == -1
+    assert alg2_statistic(parse_bits("Z", 1), y, x)[0] == 1
+    assert np.array_equal(x ^ y, z)
 
 
 def test_alg2_single_error_source():
     rng = np.random.default_rng(8)
     meas = PauliChannel.from_sparse(1, [("I", 0.8), ("Z", 0.2)])
     model = NoiseModel(1, PauliChannel.identity(1), PauliChannel.identity(1), meas)
-    flips = 0
     shots = 20_000
-    for _ in range(shots):
-        shot = simulate_shot_alg2(model, 2, rng)
-        acc = 0
-        for g in shot.gates:
-            acc ^= g
-        flips += shot.v != acc
-    assert abs(flips / shots - 0.2) < 0.01
+    batch = simulate_alg2_batch(model, 2, rng, shots)
+    flips = batch["v"] != batch["gate_xor"]
+    assert set(batch["z"][flips].tolist()) == {parse_bits("Z", 1)}
+    assert abs(flips.mean() - 0.2) < 0.01
 
 
 def test_alg2_decay_example():
@@ -178,7 +173,7 @@ def test_alg2_decay_example():
     model = NoiseModel(1, gate, PauliChannel.identity(1), PauliChannel.identity(1))
     batch = simulate_alg2_batch(model, 3, rng, 100_000)
     z_label = parse_bits("Z", 1)
-    signs = np.array([1 - 2 * symp(z_label, int(z)) for z in batch["z"]])
+    signs = 1 - 2 * symp_u64(np.uint64(z_label), batch["z"]).astype(np.int64)
     assert abs(signs.mean() - 0.9**4) < 0.01
 
 
@@ -209,8 +204,7 @@ def test_alg2_unbiasedness_grid(n):
             lam = gate.eigenvalue(a)
             expected = (prep.eigenvalue(a) * meas.eigenvalue(a)
                         * lam ** (m + 1))
-            signs = 1.0 - 2.0 * np.array(
-                [symp(a, int(z)) for z in zs], dtype=float)
+            signs = 1.0 - 2.0 * symp_u64(np.uint64(a), zs).astype(float)
             se = max(signs.std() / np.sqrt(shots), 1e-12)
             assert abs(signs.mean() - expected) < 4 * se + 1e-9
 
@@ -218,4 +212,4 @@ def test_alg2_unbiasedness_grid(n):
 def test_negative_length_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(UsageError):
-        simulate_shot_alg2(NoiseModel.noiseless(1), -1, rng)
+        simulate_alg2_batch(NoiseModel.noiseless(1), -1, rng, 10)

@@ -11,22 +11,37 @@ from paulibench import (
     verify_covering,
 )
 from paulibench.pauli import format_bits, parse_bits, symp
-from paulibench.stabilizer import element, pairing_with_syndrome, syndrome
+from paulibench.stabilizer import pairing_with_syndrome
 
 Z1 = StabilizerGroup(1, (parse_bits("Z", 1),))
 
 
 def test_syndrome_examples():
-    assert syndrome(Z1, parse_bits("X", 1)) == 1
-    assert syndrome(Z1, parse_bits("Z", 1)) == 0
-    assert syndrome(Z1, 0) == 0
+    assert Z1.syndrome(parse_bits("X", 1)) == 1
+    assert Z1.syndrome(parse_bits("Z", 1)) == 0
+    assert Z1.syndrome(0) == 0
+    labels = np.array([parse_bits(p, 1) for p in "XZIY"], dtype=np.uint64)
+    assert Z1.syndromes(labels).tolist() == [1, 0, 0, 1]
+
+
+def test_vectorized_syndromes_match_scalar():
+    for m in (1, 2, 3):
+        labels = np.arange(4**m, dtype=np.uint64)
+        for grp in mub_covering(m).groups:
+            fast = grp.syndromes(labels)
+            assert fast.dtype == np.uint64
+            assert fast.tolist() == [grp.syndrome(c) for c in range(4**m)]
+    with pytest.raises(UsageError):
+        Z1.syndromes(np.array([4], dtype=np.uint64))
+    with pytest.raises(UsageError):
+        Z1.syndrome(4)
 
 
 def test_element_examples():
-    assert element(Z1, 0) == 0
-    assert element(Z1, 1) == parse_bits("Z", 1)
+    assert Z1.element(0) == 0
+    assert Z1.element(1) == parse_bits("Z", 1)
     zz = StabilizerGroup(2, (parse_bits("ZI", 2), parse_bits("IZ", 2)))
-    assert element(zz, 0b11) == parse_bits("ZZ", 2)
+    assert zz.element(0b11) == parse_bits("ZZ", 2)
 
 
 def test_pairing_examples():
