@@ -35,7 +35,9 @@ from .pauli import (
 )
 from .sampler import (
     NoiseModel,
+    draw_histogram,
     outcome_distribution_alg1,
+    outcome_distribution_alg2,
     simulate_alg2_batch,
     simulate_rounds_alg1,
 )
@@ -77,7 +79,9 @@ __all__ = [
     "symplectic_product",
     "weight",
     "NoiseModel",
+    "draw_histogram",
     "outcome_distribution_alg1",
+    "outcome_distribution_alg2",
     "simulate_alg2_batch",
     "simulate_rounds_alg1",
     "derive_rng",

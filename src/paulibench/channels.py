@@ -157,7 +157,6 @@ class PauliChannel:
         "support_labels",
         "support_probs",
         "_cdf",
-        "_guide",
     )
 
     def __init__(self, n, *, error_rates=None, eigenvalues=None,
@@ -168,7 +167,6 @@ class PauliChannel:
         self.support_labels = support_labels
         self.support_probs = support_probs
         self._cdf = None
-        self._guide = None
         if error_rates is not None:
             error_rates.setflags(write=False)
         if eigenvalues is not None:
@@ -343,38 +341,15 @@ class PauliChannel:
             self._cdf = np.cumsum(np.clip(probs, 0.0, None))
         return self._cdf
 
-    def _guide_table(self) -> np.ndarray:
-        """Per cell [j/G, (j+1)/G) of [0, 1), G the power of two at or above
-        4 |cdf|: the number of CDF entries <= u, the same for every u in
-        the cell, or -1 where a CDF entry falls inside the cell."""
-        # benign race, as in _cumulative
-        if self._guide is None:
-            cdf = self._cumulative()
-            cells = 1 << (4 * len(cdf) - 1).bit_length()
-            bounds = np.searchsorted(cdf, np.arange(cells + 1) / cells,
-                                     side="right")
-            self._guide = np.where(bounds[:-1] == bounds[1:], bounds[:-1], -1)
-        return self._guide
-
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw error labels a ~ p; returns an int, or a label array.
 
         Inverse CDF: the label index of a uniform u is the number of CDF
-        entries <= u.  Batches of at least 4 |cdf| draws look it up in the
-        guide table (u * G is exact, G being a power of two) and
-        binary-search only the draws whose cell holds a CDF entry.  Smaller
-        batches binary-search every draw, so a large channel sampled a few
-        rounds at a time never builds a table bigger than its batches.
+        entries <= u.
         """
         cdf = self._cumulative()
         u = rng.random(size=1 if size is None else size)
-        if u.size >= 4 * len(cdf):
-            guide = self._guide_table()
-            idx = guide[(u * len(guide)).astype(np.intp)]
-            search = np.nonzero(idx < 0)[0]
-            idx[search] = np.searchsorted(cdf, u[search], side="right")
-        else:
-            idx = np.searchsorted(cdf, u, side="right")
+        idx = np.searchsorted(cdf, u, side="right")
         np.minimum(idx, len(cdf) - 1, out=idx)
         if self.is_sparse:
             out = self.support_labels[idx]

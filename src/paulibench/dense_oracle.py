@@ -11,7 +11,9 @@ Covered checks:
 * Choi states and teleportation stretching (channel application via Bell
   measurement plus Pauli correction),
 * exact benchmarking expectations E[F(m)] for general (non-Pauli) gate
-  noise and general SPAM, against the closed form A_a lambda_a^m.
+  noise and general SPAM, against the closed form A_a lambda_a^m,
+* the law of the benchmarking outcome z under Pauli noise, by explicit
+  XOR-convolution of error-rate vectors rather than a transform.
 
 Conventions: qubit 0 is the first kron factor.  Bell states on a register
 pair (A, B) are |Psi_v> = (P_v x I)|Psi+>, giving the projector expansion
@@ -513,3 +515,22 @@ def alg2_expectation_brute(n: int, gate: DenseChannel, prep_rho: np.ndarray,
         total += float(est)
         count += 1
     return total / count
+
+
+def alg2_distribution_convolution(model, m: int) -> np.ndarray:
+    """Law of z = v xor (xor of gate labels) at sequence length m for the
+    Pauli noise of `model` (prep, gate, meas channels on n qubits): the
+    XOR-convolution law'[z] = sum_a law[a] q[a xor z] of the prep, m+1
+    gate and meas error-rate vectors, as 4^n x 4^n matrix products."""
+    _check_qubits(2 * model.n, "alg2_distribution_convolution")
+    labels = np.arange(4**model.n)
+    xor = labels[:, None] ^ labels[None, :]
+
+    def rates(ch: PauliChannel) -> np.ndarray:
+        return np.array([ch.probability(a) for a in labels])
+
+    gate = rates(model.gate)[xor]
+    law = rates(model.prep)
+    for _ in range(m + 1):
+        law = law @ gate
+    return law @ rates(model.meas)[xor]

@@ -7,11 +7,14 @@ along the m syndrome bits:
 
     lambda_hat[u xor s(alpha)] = sum_{v,e} hist[v,e] (-1)^(<u,v> + alpha.e)
 
-This replaces the per-shot inner loop over all (u, alpha) pairs: the
-per-shot cost drops to O(1) at the price of one O(2^(n+k) (n+k)) transform
-per group.  `estimate_alg1_reference` keeps the literal per-shot loop; on a
-shared shot stream both paths agree bit for bit (every partial sum is an
-integer below 2^53), which the suite checks.
+This replaces the per-shot inner loop over all (u, alpha) pairs at the
+price of one O(2^(n+k) (n+k)) transform per group.  For a simulated
+channel the histogram itself is one multinomial draw from the exact
+outcome law when the group's table has no more cells than it has rounds
+(`sampler.law_pays`); larger tables, injected shot streams and restricted
+label sets sample every round.  `estimate_alg1_reference` keeps the literal
+per-shot loop; on a shared shot stream both paths agree bit for bit (every
+partial sum is an integer below 2^53), which the suite checks.
 
 Labels covered by several groups (always the case for the identity syndrome
 part, and for all compatible groups of the 3^m covering) are merged by
@@ -21,7 +24,11 @@ Estimates are reported raw, not clamped to [-1, 1]; clamping would break
 the unbiasedness checks.  `EstimateSet.clamp` gives a physically projected
 copy for downstream use.
 
-Benchmarking estimates come from fitting per-label decay series
+Benchmarking reduces each sequence length to the histogram of
+z = v xor (xor of gate labels) and one transform to all F(m) values; the
+histogram is drawn from its exact law when there are no more labels than
+shots, else from simulated shots.  The estimates come from fitting
+per-label decay series
 F(m) ~ A * lambda^m by least squares on log F, weighted by shots * F^2
 (the delta-method weight for log of a mean of signs).  `fit_decays` fits
 all labels at once from the (lengths x labels) array of means with the
@@ -40,7 +47,16 @@ import numpy as np
 from .channels import DENSE_MAX_QUBITS, PauliChannel, wht_forward
 from .errors import CapabilityError, FitError, UsageError
 from .pauli import format_bits, parity_u64, symp, symp_u64
-from .sampler import NoiseModel, simulate_alg2_batch, simulate_rounds_alg1
+from .sampler import (
+    NoiseModel,
+    draw_histogram,
+    group_labels,
+    law_pays,
+    outcome_distribution_alg1,
+    outcome_distribution_alg2,
+    simulate_alg2_batch,
+    simulate_rounds_alg1,
+)
 from .stabilizer import Covering
 
 DECAY_FLOOR = 0.05
@@ -167,17 +183,23 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
             "pass labels= for a restricted set"
         )
     m = covering.m
+    cells = 4**k << m
+    from_law = isinstance(channel_or_source, PauliChannel) \
+        and law_pays(cells, rounds)
     sums = np.zeros(4**n)
     counts = np.zeros(4**n, dtype=np.int64)
-    u_vals = np.arange(4**k, dtype=np.int64)
     for gi, group in enumerate(covering.groups):
-        v, e = source(gi, group, rounds, rng)
-        idx = (np.asarray(v, dtype=np.int64) << m) | np.asarray(e, dtype=np.int64)
-        hist = np.bincount(idx, minlength=4**k << m)
-        # transformed[(u << m) | alpha], already in the row order of `full`
+        full = group_labels(k, group)
+        if from_law:
+            law = outcome_distribution_alg1(channel_or_source, k, group, full)
+            hist = draw_histogram(law, rounds, rng).ravel()
+        else:
+            v, e = source(gi, group, rounds, rng)
+            idx = ((np.asarray(v, dtype=np.int64) << m)
+                   | np.asarray(e, dtype=np.int64))
+            hist = np.bincount(idx, minlength=cells)
+        # transformed[(u << m) | alpha], already in the order of `full`
         transformed = wht_forward(hist, syndrome_digits=m)
-        elems = np.asarray(group.elements(), dtype=np.int64)
-        full = u_vals[:, None] | (elems[None, :] << (2 * k))
         np.add.at(sums, full.ravel(), transformed)
         np.add.at(counts, full.ravel(), rounds)
     return _estimate_set(n, sums, counts)
@@ -374,11 +396,13 @@ def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
                    rng: np.random.Generator, labels=None) -> BenchmarkResult:
     """Run the SPAM-robust benchmarking protocol and fit every label.
 
-    Per sequence length, `shots_per_m` shots are simulated in one batch and
-    reduced to all F(m) values through a histogram of z = v xor (xor of
-    gate labels) followed by one symplectic transform.  All labels are
-    fitted in one `fit_decays` call; fit failures are recorded per label,
-    not raised.
+    Per sequence length, `shots_per_m` shots are reduced to all F(m)
+    values through a histogram of z = v xor (xor of gate labels) followed
+    by one symplectic transform.  The histogram is one multinomial draw
+    from `outcome_distribution_alg2` when `law_pays(4^n, shots_per_m)`,
+    else the shots are simulated; a restricted `labels` set always
+    simulates them.  All labels are fitted in one `fit_decays` call; fit
+    failures are recorded per label, not raised.
     """
     lengths = np.asarray(sorted(set(int(m) for m in lengths)), dtype=np.int64)
     if lengths.size == 0:
@@ -396,16 +420,20 @@ def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
     else:
         label_arr = np.asarray([int(lbl) for lbl in labels], dtype=np.uint64)
         f_rows = np.empty((lengths.size, label_arr.size))
+    from_law = label_arr is None and law_pays(4**n, shots_per_m)
     for row, m in enumerate(lengths):
-        batch = simulate_alg2_batch(model, int(m), rng, shots_per_m)
-        z = batch["z"]
-        if label_arr is None:
-            hist = np.bincount(z.astype(np.int64), minlength=4**n)
-            f_rows[row] = wht_forward(hist) / shots_per_m
+        if from_law:
+            hist = draw_histogram(outcome_distribution_alg2(model, int(m)),
+                                  shots_per_m, rng)
         else:
-            for li, lbl in enumerate(label_arr):
-                signs = symp_u64(lbl, z)
-                f_rows[row, li] = 1.0 - 2.0 * float(signs.mean())
+            z = simulate_alg2_batch(model, int(m), rng, shots_per_m)["z"]
+            if label_arr is not None:
+                for li, lbl in enumerate(label_arr):
+                    signs = symp_u64(lbl, z)
+                    f_rows[row, li] = 1.0 - 2.0 * float(signs.mean())
+                continue
+            hist = np.bincount(z.astype(np.int64), minlength=4**n)
+        f_rows[row] = wht_forward(hist) / shots_per_m
     shots = np.full(lengths.size, shots_per_m, dtype=np.int64)
     fits = fit_decays(lengths, f_rows, shots)
     report_labels = (np.arange(4**n, dtype=np.uint64)

@@ -14,7 +14,11 @@ import numpy as np
 from . import dense_oracle as oracle
 from .channels import PauliChannel, wht_forward, wht_inverse
 from .pauli import symp
-from .sampler import outcome_distribution_alg1
+from .sampler import (
+    NoiseModel,
+    outcome_distribution_alg1,
+    outcome_distribution_alg2,
+)
 from .seeding import derive_rng
 from .stabilizer import mub_covering, pauli_basis_covering, verify_covering
 
@@ -110,6 +114,28 @@ def check_alg1_oracle(seed: int = 0, max_n: int = 3,
     return _timed("alg1-outcome-distribution-vs-oracle", 1e-10, run)
 
 
+def check_alg2_law(seed: int = 0) -> CheckResult:
+    def run():
+        worst = 0.0
+        for n in (1, 2):
+            rng = derive_rng(seed, "alg2-law", n)
+            gate = PauliChannel.random_dirichlet(n, rng)
+            spams = [
+                (PauliChannel.identity(n), PauliChannel.identity(n)),
+                (PauliChannel.random_dirichlet(n, rng),
+                 PauliChannel.depolarizing(n, 0.1)),
+            ]
+            for prep, meas in spams:
+                model = NoiseModel(n, gate, prep, meas)
+                for m in range(5):
+                    fast = outcome_distribution_alg2(model, m)
+                    brute = oracle.alg2_distribution_convolution(model, m)
+                    worst = max(worst, float(np.max(np.abs(fast - brute))))
+        return worst < 1e-12, f"max |fast - convolution| = {worst:.2e}"
+
+    return _timed("alg2-outcome-distribution-vs-convolution", 1e-12, run)
+
+
 def check_mutual_info_bound(seed: int = 0, strategies: int = 50) -> CheckResult:
     def run():
         worst_margin = -np.inf
@@ -196,6 +222,7 @@ def run_checks(level: str = "quick", seed: int = 0) -> list[CheckResult]:
         check_coverings(max_mub=6 if full else 4, max_pauli=5 if full else 3),
         check_alg1_oracle(seed, max_n=3 if full else 2,
                           channels_per_case=20 if full else 3),
+        check_alg2_law(seed),
         check_mutual_info_bound(seed, strategies=500 if full else 50),
         check_teleportation(seed, channels=20 if full else 6),
         check_alg2_dense(seed),

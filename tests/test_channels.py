@@ -154,8 +154,8 @@ def _inverse_cdf(ch, u):
 
 
 def test_batch_sampling_is_inverse_cdf():
-    # large batches go through the guide table; every draw must equal the
-    # plain binary search on the same uniforms, small batches included
+    # every draw must equal the inverse CDF of its uniform, in small and
+    # large batches
     rng = np.random.default_rng(12)
     channels = [PauliChannel.depolarizing(3, 0.02),
                 PauliChannel.random_dirichlet(2, rng),
@@ -168,7 +168,7 @@ def test_batch_sampling_is_inverse_cdf():
             draws = ch.sample(np.random.default_rng(size), size=size)
             assert draws.dtype == np.uint64
             assert np.array_equal(draws, _inverse_cdf(ch, u))
-    # uniforms on and next to the guide grid, where CDF entries also sit
+    # uniforms on and next to CDF entries
     quarter = PauliChannel.from_error_rates(1, [0.25] * 4)
     grid = np.arange(16) / 16
     u = np.concatenate([grid, np.nextafter(grid[1:], 0.0), [1.0 - 2.0**-53]])

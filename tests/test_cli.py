@@ -272,7 +272,7 @@ def test_verify_quick_passes(tmp_path, capsys):
     assert run_cli("verify", "--level", "quick", "--seed", "1",
                    "--out", str(tmp_path / "v")) == 0
     captured = capsys.readouterr()
-    assert captured.out.count("[PASS]") == 7
+    assert captured.out.count("[PASS]") == 8
     assert (tmp_path / "v" / "verify.txt").exists()
 
 
@@ -317,3 +317,15 @@ def test_benchmark_default_length_ladder(tmp_path):
     assert run_cli("benchmark", "--config", cfg, "--out", str(out)) == 0
     decays = read_csv(out / "decays.csv")
     assert sorted({int(r["m"]) for r in decays}) == [0, 1, 2, 4, 8, 16]
+
+
+def test_verify_fails_on_wrong_alg2_law(monkeypatch, capsys):
+    real = verify.outcome_distribution_alg2
+
+    def one_gate_short(model, m):
+        return real(model, m - 1) if m > 0 else real(model, m)
+
+    monkeypatch.setattr(verify, "outcome_distribution_alg2", one_gate_short)
+    assert run_cli("verify", "--level", "quick", "--seed", "1") == 4
+    captured = capsys.readouterr()
+    assert "[FAIL] alg2-outcome-distribution-vs-convolution" in captured.out

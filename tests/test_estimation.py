@@ -10,13 +10,16 @@ from paulibench import (
     PauliChannel,
     UsageError,
     benchmark_alg2,
+    draw_histogram,
     estimate_alg1,
     fit_decay,
     fit_decays,
     mub_covering,
     pauli_basis_covering,
     required_samples,
+    wht_forward,
 )
+from paulibench import dense_oracle as oracle
 from paulibench.cli import RunWriter
 from paulibench.estimation import (
     EstimateSet,
@@ -24,7 +27,12 @@ from paulibench.estimation import (
     two_sample_consistency,
 )
 from paulibench.pauli import parse_bits
-from paulibench.sampler import simulate_rounds_alg1
+from paulibench.sampler import (
+    outcome_distribution_alg1,
+    outcome_distribution_alg2,
+    simulate_alg2_batch,
+    simulate_rounds_alg1,
+)
 
 
 def test_required_samples_instance():
@@ -100,6 +108,71 @@ def test_histogram_path_equals_literal_loop(n, k):
     sub = estimate_alg1(replay, k, cov, 2000, np.random.default_rng(0),
                         labels=list(range(4**n)))
     assert np.array_equal(sub.lambda_hat, fast.lambda_hat)
+
+
+def test_more_cells_than_draws_samples_every_shot():
+    # n=5, k=5: 4^5 = 1024 cells and 1000 rounds, so the estimator samples
+    # every round, bit for bit like an injected per-round source
+    ch = PauliChannel.random_dirichlet(5, np.random.default_rng(13))
+    cov = mub_covering(0)
+
+    def per_round(_i, group, rounds, rng_):
+        return simulate_rounds_alg1(ch, 5, group, rng_, rounds)
+
+    direct = estimate_alg1(ch, 5, cov, 1000, np.random.default_rng(14))
+    injected = estimate_alg1(per_round, 5, cov, 1000, np.random.default_rng(14))
+    assert np.array_equal(direct.lambda_hat, injected.lambda_hat)
+    assert np.array_equal(direct.stderr, injected.stderr)
+    # the same for benchmarking: 4^3 = 64 labels, 50 shots per length
+    gate = PauliChannel.random_dirichlet(3, np.random.default_rng(15))
+    model = NoiseModel(3, gate, PauliChannel.identity(3),
+                       PauliChannel.depolarizing(3, 0.05))
+    res = benchmark_alg2(model, [0, 1, 2], 50, np.random.default_rng(16))
+    rng = np.random.default_rng(16)
+    rows = [wht_forward(np.bincount(
+                simulate_alg2_batch(model, m, rng, 50)["z"].astype(np.int64),
+                minlength=64)) / 50
+            for m in (0, 1, 2)]
+    assert np.array_equal(res.f_mean, np.array(rows))
+
+
+def test_law_draws_never_fill_zero_cells():
+    # spike and identity laws hold exact zeros; a dense channel with zero
+    # error rates leaves roundoff (negatives included) where its sparse twin
+    # has exact zeros.  No draw may raise or count a cell the error support
+    # cannot reach.
+    n = 2
+    rates = np.zeros(16)
+    rates[[0, 5, 9]] = [0.7, 0.2, 0.1]
+    channels = [PauliChannel.spike(n, "XZ", -1), PauliChannel.spike(n, "YI", 1),
+                PauliChannel.identity(n), PauliChannel.from_error_rates(n, rates)]
+    rng = np.random.default_rng(17)
+    negatives = 0
+    for ch in channels:
+        twin = PauliChannel.from_sparse(n, [(a, ch.probability(a))
+                                            for a in range(16)
+                                            if ch.probability(a) > 0])
+        for k in range(n + 1):
+            for grp in mub_covering(n - k).groups:
+                law = outcome_distribution_alg1(ch, k, grp)
+                reachable = outcome_distribution_alg1(twin, k, grp) > 0
+                counts = draw_histogram(law, 10_000, rng)
+                assert counts.sum() == 10_000 and not counts[~reachable].any()
+                negatives += int((law < 0).sum())
+        for spam in (PauliChannel.identity(n), ch):
+            model = NoiseModel(n, ch, spam, spam)
+            for m in (0, 1, 2, 5):
+                law = outcome_distribution_alg2(model, m)
+                reachable = oracle.alg2_distribution_convolution(model, m) > 0
+                counts = draw_histogram(law, 10_000, rng)
+                assert counts.sum() == 10_000 and not counts[~reachable].any()
+                negatives += int((law < 0).sum())
+    assert negatives > 0  # the roundoff case is exercised
+    # the identity channel's law-drawn estimates are exact
+    est = estimate_alg1(PauliChannel.identity(3), 0, mub_covering(3), 900, rng)
+    assert np.all(est.lambda_hat == 1.0)
+    res = benchmark_alg2(NoiseModel.noiseless(3), [0, 2, 5], 64, rng)
+    assert np.all(res.estimates.lambda_hat == 1.0)
 
 
 def test_unbiasedness_over_runs():

@@ -5,10 +5,13 @@ from paulibench import (
     NoiseModel,
     PauliChannel,
     UsageError,
+    draw_histogram,
     outcome_distribution_alg1,
+    outcome_distribution_alg2,
     simulate_alg2_batch,
     simulate_rounds_alg1,
 )
+from paulibench import dense_oracle as oracle
 from paulibench.pauli import parse_bits, symp, symp_u64
 from paulibench.stabilizer import StabilizerGroup, mub_covering
 
@@ -116,17 +119,47 @@ def test_sparse_distribution_matches_dense():
 
 
 def test_empirical_frequencies_converge():
+    # per-shot and law-drawn histograms of both protocols against the exact
+    # law, at one total-variation bound
     rng = np.random.default_rng(6)
     ch = PauliChannel.random_dirichlet(2, rng)
     grp = mub_covering(1).groups[2]
-    exact = outcome_distribution_alg1(ch, 1, grp)
+    exact1 = outcome_distribution_alg1(ch, 1, grp)
     shots = 1_000_000
     v, e = simulate_rounds_alg1(ch, 1, grp, rng, shots)
-    counts = np.zeros_like(exact)
+    counts = np.zeros_like(exact1)
     np.add.at(counts, (v.astype(int), e.astype(int)), 1)
-    tv = 0.5 * np.abs(counts / shots - exact).sum()
-    cells = exact.size
-    assert tv < 5 * np.sqrt(cells / shots)
+    model = NoiseModel(2, ch, PauliChannel.depolarizing(2, 0.05),
+                       PauliChannel.random_dirichlet(2, rng))
+    exact2 = outcome_distribution_alg2(model, 3)
+    z = simulate_alg2_batch(model, 3, rng, shots)["z"]
+    cases = [
+        (exact1, counts),
+        (exact1, draw_histogram(exact1, shots, rng)),
+        (exact2, np.bincount(z.astype(np.int64), minlength=16)),
+        (exact2, draw_histogram(exact2, shots, rng)),
+    ]
+    for exact, hist in cases:
+        assert hist.shape == exact.shape and hist.sum() == shots
+        tv = 0.5 * np.abs(hist / shots - exact).sum()
+        assert tv < 5 * np.sqrt(exact.size / shots)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_alg2_law_matches_convolution(n):
+    # dense and sparse-identity SPAM, against explicit XOR-convolution
+    rng = np.random.default_rng(30 + n)
+    gate = PauliChannel.random_dirichlet(n, rng)
+    spams = [
+        (PauliChannel.identity(n), PauliChannel.identity(n)),
+        (PauliChannel.random_dirichlet(n, rng), PauliChannel.depolarizing(n, 0.1)),
+    ]
+    for prep, meas in spams:
+        model = NoiseModel(n, gate, prep, meas)
+        for m in range(5):
+            fast = outcome_distribution_alg2(model, m)
+            brute = oracle.alg2_distribution_convolution(model, m)
+            assert np.max(np.abs(fast - brute)) < 1e-12
 
 
 def alg2_statistic(a, v, gate_xor):
@@ -213,3 +246,5 @@ def test_negative_length_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(UsageError):
         simulate_alg2_batch(NoiseModel.noiseless(1), -1, rng, 10)
+    with pytest.raises(UsageError):
+        outcome_distribution_alg2(NoiseModel.noiseless(1), -1)
