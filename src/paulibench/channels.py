@@ -296,15 +296,19 @@ class PauliChannel:
     @classmethod
     def random_sparse(cls, n: int, support_size: int,
                       rng: np.random.Generator) -> "PauliChannel":
-        """Sparse channel on `support_size` labels (identity always included)."""
+        """Sparse channel on `support_size` labels (identity always included).
+
+        The other labels are drawn uniformly without replacement from the
+        4^n - 1 nonidentity labels; `rng.choice` counts them in int64, so
+        n <= 31."""
+        if n > 31:
+            raise UsageError(f"random_sparse needs n <= 31, got {n}")
         if support_size < 1 or support_size > min(4**n, 1 << 20):
             raise UsageError(f"bad support size {support_size}")
-        mask = (1 << (2 * n)) - 1
-        labels = {0}
-        while len(labels) < support_size:
-            labels.add(int.from_bytes(rng.bytes((2 * n + 7) // 8), "little") & mask)
+        others = rng.choice(4**n - 1, support_size - 1, replace=False) + 1
+        labels = [0] + np.sort(others).tolist()
         probs = rng.dirichlet(np.ones(support_size))
-        return cls.from_sparse(n, zip(sorted(labels), probs))
+        return cls.from_sparse(n, zip(labels, probs))
 
     # --- queries ----------------------------------------------------------
 
@@ -317,6 +321,10 @@ class PauliChannel:
         b = _label_bits(b, self.n)
         if self.eigenvalues is not None:
             return float(self.eigenvalues[b])
+        if b == 0:
+            # pinned to 1 as in the dense eigenvalues; the probabilities sum
+            # to 1 only within rounding
+            return 1.0
         if self.support_labels.dtype == object:
             total = 0.0
             for lbl, pr in zip(self.support_labels, self.support_probs):

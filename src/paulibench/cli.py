@@ -11,10 +11,14 @@ Subcommands:
 
 Experiments are configured by a JSON file (--config) with flag overrides
 (--seed, --threads, --out, --format).  Every run writes a primary table
-(CSV by default) plus run metadata JSON with the resolved config, seed and
-timings.  Outputs are byte-identical for a fixed (config, seed) at any
-thread count: all randomness is derived from (seed, structural key) and
-merges happen in key order.
+(CSV by default) plus run metadata JSON with the resolved config, seed,
+timings and, per table, its row count and write time.  Floats are written
+with 17 significant digits.  `estimate` writes its 4^n-row table from numpy
+columns (`RunWriter.write_columns`), the other commands from rows
+(`RunWriter.write_table`); both give the same bytes for the same values.
+Outputs are byte-identical for a fixed (config, seed) at any thread count:
+all randomness is derived from (seed, structural key) and merges happen in
+key order.
 
 Exit codes: 0 ok, 2 config error, 3 capability error, 4 verification
 failure.
@@ -43,13 +47,14 @@ from .estimation import (
     required_samples,
     two_sample_consistency,
 )
-from .pauli import format_bits, symp_u64
+from .pauli import format_bits, format_labels, symp_u64
 from .sampler import NoiseModel
 from .seeding import derive_rng
 from .stabilizer import mub_covering, pauli_basis_covering
 from .verify import run_checks
 
 _FLOAT = "{:.17g}"
+_CSV_CHUNK_ROWS = 1 << 16  # rows per block of `RunWriter.write_columns`
 
 SCHEMA_VERSION = 1
 
@@ -195,22 +200,50 @@ class RunWriter:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.fmt = fmt
         self.outputs: list[str] = []
+        self.tables: dict[str, dict] = {}
         self.start = time.perf_counter()
 
     def write_table(self, name: str, header: list[str], rows: list[list]):
+        """Write a table given as rows of Python values."""
+        start = time.perf_counter()
+        path = self.dir / f"{name}.{self.fmt}"
         if self.fmt == "json":
-            path = self.dir / f"{name}.json"
-            payload = [dict(zip(header, row)) for row in rows]
-            path.write_text(json.dumps(payload, indent=1) + "\n")
+            _write_json(path, header, rows)
         else:
-            path = self.dir / f"{name}.csv"
             # row by row, so no second copy of a 4^n-row table is held
             with path.open("w") as fh:
                 fh.write(",".join(header) + "\n")
                 for row in rows:
                     fh.write(",".join([_FLOAT.format(x) if isinstance(x, float)
                                        else str(x) for x in row]) + "\n")
+        return self._add_table(path, len(rows), start)
+
+    def write_columns(self, name: str, header: list[str],
+                      columns: list[np.ndarray]):
+        """Write a table given as equal-length numpy columns: ``S`` byte
+        strings, floats or integers.  The bytes equal those of `write_table`
+        on the rows of Python str, float and int values."""
+        start = time.perf_counter()
+        path = self.dir / f"{name}.{self.fmt}"
+        rows = len(columns[0])
+        if self.fmt == "json":
+            lists = [col.astype(str).tolist() if col.dtype.kind == "S"
+                     else col.tolist() for col in columns]
+            _write_json(path, header, zip(*lists))
+        else:
+            with path.open("wb") as fh:
+                fh.write((",".join(header) + "\n").encode())
+                for lo in range(0, rows, _CSV_CHUNK_ROWS):
+                    fh.write(_csv_block([col[lo:lo + _CSV_CHUNK_ROWS]
+                                         for col in columns]))
+        return self._add_table(path, rows, start)
+
+    def _add_table(self, path: Path, rows: int, start: float) -> Path:
         self.outputs.append(path.name)
+        self.tables[path.name] = {
+            "rows": rows,
+            "write_s": round(time.perf_counter() - start, 6),
+        }
         return path
 
     def write_text(self, name: str, text: str):
@@ -232,11 +265,51 @@ class RunWriter:
             "version": __version__,
             "git": _git_describe(),
             "outputs": self.outputs,
+            "tables": self.tables,
             "wall_time_s": round(time.perf_counter() - self.start, 3),
         }
         if summary is not None:
             meta["summary"] = summary
         (self.dir / "run.json").write_text(json.dumps(meta, indent=1) + "\n")
+
+
+def _write_json(path: Path, header: list[str], rows):
+    payload = [dict(zip(header, row)) for row in rows]
+    path.write_text(json.dumps(payload, indent=1) + "\n")
+
+
+def _csv_cells(col: np.ndarray) -> np.ndarray:
+    """A column as fixed-width, NUL-padded ASCII cells.
+
+    Each distinct value is formatted once.  Floats are keyed on their bit
+    pattern, not their value, so -0.0 and 0.0 keep their own text."""
+    if col.dtype.kind == "S":
+        return col
+    if col.dtype.kind == "f":
+        bits = col.astype(np.float64, copy=False).view(np.uint64)
+        keys, inverse = np.unique(bits, return_inverse=True)
+        text = [_FLOAT.format(x) for x in keys.view(np.float64).tolist()]
+    else:
+        keys, inverse = np.unique(col, return_inverse=True)
+        text = [str(x) for x in keys.tolist()]
+    return np.array(text, dtype=np.bytes_)[inverse]
+
+
+def _csv_block(columns: list[np.ndarray]) -> bytes:
+    """CSV lines of equal-length columns: the cells laid side by side in one
+    byte matrix with ',' and '\\n' columns, then the NUL padding dropped."""
+    cells = [_csv_cells(col) for col in columns]
+    rows = len(cells[0])
+    widths = [c.dtype.itemsize for c in cells]
+    block = np.empty((rows, sum(widths) + len(cells)), dtype=np.uint8)
+    at = 0
+    for c, width in zip(cells, widths):
+        block[:, at:at + width] = c.view(np.uint8).reshape(rows, width)
+        block[:, at + width] = ord(",")
+        at += width + 1
+    block[:, -1] = ord("\n")
+    flat = block.ravel()
+    return flat[flat != 0].tobytes()
 
 
 def _git_describe():
@@ -283,13 +356,10 @@ def cmd_estimate(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict:
     est = estimate_alg1(channel, k, cov, total, derive_rng(seed, "shots"))
     if cfg.get("clamp", False):
         est = est.clamp()
-    rows = [
-        [format_bits(int(lbl), n), float(lam), int(cnt), float(se)]
-        for lbl, lam, cnt, se in zip(est.label_list(), est.lambda_hat,
-                                     est.n_shots, est.stderr)
-    ]
-    writer.write_table("estimates", ["label", "lambda_hat", "n_shots", "stderr"],
-                       rows)
+    writer.write_columns(
+        "estimates", ["label", "lambda_hat", "n_shots", "stderr"],
+        [format_labels(est.label_list(), n), est.lambda_hat, est.n_shots,
+         est.stderr])
     return {
         "samples": total,
         "rounds_per_group": total // len(cov.groups),

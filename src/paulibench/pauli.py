@@ -37,6 +37,7 @@ from .errors import UsageError
 
 # value -> letter for a single qubit's two-bit field (x bit is the low bit)
 LETTERS = "IXZY"
+_LETTER_CODES = np.frombuffer(LETTERS.encode(), dtype=np.uint8)
 _LETTER_BITS = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 
 _EVEN_BITS_64 = np.uint64(0x5555555555555555)
@@ -153,6 +154,19 @@ def symp_u64(a, b) -> np.ndarray:
     one = np.uint64(1)
     word = ((a & (b >> one)) ^ ((a >> one) & b)) & _EVEN_BITS_64
     return parity_u64(word)
+
+
+def format_labels(labels, n: int) -> np.ndarray:
+    """Vectorized `format_bits`: uint64 labels on 1 <= n <= 32 qubits to a
+    fixed-width ``S{n}`` array of ASCII letter strings."""
+    if not 1 <= n <= 32:
+        raise UsageError(f"format_labels needs 1 <= n <= 32, got {n}")
+    labels = np.asarray(labels, dtype=np.uint64)
+    letters = np.empty(labels.shape + (n,), dtype=np.uint8)
+    for i in range(n):
+        digit = (labels >> np.uint64(2 * i)) & np.uint64(3)
+        letters[..., i] = _LETTER_CODES[digit]
+    return letters.view(f"S{n}")[..., 0]
 
 
 def all_labels(n: int) -> np.ndarray:

@@ -272,6 +272,17 @@ def test_constructor_outputs_are_physical():
     assert sparse.eigenvalue(0) == 1.0
 
 
+def test_random_sparse_full_support():
+    # sampling without replacement: full support is no slower than any other
+    ch = PauliChannel.random_sparse(8, 4**8, np.random.default_rng(4))
+    assert np.array_equal(ch.support_labels, np.arange(4**8, dtype=np.uint64))
+    assert ch.probability(0) > 0.0
+    assert abs(ch.support_probs.sum() - 1.0) <= 1e-12
+    for n, size in ((1, 0), (1, 5), (32, 2)):
+        with pytest.raises(UsageError):
+            PauliChannel.random_sparse(n, size, np.random.default_rng(0))
+
+
 def test_invalid_inputs_rejected_not_renormalized():
     with pytest.raises(UsageError):
         PauliChannel.from_error_rates(1, [0.5, 0.5, 0.1, -0.1])

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 
-from paulibench import PauliChannel, mub_covering
-from paulibench.cli import main
+from paulibench import PauliChannel, estimate_alg1, mub_covering
+from paulibench.cli import build_channel, main
+from paulibench.pauli import format_bits
+from paulibench.seeding import derive_rng
 from paulibench.stabilizer import Covering
 from paulibench import verify
 
@@ -37,6 +39,36 @@ def test_estimate_identity_channel(tmp_path):
     meta = json.loads((out / "run.json").read_text())
     assert meta["schema"] == 1 and meta["seed"] == 1
     assert meta["summary"]["covering_size"] == 1
+    assert meta["tables"]["estimates.csv"]["rows"] == 64
+
+
+def test_estimate_table_matches_row_by_row_reference(tmp_path):
+    # 4^9 rows span several write chunks; the reference formats row by row
+    n, k, samples, seed = 9, 9, 3000, 11
+    spec = {"kind": "random-dirichlet"}
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "estimate", "n": n, "k": k, "channel": spec,
+        "samples": samples,
+    })
+    channel = build_channel(spec, n, derive_rng(seed, "channel"))
+    est = estimate_alg1(channel, k, mub_covering(n - k), samples,
+                        derive_rng(seed, "shots"))
+    header = ["label", "lambda_hat", "n_shots", "stderr"]
+    rows = [[format_bits(int(lbl), n), float(lam), int(cnt), float(se)]
+            for lbl, lam, cnt, se in zip(est.label_list(), est.lambda_hat,
+                                         est.n_shots, est.stderr)]
+    expected = {
+        "csv": "".join(",".join(["{:.17g}".format(x) if isinstance(x, float)
+                                 else str(x) for x in row]) + "\n"
+                       for row in [header] + rows),
+        "json": json.dumps([dict(zip(header, row)) for row in rows],
+                           indent=1) + "\n",
+    }
+    for fmt, text in expected.items():
+        out = tmp_path / fmt
+        assert run_cli("estimate", "--config", cfg, "--out", str(out),
+                       "--seed", str(seed), "--format", fmt) == 0
+        assert (out / f"estimates.{fmt}").read_bytes() == text.encode()
 
 
 def test_estimate_spike_channel(tmp_path):

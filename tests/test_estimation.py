@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,13 +21,13 @@ from paulibench import (
     wht_forward,
 )
 from paulibench import dense_oracle as oracle
-from paulibench.cli import RunWriter
+from paulibench.cli import _CSV_CHUNK_ROWS, RunWriter
 from paulibench.estimation import (
     EstimateSet,
     estimate_alg1_reference,
     two_sample_consistency,
 )
-from paulibench.pauli import parse_bits
+from paulibench.pauli import format_bits, format_labels, parse_bits
 from paulibench.sampler import (
     outcome_distribution_alg1,
     outcome_distribution_alg2,
@@ -382,7 +383,7 @@ def test_spam_robustness_two_sample():
 
 
 def test_csv_writers(tmp_path):
-    # the one table writer: floats at 17 significant digits, ints as is
+    # rows of Python values: floats at 17 significant digits, ints as is
     writer = RunWriter(str(tmp_path), "csv")
     path = writer.write_table("estimates",
                               ["label", "lambda_hat", "n_shots", "stderr"],
@@ -394,6 +395,43 @@ def test_csv_writers(tmp_path):
     path = writer.write_table("decays", ["label", "m", "f_mean", "shots"],
                               [["Z", 0, 1.0, 10]])
     assert path.read_text().splitlines()[1] == "Z,0,1,10"
+    assert writer.tables["decays.csv"]["rows"] == 1
+
+
+def test_column_writer_matches_rows(tmp_path):
+    # more than two chunks, with every float the formatter treats specially
+    rows = 2 * _CSV_CHUNK_ROWS + 5
+    rng = np.random.default_rng(8)
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
+                        1.7976931348623157e308, 0.1, -0.25])
+    lam = rng.choice(special, rows)
+    lam[_CSV_CHUNK_ROWS - 4:_CSV_CHUNK_ROWS + 5] = special
+    se = rng.random(rows)
+    se[::3] = 0.5
+    cnt = rng.choice(np.array([0, -7, 2**63 - 1, 10**12]), rows)
+    labels = rng.integers(0, 4**6, size=rows, dtype=np.uint64)
+    header = ["label", "lambda_hat", "n_shots", "stderr"]
+    columns = [format_labels(labels, 6), lam, cnt, se]
+    py_rows = [[format_bits(b, 6), x, c, e] for b, x, c, e in zip(
+        labels.tolist(), lam.tolist(), cnt.tolist(), se.tolist())]
+    expected_csv = [",".join(header)] + [
+        ",".join(["{:.17g}".format(x) if isinstance(x, float) else str(x)
+                  for x in row]) for row in py_rows]
+    # -0.0 keeps its sign next to 0.0 (a value-keyed lookup would merge them)
+    assert [line.split(",")[1] for line in
+            expected_csv[_CSV_CHUNK_ROWS - 3:_CSV_CHUNK_ROWS - 1]] == ["-0", "0"]
+    writer = RunWriter(str(tmp_path / "csv"), "csv")
+    text = writer.write_columns("estimates", header, columns).read_text()
+    assert text.endswith("\n") and text.splitlines() == expected_csv
+    assert writer.tables["estimates.csv"]["rows"] == rows
+    # JSON takes no chunks: the rows around the special values suffice
+    part = slice(_CSV_CHUNK_ROWS - 50, _CSV_CHUNK_ROWS + 50)
+    writer = RunWriter(str(tmp_path / "json"), "json")
+    path = writer.write_columns("estimates", header,
+                                [col[part] for col in columns])
+    assert path.read_text() == json.dumps(
+        [dict(zip(header, row)) for row in py_rows[part]], indent=1) + "\n"
+    assert writer.tables["estimates.json"]["rows"] == 100
 
 
 def _estimates(lam, stderr):

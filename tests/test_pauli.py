@@ -10,7 +10,14 @@ from paulibench import (
     symplectic_product,
     weight,
 )
-from paulibench.pauli import all_labels, label_weight, symp, symp_u64
+from paulibench.pauli import (
+    all_labels,
+    format_bits,
+    format_labels,
+    label_weight,
+    symp,
+    symp_u64,
+)
 
 
 def test_anticommuting_pair():
@@ -109,6 +116,25 @@ def test_vectorized_matches_scalar():
         vec = symp_u64(a, b)
         for ai, bi, vi in zip(a, b, vec):
             assert symp(int(ai), int(bi)) == int(vi)
+
+
+def test_format_labels_matches_format_bits():
+    for n in range(1, 6):
+        labels = all_labels(n)
+        out = format_labels(labels, n)
+        assert out.dtype == np.dtype(f"S{n}")
+        assert [x.decode() for x in out.tolist()] == [
+            format_bits(b, n) for b in labels.tolist()]
+    rng = np.random.default_rng(6)
+    for n in (10, 32):
+        labels = rng.integers(0, 4**n - 1, size=500, dtype=np.uint64,
+                              endpoint=True)
+        # n = 32 also needs the top bit pair
+        labels[:2] = [4**n - 1, 3 << (2 * n - 2)]
+        assert [x.decode() for x in format_labels(labels, n).tolist()] == [
+            format_bits(b, n) for b in labels.tolist()]
+    with pytest.raises(UsageError):
+        format_labels(labels, 33)
 
 
 def test_label_validation():
