@@ -206,26 +206,33 @@ class PauliChannel:
         return cls.from_error_rates(n, wht_inverse(lam))
 
     @classmethod
-    def from_sparse(cls, n: int, entries: Iterable[tuple[int | str, float]]
-                    ) -> "PauliChannel":
-        """Sparse channel from (label, probability) pairs.
+    def from_sparse(cls, n: int,
+                    entries: Iterable[tuple[int | str, float]] | np.ndarray,
+                    probs: np.ndarray | None = None) -> "PauliChannel":
+        """Sparse channel from (label, probability) pairs, or from an integer
+        label array `entries` with the matching `probs` array.
 
-        Labels may be raw ints or letter strings; duplicates are rejected.
+        Pair labels may be raw ints or letter strings.  Out-of-range and
+        duplicate labels are rejected, and the support sorted, with numpy.
         """
-        labels = []
-        probs = []
-        for label, prob in entries:
-            label = _label_bits(label, n)
-            if label < 0 or label >> (2 * n):
-                raise UsageError(f"label {label:#x} out of range for n={n}")
-            labels.append(int(label))
-            probs.append(float(prob))
-        if len(set(labels)) != len(labels):
+        if probs is None:
+            pairs = [(_label_bits(label, n), prob) for label, prob in entries]
+            labels = np.array([label for label, _ in pairs], dtype=object)
+            probs = [prob for _, prob in pairs]
+        else:
+            labels = np.asarray(entries)
+        out_of_range = labels < 0
+        if labels.dtype == object or 4**n <= np.iinfo(labels.dtype).max:
+            out_of_range |= labels >= 4**n
+        if out_of_range.any():
+            bad = int(labels[np.argmax(out_of_range)])
+            raise UsageError(f"label {bad:#x} out of range for n={n}")
+        order = np.argsort(labels, kind="stable")
+        labels = labels[order]
+        if np.any(labels[1:] == labels[:-1]):
             raise UsageError("duplicate labels in sparse support")
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        dtype = np.uint64 if 2 * n <= 64 else object
-        label_arr = np.asarray([labels[i] for i in order], dtype=dtype)
-        prob_arr = np.asarray([probs[i] for i in order], dtype=np.float64)
+        label_arr = labels.astype(np.uint64 if 2 * n <= 64 else object)
+        prob_arr = np.asarray(probs, dtype=np.float64)[order]
         _validate_probs(prob_arr)
         return cls(n, support_labels=label_arr, support_probs=prob_arr)
 
@@ -306,9 +313,9 @@ class PauliChannel:
         if support_size < 1 or support_size > min(4**n, 1 << 20):
             raise UsageError(f"bad support size {support_size}")
         others = rng.choice(4**n - 1, support_size - 1, replace=False) + 1
-        labels = [0] + np.sort(others).tolist()
+        labels = np.concatenate([[0], np.sort(others)])
         probs = rng.dirichlet(np.ones(support_size))
-        return cls.from_sparse(n, zip(labels, probs))
+        return cls.from_sparse(n, labels, probs)
 
     # --- queries ----------------------------------------------------------
 

@@ -33,6 +33,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -227,9 +228,11 @@ class RunWriter:
         path = self.dir / f"{name}.{self.fmt}"
         rows = len(columns[0])
         if self.fmt == "json":
-            lists = [col.astype(str).tolist() if col.dtype.kind == "S"
-                     else col.tolist() for col in columns]
-            _write_json(path, header, zip(*lists))
+            # one block of Python values at a time, as in the CSV branch
+            _write_json(path, header, (
+                row for lo in range(0, rows, _CSV_CHUNK_ROWS)
+                for row in zip(*[_py_values(col[lo:lo + _CSV_CHUNK_ROWS])
+                                 for col in columns])))
         else:
             with path.open("wb") as fh:
                 fh.write((",".join(header) + "\n").encode())
@@ -274,8 +277,33 @@ class RunWriter:
 
 
 def _write_json(path: Path, header: list[str], rows):
-    payload = [dict(zip(header, row)) for row in rows]
-    path.write_text(json.dumps(payload, indent=1) + "\n")
+    """Stream ``json.dumps([dict(zip(header, row)) ...], indent=1) + "\\n"``
+    one row at a time, so neither the dicts nor the whole text are held."""
+    keys = [f"\n  {json.dumps(h)}: " for h in header]
+    opener = "[\n {"
+    with path.open("w") as fh:
+        for row in rows:
+            fh.write(opener + ",".join([key + _json_cell(value) for key, value
+                                        in zip(keys, row)]) + "\n }")
+            opener = ",\n {"
+        fh.write("[]\n" if opener == "[\n {" else "\n]\n")
+
+
+def _py_values(col: np.ndarray) -> list:
+    """A numpy column as Python str, float or int values."""
+    return col.astype(str).tolist() if col.dtype.kind == "S" else col.tolist()
+
+
+def _json_cell(value) -> str:
+    """`json.dumps` of one table cell, indented for its depth in the table."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and value - value == 0.0:  # finite
+        return float.__repr__(value)
+    return json.dumps(value, indent=1).replace("\n", "\n  ")
 
 
 def _csv_cells(col: np.ndarray) -> np.ndarray:
@@ -650,6 +678,10 @@ def cmd_verify(level: str, seed: int, writer: RunWriter | None) -> int:
         lines.append(res.line())
     if writer is not None:
         writer.write_text("verify.txt", "\n".join(lines) + "\n")
+        checks = [{"name": r.name, "ok": bool(r.ok),
+                   "seconds": round(r.seconds, 6), "detail": r.detail,
+                   "tolerance": float(r.tolerance)} for r in results]
+        writer.finish("verify", {"level": level}, seed, 1, {"checks": checks})
     return 0 if all(r.ok for r in results) else 4
 
 
@@ -685,10 +717,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             seed = _int(args.seed, "seed", 0)
             writer = RunWriter(args.out, "csv") if args.out else None
-            code = cmd_verify(args.level, seed, writer)
-            if writer is not None:
-                writer.finish("verify", {"level": args.level}, seed, 1)
-            return code
+            return cmd_verify(args.level, seed, writer)
         cfg = _load_config(args.config)
         expected = args.command.replace("-", "_")
         declared = str(cfg.get("experiment", expected)).replace("-", "_")

@@ -1,7 +1,11 @@
 """Brute-force dense linear-algebra reference (registers capped at 6 qubits).
 
 Everything here works on explicit complex matrices and never touches the
-bit-level fast path, so agreement between the two is meaningful evidence.
+bit-level fast path (no transform, sampler or syndrome code), so agreement
+between the two is meaningful evidence.  The 4^n Pauli matrices are built
+once per qubit count (cached up to CACHED_STACK_QUBITS) and indexed by
+label; rank-one projectors (Bell states, stabilizer states of a maximal
+group, pure inputs) are contracted as state vectors, not as matrices.
 Covered checks:
 
 * exact outcome distributions of the estimation round (Bell tensor
@@ -22,6 +26,7 @@ pair (A, B) are |Psi_v> = (P_v x I)|Psi+>, giving the projector expansion
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,6 +38,8 @@ from .pauli import symp
 from .stabilizer import StabilizerGroup
 
 MAX_REGISTER_QUBITS = 6
+CACHED_STACK_QUBITS = 4  # 256 matrices of 16 x 16, 1 MB; n = 6 would be 268 MB
+_TERMS_PER_CHUNK = 64
 DENSITY_TOL = 1e-10
 POVM_TOL = 1e-8
 
@@ -52,19 +59,67 @@ def _check_qubits(d_qubits: int, what: str):
         )
 
 
+def _kron_stack(n: int) -> np.ndarray:
+    """All 4^n Pauli matrices, read-only, one kron step per qubit for every
+    label."""
+    singles = np.stack(_PAULI_1Q)
+    out = np.ones((1, 1, 1), dtype=complex)
+    for q in range(n):
+        # label a + 4^q d  <->  (matrix of a) x (qubit-q factor d)
+        dim = 2 ** (q + 1)
+        out = np.einsum("aij,dkl->daikjl", out, singles).reshape(4 * len(out),
+                                                                 dim, dim)
+    out.flags.writeable = False
+    return out
+
+
+_cached_stack = functools.lru_cache(maxsize=None)(_kron_stack)
+
+
+def pauli_stack(n: int) -> np.ndarray:
+    """All 4^n Pauli matrices, indexed by label, read-only.
+
+    Built once per qubit count and cached for n <= CACHED_STACK_QUBITS;
+    larger stacks (268 MB at n = 6) are built afresh on each call."""
+    _check_qubits(n, "pauli_stack")
+    return _cached_stack(n) if n <= CACHED_STACK_QUBITS else _kron_stack(n)
+
+
 def pauli_matrix(bits: int, n: int) -> np.ndarray:
-    """Hermitian matrix of the packed label (qubit 0 = first kron factor)."""
+    """Hermitian matrix of the packed label (qubit 0 = first kron factor).
+
+    A read-only view into the cached stack up to CACHED_STACK_QUBITS, a
+    fresh kron product above it."""
     _check_qubits(n, "pauli_matrix")
+    bits = int(bits)
+    if bits < 0 or bits >> (2 * n):
+        raise UsageError(f"label {bits:#x} out of range for n={n}")
+    if n <= CACHED_STACK_QUBITS:
+        return _cached_stack(n)[bits]
     out = np.eye(1, dtype=complex)
     for q in range(n):
         out = np.kron(out, _PAULI_1Q[(bits >> (2 * q)) & 3])
     return out
 
 
-def pauli_stack(n: int) -> np.ndarray:
-    """All 4^n Pauli matrices, indexed by label."""
-    _check_qubits(n, "pauli_stack")
-    return np.stack([pauli_matrix(a, n) for a in range(4**n)])
+def _pauli_terms(ch: PauliChannel):
+    """(error rates, Pauli matrices) of the nonzero rates of `ch`, in chunks
+    of _TERMS_PER_CHUNK labels: 4 MB of matrices at 6 qubits."""
+    if ch.is_sparse:
+        labels = np.asarray(ch.support_labels).astype(np.int64)
+        probs = ch.support_probs
+    else:
+        probs = ch.error_rates
+        labels = np.arange(len(probs))
+    keep = probs != 0.0
+    labels, probs = labels[keep], probs[keep]
+    for lo in range(0, len(labels), _TERMS_PER_CHUNK):
+        part = labels[lo:lo + _TERMS_PER_CHUNK]
+        if ch.n <= CACHED_STACK_QUBITS:
+            mats = pauli_stack(ch.n)[part]
+        else:
+            mats = np.stack([pauli_matrix(a, ch.n) for a in part.tolist()])
+        yield probs[lo:lo + _TERMS_PER_CHUNK], mats
 
 
 def check_density(rho: np.ndarray, tol: float = DENSITY_TOL):
@@ -79,12 +134,16 @@ def check_density(rho: np.ndarray, tol: float = DENSITY_TOL):
 
 
 def bell_state_vector(v: int, k: int) -> np.ndarray:
-    """|Psi_v> = (P_v x I)|Psi+> on a 2k-qubit register pair."""
+    """|Psi_v> = (P_v x I)|Psi+> on a 2k-qubit register pair: the row-major
+    flattening of P_v / sqrt(2^k)."""
     _check_qubits(2 * k, "bell state")
-    d = 2**k
-    psi_plus = np.eye(d, dtype=complex).ravel() / np.sqrt(d)
-    op = np.kron(pauli_matrix(v, k), np.eye(d, dtype=complex))
-    return op @ psi_plus
+    return pauli_matrix(v, k).ravel() / np.sqrt(2**k)
+
+
+def bell_state_vectors(k: int) -> np.ndarray:
+    """All 4^k Bell states |Psi_v> as rows."""
+    _check_qubits(2 * k, "bell state")
+    return pauli_stack(k).reshape(4**k, 4**k) / np.sqrt(2**k)
 
 
 def build_bell(v: int, k: int) -> np.ndarray:
@@ -95,7 +154,8 @@ def build_bell(v: int, k: int) -> np.ndarray:
 
 def bell_projector_stack(k: int) -> np.ndarray:
     """All 4^k Bell projectors (an orthonormal, complete basis)."""
-    return np.stack([build_bell(v, k) for v in range(4**k)])
+    vecs = bell_state_vectors(k)
+    return np.einsum("vx,vy->vxy", vecs, vecs.conj())
 
 
 def build_stabilizer_state(group: StabilizerGroup, e: int) -> np.ndarray:
@@ -109,46 +169,59 @@ def build_stabilizer_state(group: StabilizerGroup, e: int) -> np.ndarray:
     return out
 
 
+def stabilizer_state_vectors(group: StabilizerGroup) -> np.ndarray:
+    """Rows |S_e>, e < 2^m, spanning the rank-one projectors of
+    `build_stabilizer_state` (m independent generators on m qubits).
+
+    |S_e> is the projector's largest column over the root of its diagonal
+    entry, so its global phase is arbitrary."""
+    projs = np.stack([build_stabilizer_state(group, e)
+                      for e in range(2**group.m)])
+    rows = np.arange(len(projs))
+    pivot = np.argmax(np.diagonal(projs, axis1=1, axis2=2).real, axis=1)
+    return projs[rows, :, pivot] / np.sqrt(projs[rows, pivot, pivot].real)[:, None]
+
+
 def apply_pauli_channel(ch: PauliChannel, rho: np.ndarray,
                         wrap: int = 0) -> np.ndarray:
     """sum_a p_a (I_wrap x P_a) rho (I_wrap x P_a) by explicit matrices.
 
-    `wrap` prepends identity qubits (the untouched ancilla register).
+    `wrap` prepends identity qubits (the untouched ancilla register); the
+    P_a act on the main index of rho reshaped to (wrap, main)^2.
     """
     n = ch.n
     _check_qubits(n + wrap, "channel application")
-    eye = np.eye(2**wrap, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    if ch.is_sparse:
-        items = zip((int(x) for x in ch.support_labels), ch.support_probs)
-    else:
-        items = enumerate(ch.error_rates)
-    for label, prob in items:
-        if prob == 0.0:
-            continue
-        op = np.kron(eye, pauli_matrix(int(label), n))
-        out += prob * (op @ rho @ op)
-    return out
+    d, w = 2**n, 2**wrap
+    rho4 = np.asarray(rho, dtype=complex).reshape(w, d, w, d)
+    out = np.zeros_like(rho4)
+    for probs, paulis in _pauli_terms(ch):
+        out += np.einsum("a,ayz,xzwu,auv->xywv", probs, paulis, rho4, paulis,
+                         optimize=True)
+    return out.reshape(w * d, w * d)
 
 
 def alg1_distribution_dense(ch: PauliChannel, k: int, group: StabilizerGroup
                             ) -> np.ndarray:
-    """Exact p(v, e) = Tr[(Psi_v x phi_e)(1 x Lambda)(Psi_0 x phi_0)]."""
+    """Exact p(v, e) = Tr[(Psi_v x phi_e)(1 x Lambda)(Psi_0 x phi_0)].
+
+    Both measurement projectors are rank one, so each cell is a sum of
+    squared amplitudes: p(v, e) = sum_a p_a |<Psi_v x S_e|(1 x P_a)|psi_in>|^2
+    with psi_in = Psi_0 x S_0 on ancilla (k) x main (n = k + m) qubits.
+    """
     n = ch.n
     m = n - k
     if group.m != m:
         raise UsageError(f"group acts on {group.m} qubits, expected {m}")
     _check_qubits(n + k, "estimation round")
-    bells = [build_bell(v, k) for v in range(4**k)]
-    stabs = [build_stabilizer_state(group, e) for e in range(2**m)]
-    rho_in = np.kron(bells[0], stabs[0])
-    rho_out = apply_pauli_channel(ch, rho_in, wrap=k)
-    table = np.empty((4**k, 2**m))
-    for v in range(4**k):
-        for e in range(2**m):
-            proj = np.kron(bells[v], stabs[e])
-            table[v, e] = np.einsum("ij,ji->", proj, rho_out).real
+    bells = bell_state_vectors(k)
+    stabs = stabilizer_state_vectors(group)
+    psi_in = np.kron(bells[0], stabs[0]).reshape(2**k, 2**n)
+    table = np.zeros((4**k, 2**m))
+    for probs, paulis in _pauli_terms(ch):
+        # (1 x P_a)|psi_in> for each a, as (Bell pair) x (stabilizer) rows
+        out = (psi_in @ paulis.transpose(0, 2, 1)).reshape(-1, 4**k, 2**m)
+        amps = bells.conj() @ out @ stabs.conj().T
+        table += np.tensordot(probs, np.abs(amps) ** 2, axes=1)
     return table
 
 
@@ -229,22 +302,16 @@ class DenseChannel:
 
 
 def choi_state(ch: PauliChannel) -> np.ndarray:
-    """(Lambda x 1)(Psi+): equals 4^-n sum_a lambda_a P_a x P_a^T."""
+    """(Lambda x 1)(Psi+): equals 4^-n sum_a lambda_a P_a x P_a^T.
+
+    (P_a x 1)|Psi+> = |Psi_a>, so this is the Bell mixture sum_a p_a Psi_a.
+    """
     n = ch.n
     _check_qubits(2 * n, "Choi state")
-    rho = build_bell(0, n)
-    d = 2**n
-    eye = np.eye(d, dtype=complex)
-    out = np.zeros_like(rho)
-    if ch.is_sparse:
-        items = zip((int(x) for x in ch.support_labels), ch.support_probs)
-    else:
-        items = enumerate(ch.error_rates)
-    for label, prob in items:
-        if prob == 0.0:
-            continue
-        op = np.kron(pauli_matrix(int(label), n), eye)
-        out += prob * (op @ rho @ op)
+    out = np.zeros((4**n, 4**n), dtype=complex)
+    for probs, paulis in _pauli_terms(ch):
+        vecs = paulis.reshape(len(probs), 4**n) / np.sqrt(2**n)
+        out += np.einsum("a,ax,ay->xy", probs, vecs, vecs.conj())
     return out
 
 
@@ -316,28 +383,24 @@ def spike_family_conditionals(n: int, k: int, input_vec: np.ndarray,
         raise UsageError("input vector is not normalized")
     weights = np.array([w for w, _ in povm])
     vectors = np.stack([np.asarray(b, dtype=complex) for _, b in povm])
-    total = np.einsum("j,jx,jy->xy", weights * dim, vectors, vectors.conj())
+    total = (weights * dim * vectors.T) @ vectors.conj()
     if not np.allclose(total, np.eye(dim), atol=POVM_TOL):
         raise UsageError("POVM elements do not sum to identity")
     rho = np.outer(vec, vec.conj())
     rho4 = rho.reshape(d_main, d_anc, d_main, d_anc)
     rho_anc = np.einsum("pqpr->qr", rho4)
-    paulis = pauli_stack(n)
-    conditionals = np.empty((2 * (4**n - 1), len(povm)))
-    row = 0
-    for a in range(1, 4**n):
-        # Tr_main((P_a x I) rho): ancilla-side operator
-        t_a = np.einsum("rp,pqrs->qs", paulis[a], rho4)
-        for s in (1, -1):
-            rho_out = (np.kron(np.eye(d_main), rho_anc)
-                       + s * np.kron(paulis[a], t_a)) / d_main
-            probs = dim * weights * np.einsum(
-                "jx,xy,jy->j", vectors.conj(), rho_out, vectors
-            ).real
-            conditionals[row] = probs
-            row += 1
-    conditionals = np.clip(conditionals, 0.0, None)
-    return conditionals
+    paulis = pauli_stack(n)[1:]
+    # Tr_main((P_a x I) rho) for every a != 0: ancilla-side operators t_a
+    t_ops = np.einsum("arp,pqrs->aqs", paulis, rho4)
+    # rho_out(a, s) = (I x rho_anc + s P_a x t_a) / 2^n; its POVM weights
+    # come from <B_j|I x rho_anc|B_j> and <B_j|P_a x t_a|B_j>
+    frame = vectors.reshape(len(povm), d_main, d_anc)
+    base = np.einsum("jpq,qs,jps->j", frame.conj(), rho_anc, frame).real
+    sandwich = paulis[:, None] @ frame @ t_ops[:, None].swapaxes(-1, -2)
+    cross = np.einsum("jpq,ajpq->aj", frame.conj(), sandwich).real
+    conditionals = np.stack([base + cross, base - cross], axis=1)
+    conditionals = conditionals.reshape(-1, len(povm)) * (dim * weights / d_main)
+    return np.clip(conditionals, 0.0, None)
 
 
 def mutual_information_nats(conditionals: np.ndarray) -> float:
@@ -367,11 +430,9 @@ def random_strategy(n: int, k: int, rng: np.random.Generator,
     gram = np.einsum("jx,jy->xy", frame, frame.conj())
     evals, evecs = np.linalg.eigh(gram)
     inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
-    povm = []
-    for g in frame:
-        b = inv_sqrt @ g
-        norm = np.linalg.norm(b)
-        povm.append((float(norm**2 / dim), b / norm))
+    basis = frame @ inv_sqrt.T
+    norms = np.linalg.norm(basis, axis=1)
+    povm = [(float(w), b) for w, b in zip(norms**2 / dim, basis / norms[:, None])]
     return vec, povm
 
 
@@ -404,12 +465,14 @@ def spike_conditionals_closed_form(n: int, k: int, input_vec, povm
 # --- exact benchmarking expectations -------------------------------------------
 
 
-def _ptm_coords(op: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates R[u, b] = Tr[(sigma_u x sigma_b) op] on ancilla x main."""
+def _ptm_coords(ops: np.ndarray, n: int) -> np.ndarray:
+    """Coordinates R[..., u, b] = Tr[(sigma_u x sigma_b) op] on ancilla x main,
+    for one operator or a stack of them."""
     d = 2**n
     sig = pauli_stack(n) / np.sqrt(d)
-    op4 = op.reshape(d, d, d, d)
-    return np.einsum("uij,bkl,jlik->ub", sig, sig, op4).real
+    op4 = ops.reshape(ops.shape[:-2] + (d, d, d, d))
+    return np.einsum("uij,bkl,...jlik->...ub", sig, sig, op4,
+                     optimize=True).real
 
 
 def noisy_bell_state(n: int, channel: DenseChannel) -> np.ndarray:
@@ -417,7 +480,6 @@ def noisy_bell_state(n: int, channel: DenseChannel) -> np.ndarray:
     _check_qubits(2 * n, "noisy Bell state")
     rho = build_bell(0, n)
     d = 2**n
-    rho4 = rho.reshape(d, d, d, d)
     out = np.zeros_like(rho)
     for op in channel.kraus:
         lifted = np.kron(np.eye(d), op)
@@ -429,15 +491,12 @@ def noisy_bell_povm(n: int, channel: DenseChannel) -> np.ndarray:
     """Heisenberg-picture noisy Bell measurement: (1 x E)^dag (Psi_v)."""
     _check_qubits(2 * n, "noisy Bell measurement")
     d = 2**n
-    effects = []
-    for v in range(4**n):
-        proj = build_bell(v, n)
-        eff = np.zeros_like(proj)
-        for op in channel.kraus:
-            lifted = np.kron(np.eye(d), op)
-            eff += lifted.conj().T @ proj @ lifted
-        effects.append(eff)
-    return np.stack(effects)
+    projs = bell_projector_stack(n)
+    effects = np.zeros_like(projs)
+    for op in channel.kraus:
+        lifted = np.kron(np.eye(d), op)
+        effects += lifted.conj().T @ projs @ lifted
+    return effects
 
 
 def _sign_matrix(n: int) -> np.ndarray:
@@ -449,46 +508,64 @@ def _sign_matrix(n: int) -> np.ndarray:
     return out
 
 
+def _alg2_parts(n: int, gate: DenseChannel, prep_rho: np.ndarray,
+                meas_povm: np.ndarray):
+    """Gate PTM, prep and effect coordinates, and signs (-1)^<a,b>: the
+    invariants shared by every label and sequence length."""
+    return (gate.ptm(), _ptm_coords(prep_rho, n),
+            _ptm_coords(np.asarray(meas_povm), n), _sign_matrix(n))
+
+
+def alg2_constants(n: int, gate: DenseChannel, prep_rho: np.ndarray,
+                   meas_povm: np.ndarray) -> np.ndarray:
+    """The SPAM constants A_a of every label a, from their defining transform
+    of the overlap."""
+    _check_qubits(2 * n, "benchmark constant")
+    g_ptm, r_coords, v_coords, signs = _alg2_parts(n, gate, prep_rho,
+                                                   meas_povm)
+    # inner[v, a] = V_v[:, a] . (R g_a)
+    inner = np.einsum("vua,ua->va", v_coords, r_coords @ g_ptm.T)
+    return np.einsum("av,va->a", signs, inner)
+
+
 def alg2_constant(n: int, gate: DenseChannel, prep_rho: np.ndarray,
                   meas_povm: np.ndarray, a: int) -> float:
-    """The SPAM constant A_a from its defining transform of the overlap."""
-    _check_qubits(2 * n, "benchmark constant")
-    g_ptm = gate.ptm()
-    r_coords = _ptm_coords(prep_rho, n)
-    signs = _sign_matrix(n)
-    total = 0.0
-    ga = g_ptm[a, :]
-    for v in range(4**n):
-        v_coords = _ptm_coords(meas_povm[v], n)
-        inner = v_coords[:, a] @ (r_coords @ ga)
-        total += signs[a, v] * inner
-    return float(total)
+    """A_a of one label: `alg2_constants` at a."""
+    return float(alg2_constants(n, gate, prep_rho, meas_povm)[a])
 
 
-def alg2_expectation_dense(n: int, gate: DenseChannel, prep_rho: np.ndarray,
-                           meas_povm: np.ndarray, a: int, m: int) -> float:
-    """E[F_a(m)] by exact averaging over gate sequences via the twirl.
+def alg2_expectations_dense(n: int, gate: DenseChannel, prep_rho: np.ndarray,
+                            meas_povm: np.ndarray, lengths) -> np.ndarray:
+    """E[F_a(m)] for every length m (rows) and label a (columns) by exact
+    averaging over gate sequences via the twirl.
 
     Computes the full joint Pr(net gate label, outcome) with the twirled
     channel's m-th power in Pauli-transfer coordinates, then contracts with
     the estimator signs.  Independent of the closed form A_a lambda_a^m.
     """
-    if m < 0 or m > 8:
+    lengths = [int(m) for m in lengths]
+    if any(m < 0 or m > 8 for m in lengths):
         raise CapabilityError("dense benchmark expectation limited to m <= 8")
     _check_qubits(2 * n, "benchmark expectation")
-    g_ptm = gate.ptm()
+    g_ptm, r_coords, v_coords, signs = _alg2_parts(n, gate, prep_rho,
+                                                   meas_povm)
     lam = np.diag(g_ptm)
-    r_coords = _ptm_coords(prep_rho, n)
-    v_coords = np.stack([_ptm_coords(eff, n) for eff in meas_povm])
-    signs = _sign_matrix(n)
-    core = (lam**m)[:, None] * g_ptm  # Lambda^m Lambda_G
-    total = 0.0
-    for a_net in range(4**n):
-        net = signs[a_net][:, None] * core  # P_net Lambda^m Lambda_G
-        w_coords = r_coords @ net.T
-        pr_v = np.einsum("vub,ub->v", v_coords, w_coords) / 4**n
-        total += signs[a, a_net] * float(signs[a] @ pr_v)
-    return total
+    out = np.empty((len(lengths), 4**n))
+    for row, m in enumerate(lengths):
+        core = (lam**m)[:, None] * g_ptm  # Lambda^m Lambda_G
+        # net label t scales column b of R (P_t core)^T by (-1)^<t,b>
+        overlap = np.einsum("vub,ub->vb", v_coords, r_coords @ core.T)
+        joint = signs @ overlap.T / 4**n  # Pr(net label t, outcome v)
+        out[row] = ((signs @ joint) * signs).sum(axis=1)
+    return out
+
+
+def alg2_expectation_dense(n: int, gate: DenseChannel, prep_rho: np.ndarray,
+                           meas_povm: np.ndarray, a: int, m: int) -> float:
+    """E[F_a(m)] of one label and length: `alg2_expectations_dense` at
+    (m, a)."""
+    return float(alg2_expectations_dense(n, gate, prep_rho, meas_povm,
+                                         [m])[0, a])
 
 
 def alg2_expectation_brute(n: int, gate: DenseChannel, prep_rho: np.ndarray,
@@ -496,11 +573,9 @@ def alg2_expectation_brute(n: int, gate: DenseChannel, prep_rho: np.ndarray,
     """Exhaustive average over all 4^(n(m+1)) gate sequences (tiny n, m)."""
     if 4 ** (n * (m + 1)) > 1 << 16:
         raise CapabilityError("sequence enumeration too large")
-    g_ptm = gate.ptm()
-    signs = _sign_matrix(n)
+    g_ptm, r_coords, v_coords, signs = _alg2_parts(n, gate, prep_rho,
+                                                   meas_povm)
     pauli_ptms = [np.diag(signs[t]) for t in range(4**n)]
-    r_coords = _ptm_coords(prep_rho, n)
-    v_coords = np.stack([_ptm_coords(eff, n) for eff in meas_povm])
     total = 0.0
     count = 0
     for seq in itertools.product(range(4**n), repeat=m + 1):

@@ -283,6 +283,30 @@ def test_random_sparse_full_support():
             PauliChannel.random_sparse(n, size, np.random.default_rng(0))
 
 
+def test_from_sparse_label_checks_both_forms():
+    pairs = [("XZ", 0.25), (0, 0.5), (7, 0.25)]
+    ch = PauliChannel.from_sparse(2, pairs)
+    labels = np.array([parse_bits("XZ", 2), 0, 7])
+    same = PauliChannel.from_sparse(2, labels, np.array([0.25, 0.5, 0.25]))
+    assert np.array_equal(ch.support_labels, [0, 7, parse_bits("XZ", 2)])
+    assert ch.support_labels.dtype == same.support_labels.dtype == np.uint64
+    assert np.array_equal(ch.support_labels, same.support_labels)
+    assert np.array_equal(ch.support_probs, same.support_probs)
+    probs = np.full(3, 1 / 3)
+    for bad in ([0, 16, 3], [0, -1, 3]):
+        with pytest.raises(UsageError, match=rf"label {bad[1]:#x} out of range for n=2"):
+            PauliChannel.from_sparse(2, np.array(bad), probs)
+        with pytest.raises(UsageError, match=rf"label {bad[1]:#x} out of range for n=2"):
+            PauliChannel.from_sparse(2, zip(bad, probs))
+    with pytest.raises(UsageError, match="duplicate labels in sparse support"):
+        PauliChannel.from_sparse(2, np.array([5, 0, 5]), probs)
+    with pytest.raises(UsageError, match="duplicate labels in sparse support"):
+        PauliChannel.from_sparse(2, [("XI", 0.5), (1, 0.5)])
+    # labels beyond 64 bits stay Python ints
+    wide = PauliChannel.from_sparse(40, [(1 << 79, 0.5), (3, 0.5)])
+    assert wide.support_labels.tolist() == [3, 1 << 79]
+
+
 def test_invalid_inputs_rejected_not_renormalized():
     with pytest.raises(UsageError):
         PauliChannel.from_error_rates(1, [0.5, 0.5, 0.1, -0.1])

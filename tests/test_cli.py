@@ -4,8 +4,9 @@ import json
 import numpy as np
 
 from paulibench import PauliChannel, estimate_alg1, mub_covering
+from paulibench import cli
 from paulibench.cli import build_channel, main
-from paulibench.pauli import format_bits
+from paulibench.pauli import format_bits, format_labels
 from paulibench.seeding import derive_rng
 from paulibench.stabilizer import Covering
 from paulibench import verify
@@ -306,6 +307,41 @@ def test_verify_quick_passes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.count("[PASS]") == 8
     assert (tmp_path / "v" / "verify.txt").exists()
+    meta = json.loads((tmp_path / "v" / "run.json").read_text())
+    assert meta["command"] == "verify" and meta["seed"] == 1
+    checks = meta["summary"]["checks"]
+    assert [c["name"] for c in checks] == [
+        line.split("]", 1)[1].split(":", 1)[0].strip()
+        for line in captured.out.splitlines()]
+    for check in checks:
+        assert set(check) == {"name", "ok", "seconds", "detail", "tolerance"}
+        assert check["ok"] is True and check["seconds"] >= 0.0
+        assert f"{check['detail']} (tol {check['tolerance']:g}" in captured.out
+
+
+def test_verify_full_passes(capsys):
+    assert run_cli("verify", "--level", "full") == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 8 and "[FAIL]" not in out
+
+
+def test_json_columns_span_blocks(tmp_path, monkeypatch):
+    # the JSON branch converts one block of rows at a time
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
+    labels = np.arange(29, dtype=np.uint64)  # the last block holds one row
+    lam = np.linspace(-1.0, 1.0, 29)
+    lam[[3, 7, 8]] = [np.nan, -0.0, np.inf]
+    counts = np.arange(29) * 1000
+    header = ["label", "lambda_hat", "n_shots"]
+    writer = cli.RunWriter(str(tmp_path), "json")
+    path = writer.write_columns("t", header, [format_labels(labels, 3), lam,
+                                              counts])
+    rows = [[format_bits(b, 3), x, c] for b, x, c in
+            zip(labels.tolist(), lam.tolist(), counts.tolist())]
+    assert path.read_text() == json.dumps(
+        [dict(zip(header, row)) for row in rows], indent=1) + "\n"
+    empty = writer.write_table("e", header, [])
+    assert empty.read_text() == "[]\n"
 
 
 def test_verify_fails_on_corrupted_covering(monkeypatch, capsys):

@@ -1,3 +1,8 @@
+import ast
+import functools
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +29,61 @@ def test_pauli_matrices():
                 sign = (-1) ** symp(a, b)
                 assert np.allclose(stack[a] @ stack[b],
                                    sign * stack[b] @ stack[a])
+
+
+def _kron_pauli(bits, n):
+    factors = [oracle._PAULI_1Q[(bits >> (2 * q)) & 3] for q in range(n)]
+    return functools.reduce(np.kron, factors, np.eye(1, dtype=complex))
+
+
+def test_pauli_stack_matches_kron_reference_and_is_read_only():
+    for n in (0, 1, 2, 3):
+        stack = oracle.pauli_stack(n)
+        assert stack.shape == (4**n, 2**n, 2**n)
+        for a in range(4**n):
+            reference = _kron_pauli(a, n)
+            assert np.array_equal(stack[a], reference)
+            assert np.array_equal(oracle.pauli_matrix(a, n), reference)
+        assert oracle.pauli_stack(n) is stack  # built once per qubit count
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        oracle.pauli_matrix(1, 2)[0, 0] = 2.0
+    with pytest.raises(UsageError, match="out of range"):
+        oracle.pauli_matrix(16, 2)
+
+
+def test_pauli_matrix_above_cache_keeps_no_stack():
+    # a 6-qubit stack would hold 4096 matrices of 64 x 64: 268 MB
+    n = oracle.CACHED_STACK_QUBITS + 2
+    tracemalloc.start()
+    try:
+        mat = oracle.pauli_matrix(4**n - 7, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert np.array_equal(mat, _kron_pauli(4**n - 7, n))
+
+
+def test_oracle_never_touches_fast_path():
+    # the oracle is an independent reference: no sampler or estimator code,
+    # no fast transforms and no bit-level syndromes
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    banned_modules = {"sampler", "estimation"}
+    banned_names = {"wht_forward", "wht_inverse", "syndromes"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[-1] not in banned_modules
+            assert not {a.name for a in node.names} & (banned_modules
+                                                       | banned_names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[-1] in banned_modules
+                           for a in node.names)
+        elif isinstance(node, ast.Name):
+            assert node.id not in banned_names
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in banned_names
 
 
 def test_bell_projector_expansion():
@@ -65,6 +125,64 @@ def test_stabilizer_states():
                 sign = (-1) ** ((e >> j) & 1)
                 pauli = oracle.pauli_matrix(g, 2)
                 assert np.max(np.abs(pauli @ state - sign * state)) < 1e-12
+
+
+def _alg1_projector_reference(ch, k, group):
+    """p(v, e) as the trace of each Bell x stabilizer projector against the
+    channel output, every operator a full matrix built by kron products."""
+    n, m = ch.n, ch.n - k
+    bells = [oracle.build_bell(v, k) for v in range(4**k)]
+    stabs = [oracle.build_stabilizer_state(group, e) for e in range(2**m)]
+    rho_in = np.kron(bells[0], stabs[0])
+    rho_out = np.zeros_like(rho_in)
+    for a in range(4**n):
+        op = np.kron(np.eye(2**k), _kron_pauli(a, n))
+        rho_out += ch.probability(a) * (op @ rho_in @ op)
+    table = np.empty((4**k, 2**m))
+    for v in range(4**k):
+        for e in range(2**m):
+            proj = np.kron(bells[v], stabs[e])
+            table[v, e] = np.einsum("ij,ji->", proj, rho_out).real
+    return table
+
+
+def test_alg1_dense_matches_projector_trace_reference():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            ch = PauliChannel.random_dirichlet(n, rng)
+            for group in mub_covering(n - k).groups:
+                table = oracle.alg1_distribution_dense(ch, k, group)
+                reference = _alg1_projector_reference(ch, k, group)
+                assert np.max(np.abs(table - reference)) < 1e-12
+    # a sparse channel takes the same path
+    sparse = PauliChannel.from_sparse(2, [("II", 0.7), ("XY", 0.2), ("ZI", 0.1)])
+    group = mub_covering(1).groups[2]
+    assert np.max(np.abs(oracle.alg1_distribution_dense(sparse, 1, group)
+                         - _alg1_projector_reference(sparse, 1, group))) < 1e-12
+
+
+def test_apply_pauli_channel_matches_kron_reference():
+    rng = np.random.default_rng(13)
+    ch = PauliChannel.random_dirichlet(2, rng)
+    for wrap in (0, 1, 2):
+        dim = 2 ** (2 + wrap)
+        rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        reference = np.zeros_like(rho)
+        for a in range(16):
+            op = np.kron(np.eye(2**wrap), _kron_pauli(a, 2))
+            reference += ch.probability(a) * (op @ rho @ op)
+        out = oracle.apply_pauli_channel(ch, rho, wrap=wrap)
+        assert np.max(np.abs(out - reference)) < 1e-12
+
+
+def test_stabilizer_state_vectors_span_the_projectors():
+    for m in (1, 2, 3):
+        for group in mub_covering(m).groups:
+            vecs = oracle.stabilizer_state_vectors(group)
+            for e, vec in enumerate(vecs):
+                proj = oracle.build_stabilizer_state(group, e)
+                assert np.max(np.abs(np.outer(vec, vec.conj()) - proj)) < 1e-12
 
 
 def test_alg1_dense_point_mass():
@@ -289,6 +407,41 @@ def test_alg2_amplitude_damping_brute_force():
         dense = oracle.alg2_expectation_dense(1, gate, prep, povm, z, m)
         assert brute == pytest.approx(dense, abs=1e-12)
         assert brute == pytest.approx(a_z * lam_z**m, abs=1e-12)
+
+
+def test_alg2_batched_matches_scalar_and_brute():
+    rng = np.random.default_rng(14)
+    # amplitude-damping SPAM is not Bell-diagonal: it mixes PTM rows
+    cases = [
+        (1, oracle.DenseChannel.amplitude_damping(0.2),
+         oracle.DenseChannel.amplitude_damping(0.15)),
+        (2, oracle.DenseChannel.from_pauli(
+            PauliChannel.random_dirichlet(2, rng, alpha=10.0)),
+         oracle.DenseChannel.from_pauli(PauliChannel.depolarizing(2, 0.08))),
+    ]
+    lengths = [0, 1, 3]
+    for n, gate, spam in cases:
+        prep = oracle.noisy_bell_state(n, spam)
+        povm = oracle.noisy_bell_povm(n, spam)
+        consts = oracle.alg2_constants(n, gate, prep, povm)
+        table = oracle.alg2_expectations_dense(n, gate, prep, povm, lengths)
+        assert consts.shape == (4**n,) and table.shape == (3, 4**n)
+        lam = gate.twirl_eigenvalues()
+        closed = consts * lam ** np.array(lengths)[:, None]
+        assert np.max(np.abs(table - closed)) < 1e-12
+        for a in range(4**n):
+            assert consts[a] == pytest.approx(
+                oracle.alg2_constant(n, gate, prep, povm, a), abs=1e-12)
+            for row, m in enumerate(lengths):
+                assert table[row, a] == pytest.approx(
+                    oracle.alg2_expectation_dense(n, gate, prep, povm, a, m),
+                    abs=1e-12)
+        # exhaustive sequence averages: every label at n=1, three at n=2
+        for a in range(4) if n == 1 else (1, 6, 15):
+            for row, m in enumerate(lengths if n == 1 else [0, 1]):
+                assert table[row, a] == pytest.approx(
+                    oracle.alg2_expectation_brute(n, gate, prep, povm, a, m),
+                    abs=1e-12)
 
 
 def test_capability_limits():
