@@ -16,9 +16,9 @@ timings and, per table, its row count and write time.  Floats are written
 with 17 significant digits.  `estimate` writes its 4^n-row table from numpy
 columns (`RunWriter.write_columns`), the other commands from rows
 (`RunWriter.write_table`); both give the same bytes for the same values.
-Outputs are byte-identical for a fixed (config, seed) at any thread count:
-all randomness is derived from (seed, structural key) and merges happen in
-key order.
+Outputs are byte-identical for a fixed (config, seed): all randomness is
+derived from (seed, structural key), and every run is serial; `--threads`
+is only recorded in run.json.
 
 Exit codes: 0 ok, 2 config error, 3 capability error, 4 verification
 failure.
@@ -32,7 +32,6 @@ import json
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -40,16 +39,15 @@ import numpy as np
 
 from . import __version__
 from .channels import PauliChannel
-from .errors import CapabilityError, ConfigError, PauliBenchError, UsageError
-from .estimation import (
-    DEFAULT_LENGTHS,
-    benchmark_alg2,
-    estimate_alg1,
-    required_samples,
-    two_sample_consistency,
+from .errors import CapabilityError, ConfigError, UsageError
+from .estimation import DEFAULT_LENGTHS, estimate_alg1, required_samples
+from .experiments import (
+    DISCRIMINATE_MODES,
+    discriminate,
+    spam_sweep,
+    sweep_min_rounds,
 )
-from .pauli import format_bits, format_labels, symp_u64
-from .sampler import NoiseModel
+from .pauli import format_bits, format_labels
 from .seeding import derive_rng
 from .stabilizer import mub_covering, pauli_basis_covering
 from .verify import run_checks
@@ -352,18 +350,10 @@ def _git_describe():
         return None
 
 
-def _pmap(fn, items, threads: int):
-    """Map preserving item order; results independent of thread count."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- subcommands ----------------------------------------------------------------
 
 
-def cmd_estimate(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict:
+def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     _require_keys(
         cfg,
         ("experiment", "n", "k", "channel"),
@@ -397,7 +387,7 @@ def cmd_estimate(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict:
     }
 
 
-def cmd_benchmark(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict:
+def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
     _require_keys(
         cfg,
         ("experiment", "n", "gate", "shots_per_m"),
@@ -420,19 +410,10 @@ def cmd_benchmark(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict
     else:
         rates = [0.0]
 
-    def one_rate(rate: float):
-        if explicit_spam:
-            prep = build_channel(cfg["prep"], n, derive_rng(seed, "prep-channel")) \
-                if "prep" in cfg else PauliChannel.identity(n)
-            meas = build_channel(cfg["meas"], n, derive_rng(seed, "meas-channel")) \
-                if "meas" in cfg else PauliChannel.identity(n)
-            model = NoiseModel(n, gate, prep, meas)
-        else:
-            model = NoiseModel.with_depolarizing_spam(gate, rate)
-        rng = derive_rng(seed, "benchmark", _FLOAT.format(rate))
-        return benchmark_alg2(model, m_list, shots, rng)
-
-    results = _pmap(one_rate, rates, threads)
+    spam = tuple(build_channel(cfg[side], n, derive_rng(seed, f"{side}-channel"))
+                 if side in cfg else PauliChannel.identity(n)
+                 for side in ("prep", "meas")) if explicit_spam else None
+    results, consistency = spam_sweep(gate, rates, m_list, shots, seed, spam)
     names = [format_bits(lbl, n)
              for lbl in results[0].estimates.label_list().tolist()]
     est_rows = []
@@ -460,9 +441,8 @@ def cmd_benchmark(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict
             for rate, res in zip(rates, results) if res.fit_errors
         },
     }
-    if len(results) > 1:
-        worst, comparisons, critical = two_sample_consistency(
-            [res.estimates for res in results])
+    if consistency is not None:
+        worst, comparisons, critical = consistency
         summary["spam_sweep_max_z"] = worst
         summary["spam_sweep_comparisons"] = comparisons
         summary["spam_sweep_z_critical"] = critical
@@ -470,8 +450,7 @@ def cmd_benchmark(cfg: dict, seed: int, threads: int, writer: RunWriter) -> dict
     return summary
 
 
-def cmd_sweep_ancilla(cfg: dict, seed: int, threads: int,
-                      writer: RunWriter) -> dict:
+def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
     _require_keys(
         cfg,
         ("experiment", "n", "k_list", "epsilon"),
@@ -488,7 +467,6 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, threads: int,
     if not 0.0 < frac < 1.0:
         raise ConfigError(f"success_fraction must lie in (0, 1), got {frac}")
     alpha = _float(cfg.get("channel_alpha", 1.0), "channel_alpha")
-    needed = int(np.ceil(frac * trials))
     covering_kind = cfg.get("covering", "mub")
 
     rows = []
@@ -496,56 +474,10 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, threads: int,
     for k in k_list:
         cov = _covering(covering_kind, n - k)
         size = len(cov.groups)
-        channels = [
-            PauliChannel.random_dirichlet(n, derive_rng(seed, "sweep-ch", k, t),
-                                          alpha)
-            for t in range(trials)
-        ]
-        truths = [ch.eigenvalues for ch in channels]
-
-        def trial_ok(args) -> bool:
-            rounds, t = args
-            rng = derive_rng(seed, "sweep-shots", k, rounds, t)
-            est = estimate_alg1(channels[t], k, cov, rounds * size, rng)
-            return bool(est.max_abs_error(truths[t]) <= epsilon)
-
-        def probe(rounds: int, early_stop: bool = True) -> tuple[bool, int]:
-            # trials run in chunks of `threads` and are tallied in trial
-            # order, so the stopping point is the same at any thread count
-            successes = 0
-            chunk = max(threads, 1) if early_stop else trials
-            for start in range(0, trials, chunk):
-                stop = min(start + chunk, trials)
-                oks = _pmap(trial_ok, [(rounds, t) for t in range(start, stop)],
-                            threads)
-                for t, ok in enumerate(oks, start + 1):
-                    successes += ok
-                    if early_stop and (successes >= needed
-                                       or t - successes > trials - needed):
-                        return successes >= needed, successes
-            return successes >= needed, successes
-
-        base = required_samples(n, k, epsilon, 1.0 - frac, size) // size
-        hi = max(base, 2)
-        while not probe(hi)[0]:
-            hi *= 2
-            if hi > base * 64:
-                raise PauliBenchError(
-                    f"sweep-ancilla: no passing budget found below {hi} rounds"
-                )
-        lo = 1
-        if probe(lo)[0]:
-            hi = lo
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if probe(mid)[0]:
-                hi = mid
-            else:
-                lo = mid
-        # confirmation pass without early stopping, reported in the table
-        _, confirmed = probe(hi, early_stop=False)
-        rows.append([k, size, hi, hi * size, confirmed, trials])
-        summary[str(k)] = {"rounds_min": hi, "n_min": hi * size}
+        rounds, confirmed = sweep_min_rounds(n, k, cov, epsilon, trials, frac,
+                                             alpha, seed)
+        rows.append([k, size, rounds, rounds * size, confirmed, trials])
+        summary[str(k)] = {"rounds_min": rounds, "n_min": rounds * size}
     writer.write_table(
         "sweep",
         ["k", "covering_size", "rounds_min", "n_min", "successes", "trials"],
@@ -554,79 +486,7 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, threads: int,
     return summary
 
 
-_DISCRIMINATE_MODES = ("bell", "ancilla-free")
-
-
-def _discriminate_trial(n: int, mode: str, seed: int, trial: int,
-                        max_shots: int) -> tuple[str, str, int]:
-    """Sequential decision between the fully-depolarizing channel and a
-    random spike channel; returns (truth, declared, shots).
-
-    The running log-likelihood ratio of the composite spike hypothesis
-    against the depolarizing one is log2(sum over alive candidates of
-    2^consistent-own-group-shots) + shots-in-favor - log2(4^n - 1); the
-    trial stops at posterior 0.9, i.e. |log2 ratio| >= log2(9).
-    """
-    rng = derive_rng(seed, "discriminate", mode, n, trial)
-    spike_truth = bool(rng.integers(0, 2))
-    a_true = int(rng.integers(1, 4**n)) if spike_truth else 0
-    truth = f"spike:{format_bits(a_true, n)}" if spike_truth else "dep"
-    if spike_truth:
-        channel = PauliChannel.spike(n, a_true, +1)
-    else:
-        channel = PauliChannel.fully_depolarizing(n)
-    count = 4**n - 1
-    log2_threshold = float(np.log2(9.0))  # posterior 0.9 under equal priors
-    if mode == "bell":
-        labels = np.arange(1, 4**n, dtype=np.uint64)
-        alive = np.ones(labels.shape, dtype=bool)
-        for shot in range(1, max_shots + 1):
-            b = np.uint64(channel.sample(rng))
-            alive &= symp_u64(labels, b) == 0
-            n_alive = int(alive.sum())
-            if n_alive == 0:
-                return truth, "dep", shot
-            log2_ratio = shot + float(np.log2(n_alive)) - float(np.log2(count))
-            if log2_ratio <= -log2_threshold:
-                return truth, "dep", shot
-            if n_alive == 1 and log2_ratio >= log2_threshold:
-                winner = int(labels[int(np.argmax(alive))])
-                return truth, f"spike:{format_bits(winner, n)}", shot
-        return truth, "undecided", max_shots
-    cov = mub_covering(n)
-    # elements() is indexed by coefficient vector, so member i + 1 of every
-    # group has alpha = i + 1
-    group_members = [np.asarray(grp.elements()[1:], dtype=np.int64)
-                     for grp in cov.groups]
-    alphas = np.arange(1, 2**n, dtype=np.uint64)
-    hits = np.zeros(4**n, dtype=np.float64)  # consistent own-group shots
-    alive_full = np.ones(4**n, dtype=bool)
-    alive_full[0] = False
-    for shot in range(1, max_shots + 1):
-        gi = (shot - 1) % len(cov.groups)
-        grp = cov.groups[gi]
-        e = np.uint64(grp.syndrome(channel.sample(rng)))
-        members = group_members[gi]
-        consistent = (np.bitwise_count(alphas & e) & np.uint64(1)) == 0
-        alive_full[members[~consistent]] = False
-        survivors = members[consistent]
-        hits[survivors[alive_full[survivors]]] += 1.0
-        live = np.nonzero(alive_full)[0]
-        if live.size == 0:
-            return truth, "dep", shot
-        peak = float(hits[live].max())
-        log2_ratio = peak + float(
-            np.log2(np.exp2(hits[live] - peak).sum())
-        ) - float(np.log2(count))
-        if log2_ratio <= -log2_threshold:
-            return truth, "dep", shot
-        if live.size == 1 and log2_ratio >= log2_threshold:
-            return truth, f"spike:{format_bits(int(live[0]), n)}", shot
-    return truth, "undecided", max_shots
-
-
-def cmd_discriminate(cfg: dict, seed: int, threads: int,
-                     writer: RunWriter) -> dict:
+def cmd_discriminate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     _require_keys(
         cfg,
         ("experiment", "n_list", "trials"),
@@ -637,21 +497,18 @@ def cmd_discriminate(cfg: dict, seed: int, threads: int,
     if max(n_list) > 10:
         raise CapabilityError("discriminate limited to n <= 10")
     trials = _int(cfg["trials"], "trials", 1)
-    modes = _list(cfg.get("modes", list(_DISCRIMINATE_MODES)), "modes")
+    modes = _list(cfg.get("modes", list(DISCRIMINATE_MODES)), "modes")
     for mode in modes:
-        if mode not in _DISCRIMINATE_MODES:
+        if mode not in DISCRIMINATE_MODES:
             raise ConfigError(f"unknown discriminate mode {mode!r}")
     max_shots = _int(cfg.get("max_shots", 100_000), "max_shots", 1)
     rows = []
     summary = {}
     for mode in modes:
         for n in n_list:
-            results = _pmap(
-                lambda t: _discriminate_trial(n, mode, seed, t, max_shots),
-                list(range(trials)), threads,
-            )
             shots_correct = []
-            for t, (truth, declared, shots) in enumerate(results):
+            for t, (truth, declared, shots) in enumerate(
+                    discriminate(n, mode, trials, max_shots, seed)):
                 correct = int(declared == truth)
                 rows.append([mode, n, t, truth, declared, correct, shots])
                 if correct:
@@ -706,7 +563,8 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=".")
         p.add_argument("--format", default="csv", choices=("csv", "json"))
-        p.add_argument("--gnuplot", action="store_true")
+        if name == "sweep-ancilla":
+            p.add_argument("--gnuplot", action="store_true")
     v = sub.add_parser("verify")
     v.add_argument("--level", default="quick", choices=("quick", "full"))
     v.add_argument("--seed", type=int, default=0)
@@ -740,8 +598,8 @@ def main(argv=None) -> int:
         }[args.command]
         body = dict(cfg)
         body.pop("seed", None)
-        summary = handler(body, seed, args.threads, writer)
-        if args.gnuplot and args.command == "sweep-ancilla":
+        summary = handler(body, seed, writer)
+        if args.command == "sweep-ancilla" and args.gnuplot:
             writer.write_text("sweep.gp", _GNUPLOT_SWEEP)
         writer.finish(args.command, config_echo, seed, args.threads, summary)
         return 0

@@ -2,10 +2,8 @@
 
 Every independent unit of work (a trial, a covering group, one batch of
 shots at one sequence length) draws from its own generator derived from the
-master seed and a structural key.  Work units are fixed by the experiment
-structure, never by the thread layout, so results are bit-identical at any
-worker count as long as merges are order-independent or applied in key
-order.
+master seed and a structural key.  A unit's draws therefore depend only on
+its key, never on which units ran before it or whether they ran at all.
 """
 
 from __future__ import annotations

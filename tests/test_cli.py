@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from paulibench import PauliChannel, estimate_alg1, mub_covering
 from paulibench import cli
@@ -256,6 +257,17 @@ def test_sweep_ancilla_cli(tmp_path):
     n_min = {row["k"]: int(row["n_min"]) for row in rows}
     assert n_min["1"] > n_min["3"]
     assert (out / "sweep.gp").exists()
+
+
+def test_gnuplot_only_on_sweep_ancilla(tmp_path, capsys):
+    # only sweep-ancilla has a plot script; the other subcommands reject it
+    for command in ("estimate", "benchmark", "discriminate"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", str(tmp_path / "cfg.json"), "--out",
+                    str(tmp_path / "run"), "--gnuplot")
+        assert exc.value.code == 2
+        assert "--gnuplot" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_sweep_ancilla_threads_byte_identical(tmp_path):
