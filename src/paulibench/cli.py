@@ -40,7 +40,12 @@ import numpy as np
 from . import __version__
 from .channels import PauliChannel
 from .errors import CapabilityError, ConfigError, UsageError
-from .estimation import DEFAULT_LENGTHS, estimate_alg1, required_samples
+from .estimation import (
+    DEFAULT_LENGTHS,
+    dense_estimate_bytes,
+    estimate_alg1,
+    required_samples,
+)
 from .experiments import (
     DISCRIMINATE_MODES,
     discriminate,
@@ -56,6 +61,9 @@ _FLOAT = "{:.17g}"
 _CSV_CHUNK_ROWS = 1 << 16  # rows per block of `RunWriter.write_columns`
 
 SCHEMA_VERSION = 1
+# bytes a dense `estimate` may plan to hold; `_memory_limit` lowers it to the
+# memory the system reports available
+DENSE_MEMORY_LIMIT = 4 << 30
 
 
 # --- config handling ----------------------------------------------------------
@@ -184,6 +192,18 @@ def _covering(kind: str, m: int):
     if kind == "pauli-basis":
         return pauli_basis_covering(m)
     raise ConfigError(f"unknown covering kind {kind!r}")
+
+
+def _memory_limit() -> int:
+    """DENSE_MEMORY_LIMIT, or MemAvailable from /proc/meminfo if lower."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return min(DENSE_MEMORY_LIMIT, int(line.split()[1]) << 10)
+    except (OSError, ValueError, IndexError):
+        pass
+    return DENSE_MEMORY_LIMIT
 
 
 # --- output helpers -------------------------------------------------------------
@@ -362,6 +382,12 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     )
     n = _int(cfg["n"], "n", 1)
     k = _int(cfg["k"], "k", 0, n)
+    need, limit = dense_estimate_bytes(n), _memory_limit()
+    if need > limit:
+        raise CapabilityError(
+            f"a dense estimate on n={n} qubits needs about {need >> 20} MiB, "
+            f"over the {limit >> 20} MiB limit"
+        )
     cov = _covering(cfg.get("covering", "mub"), n - k)
     if "samples" in cfg:
         total = _int(cfg["samples"], "samples")
@@ -478,6 +504,12 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
                                              alpha, seed)
         rows.append([k, size, rounds, rounds * size, confirmed, trials])
         summary[str(k)] = {"rounds_min": rounds, "n_min": rounds * size}
+    if len(set(k_list)) > 1:
+        # least squares of log2 n_min against n - k; Theta(n 2^(n-k))
+        # predicts 1
+        summary["log2_n_min_slope"] = float(np.polyfit(
+            [n - row[0] for row in rows], np.log2([row[3] for row in rows]),
+            1)[0])
     writer.write_table(
         "sweep",
         ["k", "covering_size", "rounds_min", "n_min", "successes", "trials"],

@@ -2,19 +2,24 @@
 
 Channel estimation accumulates, per covering group, a histogram over the
 flat (v << m) | e measurement outcomes and converts it to eigenvalue
-estimates with one `wht_forward` call, symplectic along v and standard
+estimates with a `wht_forward` transform, symplectic along v and standard
 along the m syndrome bits:
 
     lambda_hat[u xor s(alpha)] = sum_{v,e} hist[v,e] (-1)^(<u,v> + alpha.e)
 
-This replaces the per-shot inner loop over all (u, alpha) pairs at the
-price of one O(2^(n+k) (n+k)) transform per group.  For a simulated
-channel the histogram itself is one multinomial draw from the exact
+This replaces the per-shot inner loop over all (u, alpha) pairs at
+O(2^(n+k) (n+k)) work per group.  The groups are handled in chunks
+(`sampler.label_chunks`): one call gives a chunk's outcome laws, one its
+transforms and one `np.add.at` its sums, and only the draws go group by
+group, in order, so the random stream is that of a per-group loop.  For a
+simulated channel each histogram is one multinomial draw from the exact
 outcome law when the group's table has no more cells than it has rounds
 (`sampler.law_pays`); larger tables, injected shot streams and restricted
-label sets sample every round.  `estimate_alg1_reference` keeps the literal
-per-shot loop; on a shared shot stream both paths agree bit for bit (every
-partial sum is an integer below 2^53), which the suite checks.
+label sets sample every round.  A covering of one trivial group (k = n)
+skips the accumulation: its transform is already in label order.
+`estimate_alg1_reference` keeps the literal per-shot loop; on a shared shot
+stream both paths agree bit for bit (every partial sum is an integer below
+2^53), which the suite checks.
 
 Labels covered by several groups (always the case for the identity syndrome
 part, and for all compatible groups of the 3^m covering) are merged by
@@ -50,7 +55,7 @@ from .pauli import format_bits, parity_u64, symp, symp_u64
 from .sampler import (
     NoiseModel,
     draw_histogram,
-    group_labels,
+    label_chunks,
     law_pays,
     outcome_distribution_alg1,
     outcome_distribution_alg2,
@@ -61,6 +66,9 @@ from .stabilizer import Covering
 
 DECAY_FLOOR = 0.05
 DEFAULT_LENGTHS = (0, 1, 2, 4, 8, 16)
+# peak bytes per label of a dense `estimate` run: measured 77 B per label
+# above a fixed ~15 MB at n = 9 and 10 (k = 0 and k = n), rounded up
+DENSE_BYTES_PER_LABEL = 96
 
 
 @dataclass
@@ -127,6 +135,14 @@ def required_samples(n: int, k: int, epsilon: float, delta: float,
     return covering_size * per_label
 
 
+def dense_estimate_bytes(n: int) -> int:
+    """Bytes a dense `estimate` run on n qubits holds at its peak, beyond the
+    interpreter: its channel, estimates and output columns, 4^n entries
+    each.  Pure arithmetic, so a caller can refuse a run before allocating
+    any of it."""
+    return DENSE_BYTES_PER_LABEL * 4**n
+
+
 def _resolve(channel_or_source, k: int, covering: Covering,
              total_samples: int):
     """(source, n, rounds per group) of one estimation run, validated."""
@@ -183,26 +199,49 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
             "pass labels= for a restricted set"
         )
     m = covering.m
-    cells = 4**k << m
-    from_law = isinstance(channel_or_source, PauliChannel) \
-        and law_pays(cells, rounds)
+    law_channel = channel_or_source if isinstance(
+        channel_or_source, PauliChannel) and law_pays(4**k << m, rounds) \
+        else None
+    groups = covering.groups
+    if len(groups) == 1 and m == 0:
+        # one trivial group: its transform is already in label order and
+        # every label is seen in every round
+        hist = _histograms(law_channel, source, k, groups, 0, rounds, rng)
+        return _estimate_set(n, wht_forward(hist[0]),
+                             np.full(4**n, rounds, dtype=np.int64))
     sums = np.zeros(4**n)
     counts = np.zeros(4**n, dtype=np.int64)
-    for gi, group in enumerate(covering.groups):
-        full = group_labels(k, group)
-        if from_law:
-            law = outcome_distribution_alg1(channel_or_source, k, group, full)
-            hist = draw_histogram(law, rounds, rng).ravel()
-        else:
-            v, e = source(gi, group, rounds, rng)
-            idx = ((np.asarray(v, dtype=np.int64) << m)
-                   | np.asarray(e, dtype=np.int64))
-            hist = np.bincount(idx, minlength=cells)
-        # transformed[(u << m) | alpha], already in the order of `full`
-        transformed = wht_forward(hist, syndrome_digits=m)
-        np.add.at(sums, full.ravel(), transformed)
-        np.add.at(counts, full.ravel(), rounds)
+    for start, block in label_chunks(k, covering):
+        hists = _histograms(law_channel, source, k,
+                            groups[start:start + len(block)], start, rounds,
+                            rng, block)
+        # transformed[g, (u << m) | alpha], in the order of block[g]
+        transformed = wht_forward(hists, syndrome_digits=m)
+        np.add.at(sums, block.ravel(), transformed.ravel())
+        np.add.at(counts, block.ravel(), rounds)
     return _estimate_set(n, sums, counts)
+
+
+def _histograms(law_channel, source, k, groups, start, rounds, rng,
+                block=None) -> np.ndarray:
+    """(G, cells) int64 outcome histograms of `groups`, the covering's groups
+    from index `start` on, drawn group by group in order: from the exact
+    laws of `law_channel` unless it is None, else from the rounds `source`
+    returns.  `block` is the groups' stacked label block, if built."""
+    m = groups[0].m
+    cells = 4**k << m
+    hists = np.empty((len(groups), cells), dtype=np.int64)
+    if law_channel is not None:
+        laws = outcome_distribution_alg1(law_channel, k, groups, block)
+        for hist, law in zip(hists, laws):
+            hist[:] = draw_histogram(law, rounds, rng).ravel()
+        return hists
+    for hist, (gi, group) in zip(hists, enumerate(groups, start)):
+        v, e = source(gi, group, rounds, rng)
+        idx = ((np.asarray(v, dtype=np.int64) << m)
+               | np.asarray(e, dtype=np.int64))
+        hist[:] = np.bincount(idx, minlength=cells)
+    return hists
 
 
 def _estimate_restricted(source, n, k, covering, rounds, rng, labels

@@ -12,6 +12,11 @@
 Each function takes validated values and returns plain results.  Every
 trial and every SPAM rate draws from its own `derive_rng(seed, ...)` stream
 and runs in key order, one after another.
+
+A discrimination trial draws its shots in blocks and computes each block's
+consistency masks in a few array ops; the stopping rule then reads the
+shots one at a time, so a trial stops at the same shot, with the same
+decision, as a loop that draws one shot at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +37,14 @@ from .seeding import derive_rng
 from .stabilizer import Covering, mub_covering
 
 DISCRIMINATE_MODES = ("bell", "ancilla-free")
+# `discriminate` draws shots in blocks of at most SHOT_BLOCK shots whose
+# consistency masks hold at most SHOT_BLOCK_CELLS cells, and an ancilla-free
+# block measures each group at most once: at n = 6 that is 64 ancilla-free
+# shots of 63 cells and 4 Bell shots of 4095, one Bell shot from n = 7 on.
+# A Bell block of 16 at n = 6, with its uint64 temporaries, raised the
+# README `discriminate` peak RSS by about 2 MB; this one by 0.1 MB
+SHOT_BLOCK = 64
+SHOT_BLOCK_CELLS = 1 << 14
 
 
 def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
@@ -88,10 +101,21 @@ def discriminate(n: int, mode: str, trials: int, max_shots: int,
     if mode == "ancilla-free":
         # elements() is indexed by coefficient vector, so member i + 1 of
         # every group has alpha = i + 1
-        groups = [(grp, np.asarray(grp.elements()[1:], dtype=np.int64))
-                  for grp in mub_covering(n).groups]
+        cov = mub_covering(n).groups
+        groups = (np.array([grp.generators for grp in cov], dtype=np.uint64),
+                  np.array([grp.elements()[1:] for grp in cov],
+                           dtype=np.int64))
     return [_discriminate_trial(n, mode, seed, t, max_shots, groups)
             for t in range(trials)]
+
+
+def _shot_blocks(max_shots: int, width: int, most: int):
+    """(first shot, block size) pairs that tile shots 1..max_shots in blocks
+    of at most `most` shots and SHOT_BLOCK_CELLS mask cells, `width` cells
+    per shot."""
+    size = max(1, min(most, SHOT_BLOCK_CELLS // width))
+    for first in range(1, max_shots + 1, size):
+        yield first, min(size, max_shots + 1 - first)
 
 
 def _discriminate_trial(n: int, mode: str, seed: int, trial: int,
@@ -102,7 +126,9 @@ def _discriminate_trial(n: int, mode: str, seed: int, trial: int,
     The running log-likelihood ratio of the composite spike hypothesis
     against the depolarizing one is log2(sum over alive candidates of
     2^consistent-own-group-shots) + shots-in-favor - log2(4^n - 1); the
-    trial stops at posterior 0.9, i.e. |log2 ratio| >= log2(9).
+    trial stops at posterior 0.9, i.e. |log2 ratio| >= log2(9), or when no
+    candidate is left.  `groups` is the ancilla-free (generators, members)
+    pair of `_ancilla_free_steps`.
     """
     rng = derive_rng(seed, "discriminate", mode, n, trial)
     spike_truth = bool(rng.integers(0, 2))
@@ -112,47 +138,105 @@ def _discriminate_trial(n: int, mode: str, seed: int, trial: int,
         channel = PauliChannel.spike(n, a_true, +1)
     else:
         channel = PauliChannel.fully_depolarizing(n)
-    count = 4**n - 1
     log2_threshold = float(np.log2(9.0))  # posterior 0.9 under equal priors
-    if mode == "bell":
-        labels = np.arange(1, 4**n, dtype=np.uint64)
-        alive = np.ones(labels.shape, dtype=bool)
-        for shot in range(1, max_shots + 1):
-            b = np.uint64(channel.sample(rng))
-            alive &= symp_u64(labels, b) == 0
+    steps = _bell_steps(n, channel, rng, max_shots) if mode == "bell" \
+        else _ancilla_free_steps(n, channel, rng, max_shots, groups)
+    for shot, n_alive, log2_ratio, last in steps:
+        if n_alive == 0 or log2_ratio <= -log2_threshold:
+            return truth, "dep", shot
+        if n_alive == 1 and log2_ratio >= log2_threshold:
+            return truth, f"spike:{format_bits(last, n)}", shot
+    return truth, "undecided", max_shots
+
+
+def _bell_steps(n: int, channel: PauliChannel, rng: np.random.Generator,
+                max_shots: int):
+    """Yield (shot, alive candidates, log2 ratio, the one alive candidate or
+    None) after each Bell shot; the ratio is None when none is alive.
+
+    Shots are drawn a block at a time, with their commutation masks in one
+    array op; `sample(rng, B)` reads the same uniforms as B single draws,
+    and a trial owns its stream, so draws past its stopping shot change
+    nothing.  A Bell shot reveals the error label itself, so it keeps the
+    candidates commuting with it and every alive one has all shots in its
+    favour."""
+    labels = np.arange(1, 4**n, dtype=np.uint64)
+    alive = np.ones(labels.shape, dtype=bool)
+    log2_count = float(np.log2(4**n - 1))
+    for first, size in _shot_blocks(max_shots, labels.size, SHOT_BLOCK):
+        commuting = symp_u64(labels, channel.sample(rng, size)[:, None]) == 0
+        for shot, row in enumerate(commuting, first):
+            alive &= row
             n_alive = int(alive.sum())
             if n_alive == 0:
-                return truth, "dep", shot
-            log2_ratio = shot + float(np.log2(n_alive)) - float(np.log2(count))
-            if log2_ratio <= -log2_threshold:
-                return truth, "dep", shot
-            if n_alive == 1 and log2_ratio >= log2_threshold:
-                winner = int(labels[int(np.argmax(alive))])
-                return truth, f"spike:{format_bits(winner, n)}", shot
-        return truth, "undecided", max_shots
+                yield shot, 0, None, None
+                continue
+            log2_ratio = shot + float(np.log2(n_alive)) - log2_count
+            last = int(labels[int(np.argmax(alive))]) if n_alive == 1 \
+                else None
+            yield shot, n_alive, log2_ratio, last
+
+
+def _ancilla_free_steps(n: int, channel: PauliChannel,
+                        rng: np.random.Generator, max_shots: int, groups):
+    """`_bell_steps` without an ancilla: shot s measures the syndrome of
+    MUB group (s - 1) % G.  `groups` is the (generators, members) pair of
+    (G, n) and (G, 2^n - 1) arrays, members[g, i] having coefficient
+    vector i + 1.
+
+    A block's syndromes and consistency masks take a few array ops; the
+    state then advances shot by shot.  A candidate is alive while every
+    shot of its own group agreed with it, and the MUB groups partition the
+    non-identity labels, so the consistent own-group shots of an alive
+    candidate are its group's shot count.  Round-robin shots keep every
+    group's count within one of the peak: after a shot of group g, groups
+    0..g have one shot more than the rest.  The log-sum-exp terms
+    2^(count - peak) are therefore 1 and 1/2, and their float sum is exact
+    in any order: live_hi + live_lo / 2."""
+    generators, members = groups
+    n_groups, width = members.shape
     alphas = np.arange(1, 2**n, dtype=np.uint64)
-    hits = np.zeros(4**n, dtype=np.float64)  # consistent own-group shots
-    alive_full = np.ones(4**n, dtype=bool)
-    alive_full[0] = False
-    for shot in range(1, max_shots + 1):
-        grp, members = groups[(shot - 1) % len(groups)]
-        e = np.uint64(grp.syndrome(channel.sample(rng)))
-        consistent = (np.bitwise_count(alphas & e) & np.uint64(1)) == 0
-        alive_full[members[~consistent]] = False
-        survivors = members[consistent]
-        hits[survivors[alive_full[survivors]]] += 1.0
-        live = np.nonzero(alive_full)[0]
-        if live.size == 0:
-            return truth, "dep", shot
-        peak = float(hits[live].max())
-        log2_ratio = peak + float(
-            np.log2(np.exp2(hits[live] - peak).sum())
-        ) - float(np.log2(count))
-        if log2_ratio <= -log2_threshold:
-            return truth, "dep", shot
-        if live.size == 1 and log2_ratio >= log2_threshold:
-            return truth, f"spike:{format_bits(int(live[0]), n)}", shot
-    return truth, "undecided", max_shots
+    bits = np.arange(n, dtype=np.uint64)
+    log2_count = float(np.log2(4**n - 1))
+    alive = np.ones(members.shape, dtype=bool)
+    n_live = [width] * n_groups
+    total = n_groups * width
+    live_hi = 0  # alive candidates in the groups one shot ahead
+    for first, size in _shot_blocks(max_shots, width,
+                                    min(SHOT_BLOCK, n_groups)):
+        group = np.arange(first - 1, first - 1 + size) % n_groups
+        a = channel.sample(rng, size)
+        # bit j of e is <g_j, a> for the generators of each shot's group
+        e = np.bitwise_or.reduce(
+            symp_u64(generators[group], a[:, None]) << bits, axis=1)
+        consistent = (np.bitwise_count(alphas & e[:, None])
+                      & np.uint64(1)) == 0
+        # a block's groups are distinct, so each row is its group's state
+        # after its shot
+        rows = alive[group] & consistent
+        for at, (g, live_g) in enumerate(zip(
+                group.tolist(), np.count_nonzero(rows, axis=1).tolist())):
+            shot = first + at
+            total += live_g - n_live[g]
+            n_live[g] = live_g
+            live_hi = live_g + (live_hi if g else 0)
+            if total == 0:
+                yield shot, 0, None, None
+                continue
+            behind = (shot - 1) // n_groups  # shots of groups g+1..G-1
+            if live_hi:
+                peak, spread = behind + 1, live_hi + (total - live_hi) / 2
+            else:
+                peak, spread = behind, total
+            log2_ratio = peak + float(np.log2(spread)) - log2_count
+            last = None
+            if total == 1:
+                g_last = n_live.index(1)
+                seen = np.flatnonzero(group[:at + 1] == g_last)
+                row = rows[seen[0]] if seen.size else alive[g_last]
+                last = int(members[g_last, int(np.argmax(row))])
+            yield shot, total, log2_ratio, last
+        alive[group] = rows
 
 
 def spam_sweep(gate: PauliChannel, rates: list[float], lengths: list[int],

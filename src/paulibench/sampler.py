@@ -16,7 +16,10 @@ labels, which is exact for Pauli noise:
 
   one `wht_forward(..., syndrome_digits=m)` call over the group's
   `group_labels` block (`outcome_distribution_alg1`); the suite checks it
-  against the dense matrix oracle.
+  against the dense matrix oracle.  Given a sequence of groups, the same
+  call transforms their stacked blocks at once; the estimator passes the
+  chunks of `label_chunks`, so the law it samples is the code the oracle
+  checks.
 
 * Benchmarking shot of sequence length m: Pauli gates conjugate Pauli
   errors to themselves up to phase, so the Bell outcome is the XOR of the
@@ -33,7 +36,9 @@ labels, which is exact for Pauli noise:
 Both estimators use a batch only through its histogram, so the estimator
 draws the histogram in one `draw_histogram` (multinomial) call from the
 exact law whenever `law_pays`: the table has no more cells than the batch
-has draws, and fits in memory.  Otherwise it samples every shot with
+has draws, and fits in memory.  Channel estimation computes a chunk of
+groups' laws together and then draws them one `draw_histogram` call per
+group, in group order.  Otherwise it samples every shot with
 `simulate_rounds_alg1` / `simulate_alg2_batch`, which are vectorized over
 shots and return uint64 label arrays, so a single shot is a batch of size
 1.  Callers own the RNG; see `seeding.derive_rng` for the reproducibility
@@ -48,9 +53,14 @@ import numpy as np
 
 from .channels import PauliChannel, wht_forward, wht_inverse
 from .errors import CapabilityError, UsageError
-from .stabilizer import StabilizerGroup
+from .stabilizer import Covering, StabilizerGroup
 
 _DIST_ARRAY_LIMIT = 1 << 26
+# cells of one stacked label block: 2^16 keeps a chunk at 512 KiB of labels
+# and its laws, histograms and transforms at as much again each, where a
+# whole n=10 MUB covering (1025 x 1024 cells, 8.4 MB per array) would raise
+# the estimator's peak; a covering that fits is built once and kept
+LABEL_CHUNK_CELLS = 1 << 16
 
 
 def law_pays(cells: int, draws: int) -> bool:
@@ -136,24 +146,64 @@ def group_labels(k: int, group: StabilizerGroup) -> np.ndarray:
     return np.arange(4**k, dtype=np.int64)[:, None] | (elems[None, :] << (2 * k))
 
 
-def outcome_distribution_alg1(ch: PauliChannel, k: int, group: StabilizerGroup,
+def label_chunks(k: int, covering: Covering):
+    """Yield (start, block) over the covering's groups in order: `block` is
+    the (G, 4^k, 2^m) stack of the `group_labels` of groups[start:start+G],
+    with at most LABEL_CHUNK_CELLS cells unless one group alone has more.
+
+    A covering that fits in one chunk builds its block once per k and keeps
+    it, read-only, in `covering.label_blocks`; larger ones are rebuilt chunk
+    by chunk, so no more than one chunk is held."""
+    groups = covering.groups
+    per_chunk = max(1, LABEL_CHUNK_CELLS // (4**k << covering.m))
+    if len(groups) > per_chunk:
+        for start in range(0, len(groups), per_chunk):
+            yield start, np.stack([group_labels(k, grp)
+                                   for grp in groups[start:start + per_chunk]])
+        return
+    block = covering.label_blocks.get(k)
+    if block is None:
+        block = np.stack([group_labels(k, grp) for grp in groups])
+        block.setflags(write=False)
+        covering.label_blocks[k] = block
+    yield 0, block
+
+
+def outcome_distribution_alg1(ch: PauliChannel, k: int, group,
                               full: np.ndarray | None = None):
     """Exact outcome distribution p(v, e) of one estimation round.
 
     Returns a (4^k, 2^m) array when that fits in memory, else (for sparse
-    channels on large registers) a dict {(v, e): probability}.  Dense
-    channels transform the eigenvalues on `full`, the group's
-    `group_labels` block (built here when not given); sparse channels bin
-    the syndromes of their support.
+    channels on large registers) a dict {(v, e): probability}.  `group` may
+    also be a sequence of G groups, whose laws come as one (G, 4^k, 2^m)
+    array.  Dense channels transform the eigenvalues on `full`, the
+    `group_labels` block of the group or the stack of the groups' blocks
+    (`label_chunks`), built here when not given, in one `wht_forward` call;
+    sparse channels bin the syndromes of their support, group by group.
     """
-    _check_round(ch, k, group)
+    stacked = not isinstance(group, StabilizerGroup)
+    groups = tuple(group) if stacked else (group,)
+    for grp in groups:
+        _check_round(ch, k, grp)
     m = ch.n - k
     cells = 4**k << m
+    shape = (len(groups),) * stacked + (4**k, 2**m)
     if not ch.is_sparse:  # n <= DENSE_MAX_QUBITS, so cells <= 4^n fits
-        if full is None:
-            full = group_labels(k, group)
-        law = wht_forward(ch.eigenvalues[full.ravel()], syndrome_digits=m)
-        return (law / cells).reshape(4**k, 2**m)
+        if m == 0:  # the trivial group: its labels are the identity order
+            lam = np.broadcast_to(ch.eigenvalues, (len(groups), cells))
+        else:
+            if full is None:
+                full = np.stack([group_labels(k, grp) for grp in groups])
+            lam = ch.eigenvalues[full.reshape(-1, cells)]
+        law = wht_forward(lam, syndrome_digits=m)
+        law /= cells
+        return law.reshape(shape)
+    if stacked:
+        if cells > _DIST_ARRAY_LIMIT:
+            raise CapabilityError(f"outcome tables with {cells} cells too "
+                                  "large to stack")
+        return np.stack([outcome_distribution_alg1(ch, k, grp)
+                         for grp in groups]).reshape(shape)
     labels, probs = ch.support_labels, ch.support_probs
     if cells <= _DIST_ARRAY_LIMIT:  # then 2n < 64 and labels are uint64
         v = labels & np.uint64((1 << (2 * k)) - 1)

@@ -152,6 +152,10 @@ class Covering:
     m: int
     groups: tuple[StabilizerGroup, ...]
     kind: str = "custom"
+    # the estimator's stacked label block per ancilla count k, kept by
+    # `sampler.label_chunks` when the whole covering fits in one chunk
+    label_blocks: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         for g in self.groups:

@@ -1,5 +1,7 @@
 import csv
 import json
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from paulibench import PauliChannel, estimate_alg1, mub_covering
 from paulibench import cli
 from paulibench.cli import build_channel, main
+from paulibench.estimation import dense_estimate_bytes
 from paulibench.pauli import format_bits, format_labels
 from paulibench.seeding import derive_rng
 from paulibench.stabilizer import Covering
@@ -56,15 +59,23 @@ def test_estimate_table_matches_row_by_row_reference(tmp_path):
     est = estimate_alg1(channel, k, mub_covering(n - k), samples,
                         derive_rng(seed, "shots"))
     header = ["label", "lambda_hat", "n_shots", "stderr"]
-    rows = [[format_bits(int(lbl), n), float(lam), int(cnt), float(se)]
-            for lbl, lam, cnt, se in zip(est.label_list(), est.lambda_hat,
-                                         est.n_shots, est.stderr)]
+    # label order: qubit 0, the leftmost letter, varies fastest
+    names = ["".join(reversed(word)) for word in product("IXZY", repeat=n)]
+    rows = list(zip(names, est.lambda_hat.tolist(), est.n_shots.tolist(),
+                    est.stderr.tolist()))
+    # json.dumps(..., indent=1) of one row's dict, as a template checked
+    # against json.dumps itself on the first rows
+    json_row = (' {{\n  "label": "{}",\n  "lambda_hat": {!r},\n'
+                '  "n_shots": {},\n  "stderr": {!r}\n }}').format
+    head = [dict(zip(header, row)) for row in rows[:3]]
+    assert "[\n" + ",\n".join(json_row(*row) for row in rows[:3]) + "\n]" \
+        == json.dumps(head, indent=1)
     expected = {
-        "csv": "".join(",".join(["{:.17g}".format(x) if isinstance(x, float)
-                                 else str(x) for x in row]) + "\n"
-                       for row in [header] + rows),
-        "json": json.dumps([dict(zip(header, row)) for row in rows],
-                           indent=1) + "\n",
+        "csv": ",".join(header) + "\n" + "".join(
+            f"{name},{lam:.17g},{cnt},{se:.17g}\n"
+            for name, lam, cnt, se in rows),
+        "json": "[\n" + ",\n".join(json_row(*row) for row in rows)
+        + "\n]\n",
     }
     for fmt, text in expected.items():
         out = tmp_path / fmt
@@ -188,6 +199,36 @@ def test_capability_exit_code(tmp_path):
     assert run_cli("estimate", "--config", cfg, "--out", str(tmp_path)) == 3
 
 
+def test_dense_estimate_bytes_refuse_13_qubits():
+    # arithmetic only: an n=13 estimate is never run
+    assert dense_estimate_bytes(13) > cli.DENSE_MEMORY_LIMIT
+    assert dense_estimate_bytes(12) <= cli.DENSE_MEMORY_LIMIT
+    assert cli._memory_limit() <= cli.DENSE_MEMORY_LIMIT
+
+
+def test_estimate_over_memory_limit_exits_3_before_allocating(
+        tmp_path, monkeypatch, capsys):
+    n = 6
+    monkeypatch.setattr(cli, "DENSE_MEMORY_LIMIT", dense_estimate_bytes(n) - 1)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "estimate", "n": n, "k": 0,
+        "channel": {"kind": "random-dirichlet"}, "samples": 65 * 100,
+    })
+    tracemalloc.start()
+    try:
+        code = run_cli("estimate", "--config", cfg, "--out",
+                       str(tmp_path / "run"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "limit" in capsys.readouterr().err
+    # argparse and the config take about 50 kB; the run itself would peak
+    # near 1.9 MB here
+    assert peak < dense_estimate_bytes(n) // 4
+    assert not (tmp_path / "run" / "estimates.csv").exists()
+
+
 def test_determinism_same_seed(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "experiment": "estimate", "n": 2, "k": 1,
@@ -257,6 +298,10 @@ def test_sweep_ancilla_cli(tmp_path):
     n_min = {row["k"]: int(row["n_min"]) for row in rows}
     assert n_min["1"] > n_min["3"]
     assert (out / "sweep.gp").exists()
+    # two points: the least-squares slope is the one through both
+    slope = json.loads((out / "run.json").read_text())["summary"][
+        "log2_n_min_slope"]
+    assert slope == pytest.approx(np.log2(n_min["1"] / n_min["3"]) / 2)
 
 
 def test_gnuplot_only_on_sweep_ancilla(tmp_path, capsys):

@@ -111,6 +111,125 @@ def test_histogram_path_equals_literal_loop(n, k):
     assert np.array_equal(sub.lambda_hat, fast.lambda_hat)
 
 
+def _per_group_estimate(channel_or_source, k, covering, total, rng):
+    """`estimate_alg1` as one law, draw, transform and `np.add.at` per
+    covering group: the unbatched form the batched estimator must equal."""
+    from paulibench.estimation import _estimate_set, _resolve
+    from paulibench.sampler import group_labels, law_pays
+
+    source, n, rounds = _resolve(channel_or_source, k, covering, total)
+    m = covering.m
+    cells = 4**k << m
+    from_law = isinstance(channel_or_source, PauliChannel) \
+        and law_pays(cells, rounds)
+    sums = np.zeros(4**n)
+    counts = np.zeros(4**n, dtype=np.int64)
+    for gi, group in enumerate(covering.groups):
+        full = group_labels(k, group)
+        if from_law:
+            ch = channel_or_source
+            if ch.is_sparse:
+                law = outcome_distribution_alg1(ch, k, group)
+            else:
+                law = wht_forward(ch.eigenvalues[full.ravel()],
+                                  syndrome_digits=m) / cells
+            hist = draw_histogram(law, rounds, rng).ravel()
+        else:
+            v, e = source(gi, group, rounds, rng)
+            idx = ((np.asarray(v, dtype=np.int64) << m)
+                   | np.asarray(e, dtype=np.int64))
+            hist = np.bincount(idx, minlength=cells)
+        transformed = wht_forward(hist, syndrome_digits=m)
+        np.add.at(sums, full.ravel(), transformed)
+        np.add.at(counts, full.ravel(), rounds)
+    return _estimate_set(n, sums, counts)
+
+
+def _injected(n, k):
+    ch = PauliChannel.random_dirichlet(n, np.random.default_rng(40 + n + k))
+
+    def source(_i, group, rounds, rng_):
+        return simulate_rounds_alg1(ch, k, group, rng_, rounds)
+
+    return source
+
+
+# (channel or source, k, covering, total samples): law and per-shot paths
+# (more cells than rounds), dense and sparse channels, an injected source,
+# the overlapping Pauli-basis covering and the single trivial group (k = n)
+_BATCH_CASES = {
+    "dense-law": (lambda: PauliChannel.random_dirichlet(
+        4, np.random.default_rng(31)), 1, 3, 9 * 400),
+    "dense-shots": (lambda: PauliChannel.random_dirichlet(
+        4, np.random.default_rng(32)), 2, 2, 5 * 40),
+    "sparse-law": (lambda: PauliChannel.random_sparse(
+        4, 12, np.random.default_rng(33)), 1, 3, 9 * 400),
+    "sparse-shots": (lambda: PauliChannel.random_sparse(
+        4, 12, np.random.default_rng(34)), 2, 2, 5 * 40),
+    "injected": (lambda: _injected(4, 1), 1, 3, 9 * 400),
+    "pauli-basis": (lambda: PauliChannel.random_dirichlet(
+        4, np.random.default_rng(35)), 1, "pauli-basis", 27 * 300),
+    "one-group-law": (lambda: PauliChannel.random_dirichlet(
+        3, np.random.default_rng(36)), 3, 0, 200),
+    "one-group-shots": (lambda: PauliChannel.random_dirichlet(
+        3, np.random.default_rng(37)), 3, 0, 50),
+    "one-group-sparse": (lambda: PauliChannel.identity(3), 3, 0, 200),
+}
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 1, 4 * 32 + 1])
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+def test_batched_estimate_equals_per_group_loop(case, chunk_cells,
+                                                monkeypatch):
+    # chunks of one group, and of 4 groups over 9 or 27, besides the default
+    from paulibench import sampler
+
+    if chunk_cells is not None:
+        monkeypatch.setattr(sampler, "LABEL_CHUNK_CELLS", chunk_cells)
+    build, k, m, total = _BATCH_CASES[case]
+    cover = pauli_basis_covering(3) if m == "pauli-basis" else mub_covering(m)
+    rng_seed = 50 + sorted(_BATCH_CASES).index(case)
+    batched = estimate_alg1(build(), k, cover, total,
+                            np.random.default_rng(rng_seed))
+    again = estimate_alg1(build(), k, cover, total,
+                          np.random.default_rng(rng_seed))  # a kept block
+    looped = _per_group_estimate(build(), k, cover, total,
+                                 np.random.default_rng(rng_seed))
+    for est in (batched, again):
+        assert est.lambda_hat.tobytes() == looped.lambda_hat.tobytes()
+        assert est.n_shots.tobytes() == looped.n_shots.tobytes()
+        assert est.stderr.tobytes() == looped.stderr.tobytes()
+
+
+def test_label_chunks_keep_only_a_covering_that_fits(monkeypatch):
+    from paulibench import sampler
+
+    cov = mub_covering(3)  # 9 groups of 4 * 8 cells at k = 1
+    (start, block), = sampler.label_chunks(1, cov)
+    assert start == 0 and block.shape == (9, 4, 8)
+    assert cov.label_blocks[1] is block and not block.flags.writeable
+    for gi, group in enumerate(cov.groups):
+        assert np.array_equal(block[gi], sampler.group_labels(1, group))
+    monkeypatch.setattr(sampler, "LABEL_CHUNK_CELLS", 4 * 32)
+    fresh = mub_covering(3)
+    chunks = list(sampler.label_chunks(1, fresh))
+    assert [(lo, len(blk)) for lo, blk in chunks] == [(0, 4), (4, 4), (8, 1)]
+    assert np.array_equal(np.concatenate([blk for _, blk in chunks]), block)
+    assert fresh.label_blocks == {}
+
+
+def test_stacked_laws_equal_per_group_laws():
+    cov = mub_covering(2)
+    dense = PauliChannel.random_dirichlet(3, np.random.default_rng(38))
+    sparse = PauliChannel.random_sparse(3, 9, np.random.default_rng(39))
+    for ch in (dense, sparse):
+        stacked = outcome_distribution_alg1(ch, 1, cov.groups)
+        assert stacked.shape == (len(cov.groups), 4, 4)
+        for law, group in zip(stacked, cov.groups):
+            assert law.tobytes() == \
+                outcome_distribution_alg1(ch, 1, group).tobytes()
+
+
 def test_more_cells_than_draws_samples_every_shot():
     # n=5, k=5: 4^5 = 1024 cells and 1000 rounds, so the estimator samples
     # every round, bit for bit like an injected per-round source

@@ -3,8 +3,13 @@ import csv
 import json
 from pathlib import Path
 
-from paulibench import cli, experiments, mub_covering
+import numpy as np
+import pytest
+
+from paulibench import PauliChannel, cli, experiments, mub_covering
 from paulibench.cli import main
+from paulibench.pauli import format_bits, symp_u64
+from paulibench.seeding import derive_rng
 
 
 def _cli_rows(tmp_path, command, cfg, table):
@@ -47,6 +52,147 @@ def test_discriminate_matches_cli_table(tmp_path):
                 expected.append([mode, str(n), str(t), truth, declared,
                                  str(int(declared == truth)), str(shots)])
     assert rows == expected
+
+
+def _per_shot_trial(n, mode, seed, trial, max_shots, groups):
+    """The discrimination trial with one draw and one syndrome per shot: the
+    unblocked form `experiments._discriminate_trial` must equal.  `groups`
+    is a list of (group, non-identity members) pairs."""
+    rng = derive_rng(seed, "discriminate", mode, n, trial)
+    spike_truth = bool(rng.integers(0, 2))
+    a_true = int(rng.integers(1, 4**n)) if spike_truth else 0
+    truth = f"spike:{format_bits(a_true, n)}" if spike_truth else "dep"
+    if spike_truth:
+        channel = PauliChannel.spike(n, a_true, +1)
+    else:
+        channel = PauliChannel.fully_depolarizing(n)
+    count = 4**n - 1
+    log2_threshold = float(np.log2(9.0))
+    if mode == "bell":
+        labels = np.arange(1, 4**n, dtype=np.uint64)
+        alive = np.ones(labels.shape, dtype=bool)
+        for shot in range(1, max_shots + 1):
+            b = np.uint64(channel.sample(rng))
+            alive &= symp_u64(labels, b) == 0
+            n_alive = int(alive.sum())
+            if n_alive == 0:
+                return truth, "dep", shot
+            log2_ratio = shot + float(np.log2(n_alive)) - float(np.log2(count))
+            if log2_ratio <= -log2_threshold:
+                return truth, "dep", shot
+            if n_alive == 1 and log2_ratio >= log2_threshold:
+                winner = int(labels[int(np.argmax(alive))])
+                return truth, f"spike:{format_bits(winner, n)}", shot
+        return truth, "undecided", max_shots
+    alphas = np.arange(1, 2**n, dtype=np.uint64)
+    hits = np.zeros(4**n, dtype=np.float64)
+    alive_full = np.ones(4**n, dtype=bool)
+    alive_full[0] = False
+    for shot in range(1, max_shots + 1):
+        grp, members = groups[(shot - 1) % len(groups)]
+        e = np.uint64(grp.syndrome(channel.sample(rng)))
+        consistent = (np.bitwise_count(alphas & e) & np.uint64(1)) == 0
+        alive_full[members[~consistent]] = False
+        survivors = members[consistent]
+        hits[survivors[alive_full[survivors]]] += 1.0
+        live = np.nonzero(alive_full)[0]
+        if live.size == 0:
+            return truth, "dep", shot
+        peak = float(hits[live].max())
+        log2_ratio = peak + float(
+            np.log2(np.exp2(hits[live] - peak).sum())
+        ) - float(np.log2(count))
+        if log2_ratio <= -log2_threshold:
+            return truth, "dep", shot
+        if live.size == 1 and log2_ratio >= log2_threshold:
+            return truth, f"spike:{format_bits(int(live[0]), n)}", shot
+    return truth, "undecided", max_shots
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("mode", experiments.DISCRIMINATE_MODES)
+def test_block_trials_equal_per_shot_trials(mode, block, monkeypatch):
+    # blocks of the default size and of three shots, so that trials cross
+    # block ends; max_shots 3 leaves most trials undecided, 70 and 2000 end
+    # inside and past a first default block
+    if block is not None:
+        monkeypatch.setattr(experiments, "SHOT_BLOCK", block)
+    outcomes = set()
+    for n in range(1, 5):
+        groups = [(grp, np.asarray(grp.elements()[1:], dtype=np.int64))
+                  for grp in mub_covering(n).groups]
+        for seed in range(3):
+            for max_shots in (3, 70, 2000):
+                blocked = experiments.discriminate(n, mode, 8, max_shots,
+                                                   seed)
+                looped = [_per_shot_trial(n, mode, seed, t, max_shots, groups)
+                          for t in range(8)]
+                assert blocked == looped, (n, seed, max_shots)
+                outcomes |= {declared.split(":")[0]
+                             for _, declared, _ in blocked}
+    assert outcomes == {"dep", "spike", "undecided"}
+
+
+def _per_shot_steps(n, mode, channel, rng, max_shots, groups):
+    """(shot, alive, log2 ratio, last alive) after every shot, computed as
+    the per-shot trial does: one draw, one syndrome and, without an
+    ancilla, the log-sum-exp over the hits of every live candidate."""
+    count = 4**n - 1
+    labels = np.arange(1, 4**n, dtype=np.uint64)
+    alive = np.ones(labels.shape, dtype=bool)
+    alphas = np.arange(1, 2**n, dtype=np.uint64)
+    hits = np.zeros(4**n, dtype=np.float64)
+    alive_full = np.ones(4**n, dtype=bool)
+    alive_full[0] = False
+    for shot in range(1, max_shots + 1):
+        if mode == "bell":
+            alive &= symp_u64(labels, np.uint64(channel.sample(rng))) == 0
+            live = labels[alive].astype(np.int64)
+            ratio = shot + float(np.log2(live.size)) if live.size else None
+        else:
+            grp, members = groups[(shot - 1) % len(groups)]
+            e = np.uint64(grp.syndrome(channel.sample(rng)))
+            consistent = (np.bitwise_count(alphas & e) & np.uint64(1)) == 0
+            alive_full[members[~consistent]] = False
+            survivors = members[consistent]
+            hits[survivors[alive_full[survivors]]] += 1.0
+            live = np.nonzero(alive_full)[0]
+            ratio = None
+            if live.size:
+                peak = float(hits[live].max())
+                ratio = peak + float(np.log2(np.exp2(hits[live] - peak).sum()))
+        if ratio is not None:
+            ratio -= float(np.log2(count))
+        yield (shot, int(live.size), ratio,
+               int(live[0]) if live.size == 1 else None)
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("mode", experiments.DISCRIMINATE_MODES)
+def test_step_streams_equal_per_shot_arithmetic(mode, block, monkeypatch):
+    # every shot's alive count, exact log2 ratio and last candidate,
+    # also past the point where a trial would stop
+    if block is not None:
+        monkeypatch.setattr(experiments, "SHOT_BLOCK", block)
+    steps = (experiments._bell_steps if mode == "bell"
+             else experiments._ancilla_free_steps)
+    for n in range(1, 6):
+        cover = mub_covering(n).groups
+        groups = [(grp, np.asarray(grp.elements()[1:], dtype=np.int64))
+                  for grp in cover]
+        arrays = (np.array([grp.generators for grp in cover], dtype=np.uint64),
+                  np.array([members for _, members in groups]))
+        picks = np.random.default_rng(n).integers(1, 4**n, size=3)
+        channels = [PauliChannel.fully_depolarizing(n)] + [
+            PauliChannel.spike(n, int(a), +1) for a in picks]
+        for i, channel in enumerate(channels):
+            args = (n, channel, np.random.default_rng(i), 12 * len(cover))
+            fast = list(steps(*args) if mode == "bell"
+                        else steps(*args, arrays))
+            slow = list(_per_shot_steps(n, mode, channel,
+                                        np.random.default_rng(i),
+                                        12 * len(cover), groups))
+            assert fast == slow, (n, i)
 
 
 class _StubEstimate:
