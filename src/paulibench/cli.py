@@ -12,7 +12,8 @@ Subcommands:
 Experiments are configured by a JSON file (--config) with flag overrides
 (--seed, --threads, --out, --format).  Every run writes a primary table
 (CSV by default) plus run metadata JSON with the resolved config, seed,
-timings and, per table, its row count and write time.  Floats are written
+timings, per table its row count and write time, and per named stage
+(`RunWriter.stage`) its seconds.  Floats are written
 with 17 significant digits.  `estimate` writes its 4^n-row table from numpy
 columns (`RunWriter.write_columns`), the other commands from rows
 (`RunWriter.write_table`); both give the same bytes for the same values.
@@ -32,6 +33,7 @@ import json
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -42,6 +44,7 @@ from .channels import PauliChannel
 from .errors import CapabilityError, ConfigError, UsageError
 from .estimation import (
     DEFAULT_LENGTHS,
+    dense_benchmark_bytes,
     dense_estimate_bytes,
     estimate_alg1,
     required_samples,
@@ -61,8 +64,8 @@ _FLOAT = "{:.17g}"
 _CSV_CHUNK_ROWS = 1 << 16  # rows per block of `RunWriter.write_columns`
 
 SCHEMA_VERSION = 1
-# bytes a dense `estimate` may plan to hold; `_memory_limit` lowers it to the
-# memory the system reports available
+# bytes a dense `estimate` or `benchmark` may plan to hold; `_memory_limit`
+# lowers it to the memory the system reports available
 DENSE_MEMORY_LIMIT = 4 << 30
 
 
@@ -206,11 +209,23 @@ def _memory_limit() -> int:
     return DENSE_MEMORY_LIMIT
 
 
+def _require_memory(need: int, what: str):
+    """CapabilityError (exit 3) when `what` needs more than `_memory_limit`
+    bytes; called before the run allocates any of it."""
+    limit = _memory_limit()
+    if need > limit:
+        raise CapabilityError(
+            f"{what} needs about {need >> 20} MiB, over the {limit >> 20} MiB "
+            "limit"
+        )
+
+
 # --- output helpers -------------------------------------------------------------
 
 
 class RunWriter:
-    """Collects output files and run metadata for one CLI invocation."""
+    """Collects output files and run metadata for one CLI invocation:
+    the tables written, and the seconds of each named `stage`."""
 
     def __init__(self, out_dir: str, fmt: str):
         if fmt not in ("csv", "json"):
@@ -220,7 +235,17 @@ class RunWriter:
         self.fmt = fmt
         self.outputs: list[str] = []
         self.tables: dict[str, dict] = {}
+        self.stages: dict[str, float] = {}
         self.start = time.perf_counter()
+
+    @contextmanager
+    def stage(self, name: str):
+        """Time the enclosed block; run.json records its seconds, summed
+        over the blocks of that name, under `stages`."""
+        start = time.perf_counter()
+        yield
+        self.stages[name] = (self.stages.get(name, 0.0)
+                             + time.perf_counter() - start)
 
     def write_table(self, name: str, header: list[str], rows: list[list]):
         """Write a table given as rows of Python values."""
@@ -287,6 +312,7 @@ class RunWriter:
             "git": _git_describe(),
             "outputs": self.outputs,
             "tables": self.tables,
+            "stages": {name: round(sec, 6) for name, sec in self.stages.items()},
             "wall_time_s": round(time.perf_counter() - self.start, 3),
         }
         if summary is not None:
@@ -382,13 +408,10 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     )
     n = _int(cfg["n"], "n", 1)
     k = _int(cfg["k"], "k", 0, n)
-    need, limit = dense_estimate_bytes(n), _memory_limit()
-    if need > limit:
-        raise CapabilityError(
-            f"a dense estimate on n={n} qubits needs about {need >> 20} MiB, "
-            f"over the {limit >> 20} MiB limit"
-        )
-    cov = _covering(cfg.get("covering", "mub"), n - k)
+    _require_memory(dense_estimate_bytes(n),
+                    f"a dense estimate on n={n} qubits")
+    with writer.stage("covering"):
+        cov = _covering(cfg.get("covering", "mub"), n - k)
     if "samples" in cfg:
         total = _int(cfg["samples"], "samples")
     else:
@@ -396,14 +419,17 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
             raise ConfigError("estimate config needs samples or epsilon+delta")
         total = required_samples(n, k, _float(cfg["epsilon"], "epsilon"),
                                  _float(cfg["delta"], "delta"), len(cov.groups))
-    channel = build_channel(cfg["channel"], n, derive_rng(seed, "channel"))
-    est = estimate_alg1(channel, k, cov, total, derive_rng(seed, "shots"))
-    if cfg.get("clamp", False):
-        est = est.clamp()
-    writer.write_columns(
-        "estimates", ["label", "lambda_hat", "n_shots", "stderr"],
-        [format_labels(est.label_list(), n), est.lambda_hat, est.n_shots,
-         est.stderr])
+    with writer.stage("channel"):
+        channel = build_channel(cfg["channel"], n, derive_rng(seed, "channel"))
+    with writer.stage("estimate"):
+        est = estimate_alg1(channel, k, cov, total, derive_rng(seed, "shots"))
+        if cfg.get("clamp", False):
+            est = est.clamp()
+    with writer.stage("write"):
+        writer.write_columns(
+            "estimates", ["label", "lambda_hat", "n_shots", "stderr"],
+            [format_labels(est.label_list(), n), est.lambda_hat, est.n_shots,
+             est.stderr])
     return {
         "samples": total,
         "rounds_per_group": total // len(cov.groups),
@@ -421,7 +447,6 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
         "benchmark config",
     )
     n = _int(cfg["n"], "n", 1)
-    gate = build_channel(cfg["gate"], n, derive_rng(seed, "gate-channel"))
     m_list = [_int(m, "m_list entry", 0)
               for m in _list(cfg.get("m_list", list(DEFAULT_LENGTHS)), "m_list")]
     shots = _int(cfg["shots_per_m"], "shots_per_m", 1)
@@ -435,7 +460,10 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
         rates = [_float(cfg["spam_depolarizing"], "spam_depolarizing")]
     else:
         rates = [0.0]
+    _require_memory(dense_benchmark_bytes(n, len(set(m_list)), len(rates)),
+                    f"a dense benchmark on n={n} qubits")
 
+    gate = build_channel(cfg["gate"], n, derive_rng(seed, "gate-channel"))
     spam = tuple(build_channel(cfg[side], n, derive_rng(seed, f"{side}-channel"))
                  if side in cfg else PauliChannel.identity(n)
                  for side in ("prep", "meas")) if explicit_spam else None

@@ -69,6 +69,15 @@ DEFAULT_LENGTHS = (0, 1, 2, 4, 8, 16)
 # peak bytes per label of a dense `estimate` run: measured 77 B per label
 # above a fixed ~15 MB at n = 9 and 10 (k = 0 and k = n), rounded up
 DENSE_BYTES_PER_LABEL = 96
+# peak bytes per label of a dense `benchmark` run with L distinct lengths and
+# R SPAM rates, PER_LABEL + R * (PER_RATE + L * PER_LENGTH): its peak RSS
+# above the import measured 240 + R * (414 + 176 L) B per label at n = 8
+# (L = 1, 6; R = 1, 3; 4^n - 1 shots, the most a shot batch holds), rounded
+# up.  A rate holds its result's f_rows and fit arrays; the table rows the
+# CLI builds for every rate and length take most of it
+BENCHMARK_BYTES_PER_LABEL = 256
+BENCHMARK_BYTES_PER_RATE = 448
+BENCHMARK_BYTES_PER_LENGTH = 192
 
 
 @dataclass
@@ -141,6 +150,16 @@ def dense_estimate_bytes(n: int) -> int:
     each.  Pure arithmetic, so a caller can refuse a run before allocating
     any of it."""
     return DENSE_BYTES_PER_LABEL * 4**n
+
+
+def dense_benchmark_bytes(n: int, lengths: int, rates: int) -> int:
+    """Bytes a dense `benchmark` run on n qubits holds at its peak, beyond
+    the interpreter, with `lengths` distinct sequence lengths and `rates`
+    SPAM rates: every rate's (lengths x 4^n) means and fit arrays, and the
+    rows of its estimate and decay tables.  Pure arithmetic, like
+    `dense_estimate_bytes`."""
+    per_rate = BENCHMARK_BYTES_PER_RATE + lengths * BENCHMARK_BYTES_PER_LENGTH
+    return (BENCHMARK_BYTES_PER_LABEL + rates * per_rate) * 4**n
 
 
 def _resolve(channel_or_source, k: int, covering: Covering,

@@ -34,7 +34,7 @@ from .estimation import (
 from .pauli import format_bits, symp_u64
 from .sampler import NoiseModel
 from .seeding import derive_rng
-from .stabilizer import Covering, mub_covering
+from .stabilizer import Covering, element_block, mub_covering
 
 DISCRIMINATE_MODES = ("bell", "ancilla-free")
 # `discriminate` draws shots in blocks of at most SHOT_BLOCK shots whose
@@ -99,12 +99,10 @@ def discriminate(n: int, mode: str, trials: int, max_shots: int,
     """(truth, declared, shots) of each of `trials` trials in `mode`."""
     groups = None
     if mode == "ancilla-free":
-        # elements() is indexed by coefficient vector, so member i + 1 of
-        # every group has alpha = i + 1
-        cov = mub_covering(n).groups
-        groups = (np.array([grp.generators for grp in cov], dtype=np.uint64),
-                  np.array([grp.elements()[1:] for grp in cov],
-                           dtype=np.int64))
+        # column alpha of an element block is element(alpha), so member
+        # i of every group has coefficient vector i + 1
+        generators = mub_covering(n).generator_array
+        groups = (generators, element_block(generators)[:, 1:])
     return [_discriminate_trial(n, mode, seed, t, max_shots, groups)
             for t in range(trials)]
 

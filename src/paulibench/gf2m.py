@@ -9,6 +9,8 @@ covered by the field-axiom tests.
 Only what the mutually-unbiased-bases covering construction needs is
 implemented: multiplication, powers of alpha, and the absolute trace
 Tr(y) = y + y^2 + ... + y^(2^(m-1)), which maps to GF(2) and is GF(2)-linear.
+Linearity also gives `trace_masks`: Tr(c alpha^s) = parity(c & t_s), so the
+covering reads every Tr(c alpha^s) off 2m - 1 masks with array ops.
 """
 
 from __future__ import annotations
@@ -94,3 +96,15 @@ def gf_trace(a: int, m: int) -> int:
     """Absolute trace GF(2^m) -> GF(2)."""
     _check_m(m)
     return (a & _trace_mask(m)).bit_count() & 1
+
+
+@lru_cache(maxsize=None)
+def trace_masks(m: int) -> tuple[int, ...]:
+    """(t_0, ..., t_(2m-2)) with bit b of t_s equal to Tr(alpha^(b+s)), so
+    that Tr(c alpha^s) = parity(c & t_s) for every field element c."""
+    _check_m(m)
+    powers = alpha_powers(m, 3 * m - 2)
+    return tuple(
+        sum(gf_trace(powers[b + s], m) << b for b in range(m))
+        for s in range(2 * m - 1)
+    )

@@ -53,7 +53,7 @@ import numpy as np
 
 from .channels import PauliChannel, wht_forward, wht_inverse
 from .errors import CapabilityError, UsageError
-from .stabilizer import Covering, StabilizerGroup
+from .stabilizer import Covering, StabilizerGroup, element_block
 
 _DIST_ARRAY_LIMIT = 1 << 26
 # cells of one stacked label block: 2^16 keeps a chunk at 512 KiB of labels
@@ -138,32 +138,45 @@ def simulate_rounds_alg1(ch: PauliChannel, k: int, group: StabilizerGroup,
     return v, group.syndromes(a >> np.uint64(2 * k))
 
 
+def _generators_of(groups) -> np.ndarray:
+    return np.array([grp.generators for grp in groups],
+                    dtype=np.uint64).reshape(len(groups), groups[0].m)
+
+
+def _label_block(k: int, generators: np.ndarray) -> np.ndarray:
+    """(G, 4^k, 2^m) int64 `group_labels` of the groups generated by the
+    rows of the (G, m) array `generators`, from their `element_block`."""
+    elems = element_block(generators)
+    return np.arange(4**k, dtype=np.int64)[:, None] | (elems[:, None, :]
+                                                      << (2 * k))
+
+
 def group_labels(k: int, group: StabilizerGroup) -> np.ndarray:
     """(4^k, 2^m) int64 labels u | s_alpha << 2k at row u, column alpha:
     the eigenvalues one group's rounds estimate, laid out like the flat
     (u << m) | alpha output of `wht_forward(..., syndrome_digits=m)`."""
-    elems = np.asarray(group.elements(), dtype=np.int64)
-    return np.arange(4**k, dtype=np.int64)[:, None] | (elems[None, :] << (2 * k))
+    return _label_block(k, _generators_of((group,)))[0]
 
 
 def label_chunks(k: int, covering: Covering):
     """Yield (start, block) over the covering's groups in order: `block` is
     the (G, 4^k, 2^m) stack of the `group_labels` of groups[start:start+G],
     with at most LABEL_CHUNK_CELLS cells unless one group alone has more.
+    Each block is built from its rows of `covering.generator_array` by XOR
+    doubling (`stabilizer.element_block`).
 
     A covering that fits in one chunk builds its block once per k and keeps
     it, read-only, in `covering.label_blocks`; larger ones are rebuilt chunk
     by chunk, so no more than one chunk is held."""
-    groups = covering.groups
+    gens = covering.generator_array
     per_chunk = max(1, LABEL_CHUNK_CELLS // (4**k << covering.m))
-    if len(groups) > per_chunk:
-        for start in range(0, len(groups), per_chunk):
-            yield start, np.stack([group_labels(k, grp)
-                                   for grp in groups[start:start + per_chunk]])
+    if len(gens) > per_chunk:
+        for start in range(0, len(gens), per_chunk):
+            yield start, _label_block(k, gens[start:start + per_chunk])
         return
     block = covering.label_blocks.get(k)
     if block is None:
-        block = np.stack([group_labels(k, grp) for grp in groups])
+        block = _label_block(k, gens)
         block.setflags(write=False)
         covering.label_blocks[k] = block
     yield 0, block
@@ -193,7 +206,7 @@ def outcome_distribution_alg1(ch: PauliChannel, k: int, group,
             lam = np.broadcast_to(ch.eigenvalues, (len(groups), cells))
         else:
             if full is None:
-                full = np.stack([group_labels(k, grp) for grp in groups])
+                full = _label_block(k, _generators_of(groups))
             lam = ch.eigenvalues[full.reshape(-1, cells)]
         law = wht_forward(lam, syndrome_digits=m)
         law /= cells

@@ -24,21 +24,37 @@ Two coverings of the m-qubit Pauli labels are provided:
   one group.
 * `pauli_basis_covering`: the 3^m groups generated by one of {X, Y, Z} per
   qubit; experimentally simpler, with overlapping coverage.
+
+Both are built as a (G, m) uint64 generator array, row i holding group i's
+generators, and go through one builder, `Covering.from_generators`, which
+checks every row in one pass of array ops with the messages
+`StabilizerGroup` raises.  The MUB array comes from the trace table of
+`gf2m.trace_masks`: Tr(c alpha^s) = parity(c & t_s), so bit s of
+w(c) = sum_s parity(c & t_s) 2^s is M_c[i][j] for every i + j = s, and
+column j of S_c has z bits (w(c) >> j) mod 2^m; every field element c is
+one entry of a numpy vector, and no temporary outgrows the generator
+array.  `element_block` turns generator rows into their (G, 2^m) element
+blocks by XOR doubling, the array form of `StabilizerGroup.elements`; the
+estimator's label blocks and the ancilla-free discrimination are built
+from it.  `verify_covering` stays on the scalar `elements` and `symp`, so
+it checks the array code rather than repeating it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapabilityError, UsageError
-from .gf2m import MAX_M, alpha_powers, gf_mul, gf_trace
+from .gf2m import MAX_M, trace_masks
 from .pauli import format_bits, parse_bits, symp, symp_u64
 
 VERIFY_MAX_M = 10
 _DENSE_MAP_LIMIT = 1 << 22  # total coverage entries kept in memory
+_ARRAY_MAX_M = 32  # a generator is a uint64 of 2m bits
 
 
 def _echelon(rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -53,42 +69,106 @@ def _echelon(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(basis)
 
 
+def _generator_rows(m: int, rows) -> np.ndarray:
+    """Tuples of generator ints as a (G, m) uint64 array; a tuple of the
+    wrong length or a value no uint64 holds raises `StabilizerGroup`'s
+    message."""
+    if m > _ARRAY_MAX_M:
+        raise CapabilityError(
+            f"stabilizer groups limited to m <= {_ARRAY_MAX_M}, got {m}")
+    for row in rows:
+        if len(row) != m:
+            raise UsageError(f"expected {m} generators, got {len(row)}")
+    try:
+        return np.array(rows, dtype=np.uint64).reshape(len(rows), m)
+    except OverflowError:
+        bad = next(g for row in rows for g in row if g < 0 or g >> (2 * m))
+        raise UsageError(f"generator {bad:#x} out of range for m={m}") from None
+
+
+def _check_generators(m: int, gens: np.ndarray):
+    """Raise UsageError for the first row of the (G, m) uint64 array `gens`
+    that does not generate a stabilizer group: a generator out of range,
+    then an anticommuting pair, then linear dependence, as each row's own
+    `StabilizerGroup` check would.  One pass of array ops over all rows,
+    with no temporary larger than `gens`."""
+    if gens.shape[1] != m:
+        raise UsageError(f"expected {m} generators, got {gens.shape[1]}")
+    if m == 0 or len(gens) == 0:
+        return
+    out_of_range = np.any(gens >> np.uint64(2 * m), axis=1) if 2 * m < 64 \
+        else np.zeros(len(gens), dtype=bool)
+    anticommuting = np.zeros(len(gens), dtype=bool)
+    for j in range(m - 1):
+        anticommuting |= np.any(symp_u64(gens[:, j:j + 1], gens[:, j + 1:]),
+                                axis=1)
+    # forward elimination, all rows at once: row j is reduced by the rows
+    # before it, so it is zero exactly when it depends on them; its lowest
+    # set bit is then cleared from the rows after it
+    rows = gens.copy()
+    dependent = np.zeros(len(gens), dtype=bool)
+    for j in range(m):
+        row = rows[:, j]
+        dependent |= row == 0
+        pivot = row & (~row + np.uint64(1))
+        later = rows[:, j + 1:]
+        later ^= np.where(later & pivot[:, None], row[:, None], np.uint64(0))
+    bad = out_of_range | anticommuting | dependent
+    if not bad.any():
+        return
+    g = int(np.argmax(bad))
+    row = gens[g].tolist()
+    if out_of_range[g]:
+        value = next(x for x in row if x >> (2 * m))
+        raise UsageError(f"generator {value:#x} out of range for m={m}")
+    if anticommuting[g]:
+        a, b = next((a, b) for i, a in enumerate(row) for b in row[i + 1:]
+                    if symp(a, b))
+        raise UsageError(f"generators {format_bits(a, m)} and "
+                         f"{format_bits(b, m)} anticommute")
+    raise UsageError("generators are linearly dependent")
+
+
+def element_block(generators: np.ndarray) -> np.ndarray:
+    """(G, 2^m) int64 elements of the groups generated by the rows of the
+    (G, m) array `generators` (m < 32), column alpha holding
+    element(alpha): the `elements` lists of G groups, built at once by XOR
+    doubling."""
+    gens = np.asarray(generators).astype(np.int64)
+    count, m = gens.shape
+    block = np.zeros((count, 1 << m), dtype=np.int64)
+    for j in range(m):
+        np.bitwise_xor(block[:, :1 << j], gens[:, j:j + 1],
+                       out=block[:, 1 << j:2 << j])
+    return block
+
+
 @dataclass(frozen=True)
 class StabilizerGroup:
-    """m commuting independent generators on m qubits."""
+    """m commuting independent generators on m qubits (m <= 32)."""
 
     m: int
     generators: tuple[int, ...]
-    _basis: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(int(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        if len(gens) != self.m:
-            raise UsageError(f"expected {self.m} generators, got {len(gens)}")
-        for g in gens:
-            if g < 0 or g >> (2 * self.m):
-                raise UsageError(f"generator {g:#x} out of range for m={self.m}")
-        for i, gi in enumerate(gens):
-            for gj in gens[i + 1:]:
-                if symp(gi, gj):
-                    raise UsageError(
-                        f"generators {format_bits(gi, self.m)} and "
-                        f"{format_bits(gj, self.m)} anticommute"
-                    )
-        # triangular basis with pivot rows tagged by generator combination
+        _check_generators(self.m, _generator_rows(self.m, [gens]))
+
+    @cached_property
+    def _basis(self) -> tuple[tuple[int, int], ...]:
+        """Triangular basis with pivot rows tagged by generator combination,
+        for `coefficients`."""
         basis: list[tuple[int, int]] = []
-        for j, g in enumerate(gens):
+        for j, g in enumerate(self.generators):
             vec, mask = g, 1 << j
             for bvec, bmask in basis:
                 if vec ^ bvec < vec:
                     vec ^= bvec
                     mask ^= bmask
-            if vec == 0:
-                raise UsageError("generators are linearly dependent")
             basis.append((vec, mask))
             basis.sort(reverse=True)
-        object.__setattr__(self, "_basis", tuple(basis))
+        return tuple(basis)
 
     def syndrome(self, c: int) -> int:
         """Packed syndrome of error label c: bit j = <g_j, c>."""
@@ -162,6 +242,37 @@ class Covering:
             if g.m != self.m:
                 raise UsageError(f"group on {g.m} qubits in m={self.m} covering")
 
+    @classmethod
+    def from_generators(cls, m: int, generators: np.ndarray,
+                        kind: str = "custom") -> "Covering":
+        """The covering whose group i is generated by row i of the (G, m)
+        uint64 array `generators`.  Every row is checked as
+        `StabilizerGroup` checks its generators, in one pass over the array,
+        before the groups are made from it."""
+        gens = np.array(generators, dtype=np.uint64)
+        if gens.ndim != 2:
+            raise UsageError(f"generator array must be 2-D, got {gens.shape}")
+        _check_generators(m, gens)
+        groups = []
+        for row in gens.tolist():
+            # checked above, with the rest of the array
+            grp = object.__new__(StabilizerGroup)
+            object.__setattr__(grp, "m", m)
+            object.__setattr__(grp, "generators", tuple(row))
+            groups.append(grp)
+        cov = cls(m, tuple(groups), kind)
+        gens.setflags(write=False)
+        cov.__dict__["generator_array"] = gens  # the cached property's value
+        return cov
+
+    @cached_property
+    def generator_array(self) -> np.ndarray:
+        """(G, m) uint64 array, row i the generators of groups[i];
+        read-only."""
+        gens = _generator_rows(self.m, [g.generators for g in self.groups])
+        gens.setflags(write=False)
+        return gens
+
     def __len__(self):
         return len(self.groups)
 
@@ -197,13 +308,11 @@ class Covering:
         try:
             m = int(obj["m"])
             kind = obj["construction"]
-            groups = tuple(
-                StabilizerGroup(m, tuple(parse_bits(s, m) for s in gens))
-                for gens in obj["groups"]
-            )
+            rows = [tuple(parse_bits(s, m) for s in gens)
+                    for gens in obj["groups"]]
         except (KeyError, TypeError) as exc:
             raise UsageError(f"malformed covering JSON: {exc}") from None
-        return cls(m, groups, kind)
+        return cls.from_generators(m, _generator_rows(m, rows), kind)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
@@ -213,12 +322,30 @@ class Covering:
         return cls.from_json(json.loads(text))
 
 
-def _interleave(x_bits: int, z_bits: int, m: int) -> int:
-    label = 0
-    for q in range(m):
-        label |= ((x_bits >> q) & 1) << (2 * q)
-        label |= ((z_bits >> q) & 1) << (2 * q + 1)
-    return label
+def _spread_bits(x: np.ndarray) -> np.ndarray:
+    """Bit i of every uint64 entry below 2^16 moved to bit 2i."""
+    for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333),
+                        (1, 0x55555555)):
+        x = (x | (x << np.uint64(shift))) & np.uint64(mask)
+    return x
+
+
+def _mub_generators(m: int) -> np.ndarray:
+    """(2^m + 1, m) uint64 generators of S_inf and then S_c for
+    c = 0 .. 2^m - 1: generator j of S_c has x = e_j and z bit i equal to
+    M_c[i][j] = Tr(c alpha^(i+j))."""
+    cols = np.arange(m, dtype=np.uint64)
+    gens = np.empty(((1 << m) + 1, m), dtype=np.uint64)
+    gens[0] = np.uint64(2) << (cols << np.uint64(1))  # S_inf: all-Z labels
+    c = np.arange(1 << m, dtype=np.uint64)
+    w = np.zeros(1 << m, dtype=np.uint64)  # bit s: Tr(c alpha^s)
+    for s, t_s in enumerate(trace_masks(m)):
+        w |= (np.bitwise_count(c & np.uint64(t_s)) & np.uint8(1)).astype(
+            np.uint64) << np.uint64(s)
+    z = (w[:, None] >> cols) & np.uint64((1 << m) - 1)
+    gens[1:] = (_spread_bits(z) << np.uint64(1)) | (np.uint64(1)
+                                                     << (cols << np.uint64(1)))
+    return gens
 
 
 def mub_covering(m: int) -> Covering:
@@ -226,38 +353,24 @@ def mub_covering(m: int) -> Covering:
     if m < 0 or m > MAX_M:
         raise CapabilityError(f"mub_covering supports 0 <= m <= {MAX_M}, got {m}")
     if m == 0:
-        return Covering(0, (StabilizerGroup(0, ()),), "mub")
-    groups = []
-    # S_inf: all-Z labels
-    groups.append(StabilizerGroup(m, tuple(1 << (2 * j + 1) for j in range(m))))
-    powers = alpha_powers(m, 2 * m - 1)
-    for c in range(1 << m):
-        gens = []
-        for j in range(m):
-            z_col = 0
-            for i in range(m):
-                # M_c[i][j] = Tr(c * alpha^(i+j))
-                if gf_trace(gf_mul(c, powers[i + j], m), m):
-                    z_col |= 1 << i
-            gens.append(_interleave(1 << j, z_col, m))
-        groups.append(StabilizerGroup(m, tuple(gens)))
-    return Covering(m, tuple(groups), "mub")
+        return Covering.from_generators(0, np.zeros((1, 0)), "mub")
+    return Covering.from_generators(m, _mub_generators(m), "mub")
 
 
 def pauli_basis_covering(m: int) -> Covering:
-    """The 3^m single-letter-per-qubit groups."""
+    """The 3^m single-letter-per-qubit groups, in the order of the words
+    over X, Z, Y with qubit 0's letter varying slowest."""
     if m < 0:
         raise UsageError(f"negative m: {m}")
     if 3**m > 1 << 22:
         raise CapabilityError(f"pauli_basis_covering(m={m}) has {3**m} groups")
-    groups = []
-    words = [[]]
-    for _ in range(m):
-        words = [w + [letter] for w in words for letter in (1, 2, 3)]
-    for w in words:
-        gens = tuple(w[q] << (2 * q) for q in range(m))
-        groups.append(StabilizerGroup(m, gens))
-    return Covering(m, tuple(groups), "pauli-basis")
+    word = np.arange(3**m, dtype=np.uint64)
+    gens = np.empty((3**m, m), dtype=np.uint64)
+    for q in range(m):
+        # base-3 digit of qubit q, read as the letter code X=1, Z=2, Y=3
+        letter = word // np.uint64(3**(m - 1 - q)) % np.uint64(3) + np.uint64(1)
+        gens[:, q] = letter << np.uint64(2 * q)
+    return Covering.from_generators(m, gens, "pauli-basis")
 
 
 @dataclass

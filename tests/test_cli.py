@@ -9,7 +9,7 @@ import pytest
 from paulibench import PauliChannel, estimate_alg1, mub_covering
 from paulibench import cli
 from paulibench.cli import build_channel, main
-from paulibench.estimation import dense_estimate_bytes
+from paulibench.estimation import dense_benchmark_bytes, dense_estimate_bytes
 from paulibench.pauli import format_bits, format_labels
 from paulibench.seeding import derive_rng
 from paulibench.stabilizer import Covering
@@ -227,6 +227,97 @@ def test_estimate_over_memory_limit_exits_3_before_allocating(
     # near 1.9 MB here
     assert peak < dense_estimate_bytes(n) // 4
     assert not (tmp_path / "run" / "estimates.csv").exists()
+
+
+_SPAM_BENCHMARK = {
+    "experiment": "benchmark", "n": 5,
+    "gate": {"kind": "depolarizing", "rate": 0.02},
+    "m_list": [0, 1, 2, 4, 8, 16], "shots_per_m": 1000,
+    "spam_sweep": [0, 0.05, 0.2],
+}
+
+
+def test_dense_benchmark_bytes_refuse_13_qubits():
+    # arithmetic only: no large benchmark is run
+    assert dense_benchmark_bytes(13, 1, 1) > cli.DENSE_MEMORY_LIMIT
+    assert dense_benchmark_bytes(6, 6, 3) < 32 << 20
+    assert dense_benchmark_bytes(6, 6, 3) > dense_benchmark_bytes(6, 1, 3) \
+        > dense_benchmark_bytes(6, 1, 1)
+
+
+def test_dense_benchmark_bytes_bound_a_small_run(tmp_path):
+    # the estimate covers what a run allocates, not just its arrays
+    cfg = write_config(tmp_path, "cfg.json", _SPAM_BENCHMARK)
+    tracemalloc.start()
+    try:
+        code = run_cli("benchmark", "--config", cfg, "--out",
+                       str(tmp_path / "run"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= dense_benchmark_bytes(5, 6, 3)
+
+
+def test_benchmark_over_memory_limit_exits_3_before_allocating(
+        tmp_path, monkeypatch, capsys):
+    need = dense_benchmark_bytes(5, 6, 3)
+    monkeypatch.setattr(cli, "DENSE_MEMORY_LIMIT", need - 1)
+    cfg = write_config(tmp_path, "cfg.json", dict(
+        _SPAM_BENCHMARK, gate={"kind": "random-dirichlet"}))
+    tracemalloc.start()
+    try:
+        code = run_cli("benchmark", "--config", cfg, "--out",
+                       str(tmp_path / "run"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "a dense benchmark on n=5 qubits" in err and "limit" in err
+    assert len(err.strip().splitlines()) == 1
+    # argparse and the config take about 50 kB; not even the gate channel
+    # is built
+    assert peak < need // 16
+    assert not (tmp_path / "run" / "estimates.csv").exists()
+    # the check comes before the gate channel is built: a gate that cannot
+    # be built is never reached
+    unbuildable = write_config(tmp_path, "unbuildable.json", dict(
+        _SPAM_BENCHMARK, gate={"kind": "file", "path": str(tmp_path / "no")}))
+    assert run_cli("benchmark", "--config", unbuildable, "--out",
+                   str(tmp_path / "run")) == 3
+    monkeypatch.setattr(cli, "DENSE_MEMORY_LIMIT", need)
+    assert run_cli("benchmark", "--config", cfg, "--out",
+                   str(tmp_path / "run")) == 0
+
+
+def test_estimate_run_json_records_stages(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "estimate", "n": 3, "k": 1,
+        "channel": {"kind": "random-dirichlet"}, "samples": 900,
+    })
+    out = tmp_path / "run"
+    assert run_cli("estimate", "--config", cfg, "--out", str(out)) == 0
+    stages = json.loads((out / "run.json").read_text())["stages"]
+    assert list(stages) == ["covering", "channel", "estimate", "write"]
+    assert all(isinstance(sec, float) and sec >= 0.0
+               for sec in stages.values())
+
+
+def test_run_writer_stage_sums_repeats(tmp_path):
+    writer = cli.RunWriter(str(tmp_path), "csv")
+    for _ in range(2):
+        with writer.stage("covering"):
+            pass
+    with writer.stage("write"):
+        pass
+    writer.stages["covering"] = 0.25  # as if two blocks took 0.125 s each
+    with writer.stage("covering"):
+        pass
+    writer.finish("estimate", {}, 0, 1)
+    stages = json.loads((tmp_path / "run.json").read_text())["stages"]
+    assert list(stages) == ["covering", "write"]
+    assert 0.25 <= stages["covering"] < 1.0
 
 
 def test_determinism_same_seed(tmp_path):

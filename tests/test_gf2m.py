@@ -1,7 +1,14 @@
 import pytest
 
 from paulibench.errors import CapabilityError
-from paulibench.gf2m import IRREDUCIBLE_POLY, MAX_M, alpha_powers, gf_mul, gf_trace
+from paulibench.gf2m import (
+    IRREDUCIBLE_POLY,
+    MAX_M,
+    alpha_powers,
+    gf_mul,
+    gf_trace,
+    trace_masks,
+)
 
 
 def _mulmod_reference(a, b, poly, m):
@@ -109,3 +116,15 @@ def test_alpha_powers():
     assert alpha_powers(3, 5) == (1, 2, 4, 3, 6)  # alpha^3 = alpha + 1 for x^3+x+1
     with pytest.raises(CapabilityError):
         gf_mul(1, 1, MAX_M + 1)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_trace_masks_give_every_trace_exhaustively(m):
+    # Tr(c alpha^s) = parity(c & t_s) for every field element c
+    masks = trace_masks(m)
+    assert len(masks) == 2 * m - 1
+    powers = alpha_powers(m, 2 * m - 1)
+    for s, t_s in enumerate(masks):
+        assert 0 <= t_s < 1 << m
+        for c in range(1 << m):
+            assert (c & t_s).bit_count() & 1 == gf_trace(gf_mul(c, powers[s], m), m)

@@ -12,8 +12,13 @@ from paulibench import (
     simulate_rounds_alg1,
 )
 from paulibench import dense_oracle as oracle
+from paulibench import sampler
 from paulibench.pauli import parse_bits, symp, symp_u64
-from paulibench.stabilizer import StabilizerGroup, mub_covering
+from paulibench.stabilizer import (
+    StabilizerGroup,
+    mub_covering,
+    pauli_basis_covering,
+)
 
 Z1 = StabilizerGroup(1, (parse_bits("Z", 1),))
 
@@ -248,3 +253,45 @@ def test_negative_length_rejected():
         simulate_alg2_batch(NoiseModel.noiseless(1), -1, rng, 10)
     with pytest.raises(UsageError):
         outcome_distribution_alg2(NoiseModel.noiseless(1), -1)
+
+
+def _reference_labels(k, group):
+    # one group's labels from its scalar elements() list
+    elems = np.asarray(group.elements(), dtype=np.int64)
+    return np.arange(4**k, dtype=np.int64)[:, None] | (elems[None, :] << (2 * k))
+
+
+@pytest.mark.parametrize("kind,k,m", [
+    ("mub", 0, 0), ("mub", 2, 0), ("mub", 0, 3), ("mub", 1, 4),
+    ("mub", 3, 2), ("mub", 0, 10), ("pauli-basis", 0, 2),
+    ("pauli-basis", 1, 3), ("pauli-basis", 0, 6),
+])
+def test_label_chunks_equal_per_group_reference(kind, k, m):
+    cov = mub_covering(m) if kind == "mub" else pauli_basis_covering(m)
+    per_chunk = max(1, sampler.LABEL_CHUNK_CELLS // (4**k << m))
+    chunks = list(sampler.label_chunks(k, cov))
+    starts = list(range(0, len(cov.groups), per_chunk))
+    if len(cov.groups) <= per_chunk:
+        assert len(chunks) == 1 and cov.label_blocks[k] is chunks[0][1]
+    else:  # n = 10, k = 0: 64 groups per chunk, the last chunk holds one
+        assert cov.label_blocks == {}
+    assert [start for start, _ in chunks] == starts
+    for start, block in chunks:
+        assert block.dtype == np.int64
+        assert block.shape == (min(per_chunk, len(cov.groups) - start),
+                               4**k, 2**m)
+        for gi, labels in enumerate(block, start):
+            expected = _reference_labels(k, cov.groups[gi])
+            assert labels.tobytes() == expected.tobytes()
+            assert sampler.group_labels(k, cov.groups[gi]).tobytes() == \
+                expected.tobytes()
+    if len(chunks) == 1:  # the kept block is handed out again
+        (_, again), = sampler.label_chunks(k, cov)
+        assert again is chunks[0][1]
+
+
+def test_n10_k0_chunk_boundaries():
+    cov = mub_covering(10)
+    sizes = [(start, len(block)) for start, block
+             in sampler.label_chunks(0, cov)]
+    assert sizes == [(start, 64) for start in range(0, 1024, 64)] + [(1024, 1)]

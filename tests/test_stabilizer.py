@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,10 @@ from paulibench import (
     pauli_basis_covering,
     verify_covering,
 )
+from paulibench import stabilizer
+from paulibench.gf2m import alpha_powers, gf_mul, gf_trace
 from paulibench.pauli import format_bits, parse_bits, symp
-from paulibench.stabilizer import pairing_with_syndrome
+from paulibench.stabilizer import element_block, pairing_with_syndrome
 
 Z1 = StabilizerGroup(1, (parse_bits("Z", 1),))
 
@@ -189,3 +194,148 @@ def test_mub_partition_beyond_verify_cap():
         seen[np.asarray(grp.elements())] += 1
     assert seen[0] == 2**8 + 1
     assert np.all(seen[1:] == 1)
+
+
+def _scalar_mub_generators(m):
+    # the scalar GF(2^m) loop that built the MUB groups before the trace
+    # table: S_inf, then S_c with generator j = (e_j | column j of M_c)
+    def interleave(x_bits, z_bits):
+        label = 0
+        for q in range(m):
+            label |= ((x_bits >> q) & 1) << (2 * q)
+            label |= ((z_bits >> q) & 1) << (2 * q + 1)
+        return label
+
+    if m == 0:
+        return [()]
+    groups = [tuple(1 << (2 * j + 1) for j in range(m))]
+    powers = alpha_powers(m, 2 * m - 1)
+    for c in range(1 << m):
+        gens = []
+        for j in range(m):
+            z_col = 0
+            for i in range(m):
+                if gf_trace(gf_mul(c, powers[i + j], m), m):
+                    z_col |= 1 << i
+            gens.append(interleave(1 << j, z_col))
+        groups.append(tuple(gens))
+    return groups
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_mub_generators_equal_scalar_loop(m):
+    cov = mub_covering(m)
+    expected = _scalar_mub_generators(m)
+    assert [grp.generators for grp in cov.groups] == expected
+    assert cov.generator_array.dtype == np.uint64
+    assert cov.generator_array.tolist() == [list(g) for g in expected]
+    assert not cov.generator_array.flags.writeable
+
+
+def test_pauli_basis_generators_equal_word_loop():
+    for m in range(5):
+        words = [[]]
+        for _ in range(m):
+            words = [w + [letter] for w in words for letter in (1, 2, 3)]
+        expected = [tuple(w[q] << (2 * q) for q in range(m)) for w in words]
+        cov = pauli_basis_covering(m)
+        assert [grp.generators for grp in cov.groups] == expected
+        assert cov.generator_array.tolist() == [list(g) for g in expected]
+
+
+def test_element_block_equals_elements():
+    for cov in (mub_covering(0), mub_covering(3), pauli_basis_covering(2)):
+        block = element_block(cov.generator_array)
+        assert block.dtype == np.int64
+        assert block.tolist() == [grp.elements() for grp in cov.groups]
+
+
+def test_custom_covering_generator_array():
+    cov = mub_covering(2)
+    custom = Covering(2, cov.groups[1:3], "custom")
+    assert custom.generator_array.tolist() == cov.generator_array[1:3].tolist()
+    assert Covering(2, (), "custom").generator_array.shape == (0, 2)
+
+
+_GOOD = ("XI", "IX")
+_BAD_GROUPS = {
+    "anticommute": (("XI", "ZI"), "generators XI and ZI anticommute"),
+    "dependent": (("ZZ", "ZZ"), "generators are linearly dependent"),
+}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("fault", ["range", "anticommute", "dependent"])
+def test_batched_check_rejects_a_bad_group_anywhere(fault, where):
+    good = [parse_bits(g, 2) for g in _GOOD]
+    if fault == "range":
+        bad, message = [parse_bits("XI", 2), 1 << 4], "generator 0x10 out of range"
+    else:
+        labels, message = _BAD_GROUPS[fault]
+        bad = [parse_bits(g, 2) for g in labels]
+    rows = [good] * 4
+    at = {"first": 0, "middle": 2, "last": 4}[where]
+    rows = rows[:at] + [bad] + rows[at:]
+    with pytest.raises(UsageError, match=message):
+        Covering.from_generators(2, np.array(rows, dtype=np.uint64))
+    # the same message as the group's own check
+    with pytest.raises(UsageError, match=message):
+        StabilizerGroup(2, tuple(bad))
+
+
+def test_batched_check_reports_the_first_bad_group():
+    # a later out-of-range group does not hide an earlier dependent one,
+    # and within a group range beats anticommutation beats dependence
+    rows = [[parse_bits("XI", 2), parse_bits("IX", 2)],
+            [parse_bits("ZZ", 2), parse_bits("ZZ", 2)],
+            [1 << 4, parse_bits("XI", 2)]]
+    with pytest.raises(UsageError, match="dependent"):
+        Covering.from_generators(2, np.array(rows, dtype=np.uint64))
+    with pytest.raises(UsageError, match="out of range"):
+        StabilizerGroup(2, (parse_bits("XI", 2), parse_bits("ZI", 2) | 1 << 4))
+    xii, zii = parse_bits("XII", 3), parse_bits("ZII", 3)
+    with pytest.raises(UsageError, match="anticommute"):
+        StabilizerGroup(3, (xii, zii, xii))
+    with pytest.raises(UsageError, match="anticommute"):
+        Covering.from_generators(3, np.array([[xii, zii, xii]],
+                                             dtype=np.uint64))
+    with pytest.raises(UsageError, match="expected 2 generators, got 3"):
+        Covering.from_generators(2, np.zeros((1, 3), dtype=np.uint64))
+    with pytest.raises(UsageError, match="out of range"):
+        StabilizerGroup(1, (-1,))
+    with pytest.raises(CapabilityError):
+        StabilizerGroup(33, (0,) * 33)
+
+
+def test_from_json_goes_through_the_batched_check():
+    obj = mub_covering(2).to_json()
+    obj["groups"][3] = ["XI", "ZI"]
+    with pytest.raises(UsageError, match="anticommute"):
+        Covering.from_json(obj)
+    obj["groups"][3] = ["XI"]
+    with pytest.raises(UsageError, match="expected 2 generators, got 1"):
+        Covering.from_json(obj)
+
+
+def test_coefficients_basis_built_on_demand():
+    cov = mub_covering(3)
+    for grp in cov.groups[:3]:
+        for alpha, lbl in enumerate(grp.elements()):
+            assert grp.coefficients(lbl) == alpha
+
+
+def test_verify_covering_stays_scalar():
+    # verify_covering is the independent check of the array construction:
+    # scalar elements() and symp, none of the array helpers it checks
+    banned = {"generator_array", "element_block", "from_generators",
+              "_check_generators", "_generator_rows", "_mub_generators",
+              "_spread_bits", "trace_masks", "symp_u64", "syndromes"}
+    used = set()
+    for func in (stabilizer.verify_covering, stabilizer._echelon):
+        for node in ast.walk(ast.parse(inspect.getsource(func))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert not used & banned
+    assert {"elements", "symp", "_echelon"} <= used
