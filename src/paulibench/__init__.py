@@ -16,12 +16,9 @@ from .errors import (
 from .estimation import (
     BenchmarkResult,
     DecayFits,
-    DecaySeries,
     EstimateSet,
-    FitResult,
     benchmark_alg2,
     estimate_alg1,
-    fit_decay,
     fit_decays,
     required_samples,
 )
@@ -64,12 +61,9 @@ __all__ = [
     "UsageError",
     "BenchmarkResult",
     "DecayFits",
-    "DecaySeries",
     "EstimateSet",
-    "FitResult",
     "benchmark_alg2",
     "estimate_alg1",
-    "fit_decay",
     "fit_decays",
     "required_samples",
     "PauliLabel",

@@ -38,6 +38,7 @@ renormalized.
 from __future__ import annotations
 
 import json
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,14 +135,20 @@ def _validate_probs(probs: np.ndarray):
 
 
 def _label_bits(label: int | str | PauliLabel, n: int) -> int:
-    """Bit-packed form of a raw int, a letter string or an n-qubit label."""
+    """Bit-packed form of a letter string, an n-qubit label or a raw int in
+    [0, 4^n); anything else, a bool included, is out of range."""
     if isinstance(label, str):
         return parse_bits(label, n)
     if isinstance(label, PauliLabel):
         if label.n != n:
             raise UsageError(f"label on {label.n} qubits in {n}-qubit channel")
         return label.bits
-    return label
+    if isinstance(label, Integral) and not isinstance(label, bool):
+        bits = int(label)
+        if 0 <= bits < 4**n:
+            return bits
+        raise UsageError(f"label {bits:#x} out of range for n={n}")
+    raise UsageError(f"label {label!r} out of range for n={n}")
 
 
 class PauliChannel:

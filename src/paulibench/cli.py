@@ -55,7 +55,7 @@ from .experiments import (
     spam_sweep,
     sweep_min_rounds,
 )
-from .pauli import format_bits, format_labels
+from .pauli import all_labels, format_bits, format_labels
 from .seeding import derive_rng
 from .stabilizer import mub_covering, pauli_basis_covering
 from .verify import run_checks
@@ -408,6 +408,9 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     )
     n = _int(cfg["n"], "n", 1)
     k = _int(cfg["k"], "k", 0, n)
+    clamp = cfg.get("clamp", False)
+    if not isinstance(clamp, bool):
+        raise ConfigError(f"clamp must be true or false, got {clamp!r}")
     _require_memory(dense_estimate_bytes(n),
                     f"a dense estimate on n={n} qubits")
     with writer.stage("covering"):
@@ -423,12 +426,12 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
         channel = build_channel(cfg["channel"], n, derive_rng(seed, "channel"))
     with writer.stage("estimate"):
         est = estimate_alg1(channel, k, cov, total, derive_rng(seed, "shots"))
-        if cfg.get("clamp", False):
+        if clamp:
             est = est.clamp()
     with writer.stage("write"):
         writer.write_columns(
             "estimates", ["label", "lambda_hat", "n_shots", "stderr"],
-            [format_labels(est.label_list(), n), est.lambda_hat, est.n_shots,
+            [format_labels(all_labels(n), n), est.lambda_hat, est.n_shots,
              est.stderr])
     return {
         "samples": total,
@@ -463,31 +466,37 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
     _require_memory(dense_benchmark_bytes(n, len(set(m_list)), len(rates)),
                     f"a dense benchmark on n={n} qubits")
 
-    gate = build_channel(cfg["gate"], n, derive_rng(seed, "gate-channel"))
-    spam = tuple(build_channel(cfg[side], n, derive_rng(seed, f"{side}-channel"))
-                 if side in cfg else PauliChannel.identity(n)
-                 for side in ("prep", "meas")) if explicit_spam else None
-    results, consistency = spam_sweep(gate, rates, m_list, shots, seed, spam)
-    names = [format_bits(lbl, n)
-             for lbl in results[0].estimates.label_list().tolist()]
-    est_rows = []
-    decay_rows = []
-    for rate, res in zip(rates, results):
-        rate_s = _FLOAT.format(rate)
-        est = res.estimates
-        est_rows += [[rate_s, name, lam, cnt, se] for name, lam, cnt, se in zip(
-            names, est.lambda_hat.tolist(), est.n_shots.tolist(),
-            est.stderr.tolist())]
-        lengths = list(zip(res.lengths.tolist(), res.shots.tolist()))
-        for name, f_col in zip(names, res.f_mean.T.tolist()):
-            decay_rows += [[rate_s, name, m, fm, r]
-                           for (m, r), fm in zip(lengths, f_col)]
-    writer.write_table("estimates",
-                       ["spam_rate", "label", "lambda_hat", "n_shots", "stderr"],
-                       est_rows)
-    writer.write_table("decays",
-                       ["spam_rate", "label", "m", "f_mean", "shots"],
-                       decay_rows)
+    with writer.stage("channel"):
+        gate = build_channel(cfg["gate"], n, derive_rng(seed, "gate-channel"))
+        spam = tuple(build_channel(cfg[side], n,
+                                   derive_rng(seed, f"{side}-channel"))
+                     if side in cfg else PauliChannel.identity(n)
+                     for side in ("prep", "meas")) if explicit_spam else None
+    with writer.stage("benchmark"):
+        results, consistency = spam_sweep(gate, rates, m_list, shots, seed,
+                                          spam)
+    with writer.stage("write"):
+        names = [format_bits(lbl, n) for lbl in all_labels(n).tolist()]
+        est_rows = []
+        decay_rows = []
+        for rate, res in zip(rates, results):
+            rate_s = _FLOAT.format(rate)
+            est = res.estimates
+            est_rows += [[rate_s, name, lam, cnt, se]
+                         for name, lam, cnt, se in zip(
+                             names, est.lambda_hat.tolist(),
+                             est.n_shots.tolist(), est.stderr.tolist())]
+            lengths = list(zip(res.lengths.tolist(), res.shots.tolist()))
+            for name, f_col in zip(names, res.f_mean.T.tolist()):
+                decay_rows += [[rate_s, name, m, fm, r]
+                               for (m, r), fm in zip(lengths, f_col)]
+        writer.write_table(
+            "estimates",
+            ["spam_rate", "label", "lambda_hat", "n_shots", "stderr"],
+            est_rows)
+        writer.write_table("decays",
+                           ["spam_rate", "label", "m", "f_mean", "shots"],
+                           decay_rows)
     summary: dict = {
         "fit_errors": {
             _FLOAT.format(rate): {format_bits(lbl, n): msg
@@ -526,10 +535,12 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
     rows = []
     summary = {}
     for k in k_list:
-        cov = _covering(covering_kind, n - k)
+        with writer.stage("covering"):
+            cov = _covering(covering_kind, n - k)
         size = len(cov.groups)
-        rounds, confirmed = sweep_min_rounds(n, k, cov, epsilon, trials, frac,
-                                             alpha, seed)
+        with writer.stage("sweep"):
+            rounds, confirmed = sweep_min_rounds(n, k, cov, epsilon, trials,
+                                                 frac, alpha, seed)
         rows.append([k, size, rounds, rounds * size, confirmed, trials])
         summary[str(k)] = {"rounds_min": rounds, "n_min": rounds * size}
     if len(set(k_list)) > 1:
@@ -538,11 +549,13 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
         summary["log2_n_min_slope"] = float(np.polyfit(
             [n - row[0] for row in rows], np.log2([row[3] for row in rows]),
             1)[0])
-    writer.write_table(
-        "sweep",
-        ["k", "covering_size", "rounds_min", "n_min", "successes", "trials"],
-        rows,
-    )
+    with writer.stage("write"):
+        writer.write_table(
+            "sweep",
+            ["k", "covering_size", "rounds_min", "n_min", "successes",
+             "trials"],
+            rows,
+        )
     return summary
 
 
@@ -564,26 +577,28 @@ def cmd_discriminate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     max_shots = _int(cfg.get("max_shots", 100_000), "max_shots", 1)
     rows = []
     summary = {}
-    for mode in modes:
-        for n in n_list:
-            shots_correct = []
-            for t, (truth, declared, shots) in enumerate(
-                    discriminate(n, mode, trials, max_shots, seed)):
-                correct = int(declared == truth)
-                rows.append([mode, n, t, truth, declared, correct, shots])
-                if correct:
-                    shots_correct.append(shots)
-            rate = len(shots_correct) / trials
-            summary[f"{mode}:n={n}"] = {
-                "success_rate": rate,
-                "median_shots": float(np.median(shots_correct))
-                if shots_correct else None,
-            }
-    writer.write_table(
-        "discriminate",
-        ["mode", "n", "trial", "truth", "declared", "correct", "shots"],
-        rows,
-    )
+    with writer.stage("discriminate"):
+        for mode in modes:
+            for n in n_list:
+                shots_correct = []
+                for t, (truth, declared, shots) in enumerate(
+                        discriminate(n, mode, trials, max_shots, seed)):
+                    correct = int(declared == truth)
+                    rows.append([mode, n, t, truth, declared, correct, shots])
+                    if correct:
+                        shots_correct.append(shots)
+                rate = len(shots_correct) / trials
+                summary[f"{mode}:n={n}"] = {
+                    "success_rate": rate,
+                    "median_shots": float(np.median(shots_correct))
+                    if shots_correct else None,
+                }
+    with writer.stage("write"):
+        writer.write_table(
+            "discriminate",
+            ["mode", "n", "trial", "truth", "declared", "correct", "shots"],
+            rows,
+        )
     return summary
 
 

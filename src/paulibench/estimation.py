@@ -14,9 +14,9 @@ transforms and one `np.add.at` its sums, and only the draws go group by
 group, in order, so the random stream is that of a per-group loop.  For a
 simulated channel each histogram is one multinomial draw from the exact
 outcome law when the group's table has no more cells than it has rounds
-(`sampler.law_pays`); larger tables, injected shot streams and restricted
-label sets sample every round.  A covering of one trivial group (k = n)
-skips the accumulation: its transform is already in label order.
+(`sampler.law_pays`); larger tables and injected shot streams sample every
+round.  A covering of one trivial group (k = n) skips the accumulation: its
+transform is already in label order.
 `estimate_alg1_reference` keeps the literal per-shot loop; on a shared shot
 stream both paths agree bit for bit (every partial sum is an integer below
 2^53), which the suite checks.
@@ -33,25 +33,26 @@ Benchmarking reduces each sequence length to the histogram of
 z = v xor (xor of gate labels) and one transform to all F(m) values; the
 histogram is drawn from its exact law when there are no more labels than
 shots, else from simulated shots.  The estimates come from fitting
-per-label decay series
-F(m) ~ A * lambda^m by least squares on log F, weighted by shots * F^2
-(the delta-method weight for log of a mean of signs).  `fit_decays` fits
-all labels at once from the (lengths x labels) array of means with the
-closed-form 2x2 normal equations; the scalar `fit_decay` is a one-column
-call into it.
+every label's decay F(m) ~ A * lambda^m by least squares on log F,
+weighted by shots * F^2 (the delta-method weight for log of a mean of
+signs).  `fit_decays` fits all labels at once from the (lengths x labels)
+array of means with the closed-form 2x2 normal equations.
+
+Both estimators report all 4^n labels: `EstimateSet` is a dense table,
+indexed by label.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .channels import DENSE_MAX_QUBITS, PauliChannel, wht_forward
-from .errors import CapabilityError, FitError, UsageError
-from .pauli import format_bits, parity_u64, symp, symp_u64
+from .errors import CapabilityError, UsageError
+from .pauli import format_bits, symp
 from .sampler import (
     NoiseModel,
     draw_histogram,
@@ -82,50 +83,29 @@ BENCHMARK_BYTES_PER_LENGTH = 192
 
 @dataclass
 class EstimateSet:
-    """Per-label eigenvalue estimates with shot counts.
-
-    `labels is None` means dense reporting: index = label.  Otherwise the
-    parallel arrays are restricted to the queried labels.
-    """
+    """Eigenvalue estimates with shot counts for all 4^n labels: entry b of
+    each array belongs to label b."""
 
     n: int
     lambda_hat: np.ndarray
     n_shots: np.ndarray
     stderr: np.ndarray | None = None
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.labels is None and len(self.lambda_hat) != 4**self.n:
+        if len(self.lambda_hat) != 4**self.n:
             raise UsageError("dense estimate set must cover all labels")
         if np.any(self.n_shots < 1):
             raise UsageError("every reported label needs at least one shot")
-
-    def label_list(self) -> np.ndarray:
-        if self.labels is not None:
-            return self.labels
-        return np.arange(4**self.n, dtype=np.uint64)
-
-    def value(self, label: int) -> float:
-        if self.labels is None:
-            return float(self.lambda_hat[label])
-        hit = np.nonzero(self.labels == np.uint64(label))[0]
-        if not hit.size:
-            raise UsageError(f"label {label:#x} not in estimate set")
-        return float(self.lambda_hat[hit[0]])
 
     def clamp(self) -> "EstimateSet":
         """Physical projection of the estimates onto [-1, 1]."""
         return EstimateSet(self.n, np.clip(self.lambda_hat, -1.0, 1.0),
                            self.n_shots.copy(),
-                           None if self.stderr is None else self.stderr.copy(),
-                           None if self.labels is None else self.labels.copy())
+                           None if self.stderr is None else self.stderr.copy())
 
     def max_abs_error(self, true_eigenvalues: np.ndarray) -> float:
         truth = np.asarray(true_eigenvalues, dtype=np.float64)
-        if self.labels is None:
-            return float(np.max(np.abs(self.lambda_hat - truth)))
-        idx = self.labels.astype(np.int64)
-        return float(np.max(np.abs(self.lambda_hat - truth[idx])))
+        return float(np.max(np.abs(self.lambda_hat - truth)))
 
 
 def required_samples(n: int, k: int, epsilon: float, delta: float,
@@ -186,36 +166,33 @@ def _resolve(channel_or_source, k: int, covering: Covering,
     return source, n, total_samples // len(covering.groups)
 
 
-def _estimate_set(n: int, sums: np.ndarray, counts: np.ndarray,
-                  labels: np.ndarray | None = None) -> EstimateSet:
+def _estimate_set(n: int, sums: np.ndarray, counts: np.ndarray
+                  ) -> EstimateSet:
     """Per-label means sums / counts; every label must have been sampled."""
     if np.any(counts == 0):
-        first = int(np.argmax(counts == 0))
-        missing = first if labels is None else int(labels[first])
+        missing = int(np.argmax(counts == 0))
         raise UsageError(
             f"covering leaves label {format_bits(missing, n)} unsampled"
         )
     lam = np.asarray(sums, dtype=np.float64) / counts
     stderr = np.sqrt(np.clip(1.0 - lam**2, 0.0, None) / counts)
-    return EstimateSet(n, lam, counts, stderr, labels)
+    return EstimateSet(n, lam, counts, stderr)
 
 
 def estimate_alg1(channel_or_source, k: int, covering: Covering,
-                  total_samples: int, rng: np.random.Generator,
-                  labels=None) -> EstimateSet:
-    """Run the k-ancilla estimation protocol and aggregate estimates.
+                  total_samples: int, rng: np.random.Generator
+                  ) -> EstimateSet:
+    """Run the k-ancilla estimation protocol and estimate all 4^n
+    eigenvalues.
 
     `channel_or_source` is either a PauliChannel (rounds are simulated) or
     a callable (group_index, group, rounds, rng) -> (v_array, e_array) for
     injecting a fixed shot stream.
     """
     source, n, rounds = _resolve(channel_or_source, k, covering, total_samples)
-    if labels is not None:
-        return _estimate_restricted(source, n, k, covering, rounds, rng, labels)
     if n > DENSE_MAX_QUBITS:
         raise CapabilityError(
-            f"dense estimates limited to n <= {DENSE_MAX_QUBITS}; "
-            "pass labels= for a restricted set"
+            f"dense estimates limited to n <= {DENSE_MAX_QUBITS}"
         )
     m = covering.m
     law_channel = channel_or_source if isinstance(
@@ -263,28 +240,6 @@ def _histograms(law_channel, source, k, groups, start, rounds, rng,
     return hists
 
 
-def _estimate_restricted(source, n, k, covering, rounds, rng, labels
-                         ) -> EstimateSet:
-    label_arr = np.asarray([int(lbl) for lbl in labels], dtype=np.uint64)
-    sums = np.zeros(len(label_arr))
-    counts = np.zeros(len(label_arr), dtype=np.int64)
-    mask = np.uint64((1 << (2 * k)) - 1)
-    for gi, group in enumerate(covering.groups):
-        v, e = source(gi, group, rounds, rng)
-        v = np.asarray(v, dtype=np.uint64)
-        e = np.asarray(e, dtype=np.uint64)
-        for li, lbl in enumerate(label_arr):
-            c = int(lbl) >> (2 * k)
-            alpha = group.coefficients(c)
-            if alpha is None:
-                continue
-            u = np.uint64(int(lbl) & int(mask))
-            bits = symp_u64(u, v) ^ parity_u64(np.uint64(alpha) & e)
-            sums[li] += rounds - 2 * int(bits.sum())
-            counts[li] += rounds
-    return _estimate_set(n, sums, counts, label_arr)
-
-
 def estimate_alg1_reference(channel_or_source, k: int, covering: Covering,
                             total_samples: int, rng: np.random.Generator
                             ) -> EstimateSet:
@@ -316,46 +271,11 @@ def estimate_alg1_reference(channel_or_source, k: int, covering: Covering,
 
 
 @dataclass(frozen=True)
-class DecaySeries:
-    """Mean benchmark statistic F(m) of one label over sequence lengths."""
-
-    label: int
-    lengths: np.ndarray
-    f_mean: np.ndarray
-    shots: np.ndarray
-
-    def __post_init__(self):
-        lengths = np.asarray(self.lengths, dtype=np.int64)
-        f_mean = np.asarray(self.f_mean, dtype=np.float64)
-        shots = np.asarray(self.shots, dtype=np.int64)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "f_mean", f_mean)
-        object.__setattr__(self, "shots", shots)
-        if not (len(lengths) == len(f_mean) == len(shots)):
-            raise UsageError("decay series arrays must have equal length")
-        if np.any(np.diff(lengths) <= 0):
-            raise UsageError("sequence lengths must be strictly increasing")
-        if np.any(np.abs(f_mean) > 1.0 + 1e-9):
-            raise UsageError("mean statistic out of [-1, 1]")
-
-
-@dataclass
-class FitResult:
-    a_hat: float
-    lambda_hat: float
-    stderr_lambda: float
-    n_used: int
-    residual: float
-    dropped: list[int] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
 class DecayFits:
     """Column-wise fits of F(m) = A * lambda^m.
 
     Failed columns are NaN in the float arrays and keyed by column index in
-    `errors` with their FitError message.
+    `errors` with the reason; no exception is raised.
     """
 
     a_hat: np.ndarray
@@ -409,34 +329,13 @@ def fit_decays(lengths, f_mean, shots, floor: float = DECAY_FLOOR) -> DecayFits:
     return DecayFits(a_hat, lam, se_lambda, n_used, residual, errors)
 
 
-def fit_decay(series: DecaySeries, floor: float = DECAY_FLOOR) -> FitResult:
-    """Fit one series through `fit_decays`.
-
-    Points with F <= floor are dropped (negative means are additionally
-    flagged); fewer than two usable points is a fit error.
-    """
-    fits = fit_decays(series.lengths, series.f_mean[:, None], series.shots,
-                      floor)
-    if fits.errors:
-        raise FitError(fits.errors[0])
-    f = series.f_mean
-    dropped = [int(m) for m in series.lengths[~(f > floor)]]
-    warnings = [
-        f"negative mean at m={int(m)} excluded"
-        for m in series.lengths[f < 0.0]
-    ]
-    return FitResult(float(fits.a_hat[0]), float(fits.lambda_hat[0]),
-                     float(fits.stderr_lambda[0]), int(fits.n_used[0]),
-                     float(fits.residual[0]), dropped, warnings)
-
-
 @dataclass
 class BenchmarkResult:
     """Estimates with the decay data and fits behind them.
 
-    Column i of `f_mean` (lengths x labels) and entry i of `a_hat`, `n_used`
-    and `residual` belong to label `estimates.label_list()[i]`, whose fitted
-    lambda and stderr are in `estimates`; `shots` is per length.  Labels
+    Column b of `f_mean` (lengths x labels) and entry b of `a_hat`, `n_used`
+    and `residual` belong to label b, whose fitted lambda and stderr are in
+    `estimates`; `shots` is per length.  Labels
     whose fit failed are NaN there and keyed in `fit_errors`.
     """
 
@@ -451,16 +350,15 @@ class BenchmarkResult:
 
 
 def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
-                   rng: np.random.Generator, labels=None) -> BenchmarkResult:
-    """Run the SPAM-robust benchmarking protocol and fit every label.
+                   rng: np.random.Generator) -> BenchmarkResult:
+    """Run the SPAM-robust benchmarking protocol and fit all 4^n labels.
 
     Per sequence length, `shots_per_m` shots are reduced to all F(m)
     values through a histogram of z = v xor (xor of gate labels) followed
     by one symplectic transform.  The histogram is one multinomial draw
     from `outcome_distribution_alg2` when `law_pays(4^n, shots_per_m)`,
-    else the shots are simulated; a restricted `labels` set always
-    simulates them.  All labels are fitted in one `fit_decays` call; fit
-    failures are recorded per label, not raised.
+    else the shots are simulated.  All labels are fitted in one
+    `fit_decays` call; fit failures are recorded per label, not raised.
     """
     lengths = np.asarray(sorted(set(int(m) for m in lengths)), dtype=np.int64)
     if lengths.size == 0:
@@ -468,41 +366,26 @@ def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
     if shots_per_m < 1:
         raise UsageError("need at least one shot per sequence length")
     n = model.n
-    if labels is None:
-        if n > DENSE_MAX_QUBITS:
-            raise CapabilityError(
-                f"dense benchmarking limited to n <= {DENSE_MAX_QUBITS}"
-            )
-        label_arr = None
-        f_rows = np.empty((lengths.size, 4**n))
-    else:
-        label_arr = np.asarray([int(lbl) for lbl in labels], dtype=np.uint64)
-        f_rows = np.empty((lengths.size, label_arr.size))
-    from_law = label_arr is None and law_pays(4**n, shots_per_m)
+    if n > DENSE_MAX_QUBITS:
+        raise CapabilityError(
+            f"dense benchmarking limited to n <= {DENSE_MAX_QUBITS}"
+        )
+    f_rows = np.empty((lengths.size, 4**n))
+    from_law = law_pays(4**n, shots_per_m)
     for row, m in enumerate(lengths):
         if from_law:
             hist = draw_histogram(outcome_distribution_alg2(model, int(m)),
                                   shots_per_m, rng)
         else:
             z = simulate_alg2_batch(model, int(m), rng, shots_per_m)["z"]
-            if label_arr is not None:
-                for li, lbl in enumerate(label_arr):
-                    signs = symp_u64(lbl, z)
-                    f_rows[row, li] = 1.0 - 2.0 * float(signs.mean())
-                continue
             hist = np.bincount(z.astype(np.int64), minlength=4**n)
         f_rows[row] = wht_forward(hist) / shots_per_m
     shots = np.full(lengths.size, shots_per_m, dtype=np.int64)
     fits = fit_decays(lengths, f_rows, shots)
-    report_labels = (np.arange(4**n, dtype=np.uint64)
-                     if label_arr is None else label_arr)
-    fit_errors = {int(report_labels[col]): msg
-                  for col, msg in fits.errors.items()}
-    n_shots = np.full(report_labels.size, int(shots.sum()), dtype=np.int64)
-    estimates = EstimateSet(n, fits.lambda_hat, n_shots, fits.stderr_lambda,
-                            labels=label_arr)
+    n_shots = np.full(4**n, int(shots.sum()), dtype=np.int64)
+    estimates = EstimateSet(n, fits.lambda_hat, n_shots, fits.stderr_lambda)
     return BenchmarkResult(estimates, lengths, f_rows, shots, fits.a_hat,
-                           fits.n_used, fits.residual, fit_errors)
+                           fits.n_used, fits.residual, fits.errors)
 
 
 def two_sample_consistency(estimate_sets) -> tuple[float, int, float]:

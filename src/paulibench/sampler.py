@@ -36,9 +36,10 @@ labels, which is exact for Pauli noise:
 Both estimators use a batch only through its histogram, so the estimator
 draws the histogram in one `draw_histogram` (multinomial) call from the
 exact law whenever `law_pays`: the table has no more cells than the batch
-has draws, and fits in memory.  Channel estimation computes a chunk of
-groups' laws together and then draws them one `draw_histogram` call per
-group, in group order.  Otherwise it samples every shot with
+has draws, and fits in memory.  Both laws are dense arrays of at most 2^26
+cells; asking for a larger one is a CapabilityError.  Channel estimation
+computes a chunk of groups' laws together and then draws them one
+`draw_histogram` call per group, in group order.  Otherwise it samples every shot with
 `simulate_rounds_alg1` / `simulate_alg2_batch`, which are vectorized over
 shots and return uint64 label arrays, so a single shot is a batch of size
 1.  Callers own the RNG; see `seeding.derive_rng` for the reproducibility
@@ -184,15 +185,16 @@ def label_chunks(k: int, covering: Covering):
 
 def outcome_distribution_alg1(ch: PauliChannel, k: int, group,
                               full: np.ndarray | None = None):
-    """Exact outcome distribution p(v, e) of one estimation round.
+    """Exact outcome distribution p(v, e) of one estimation round, as a
+    (4^k, 2^m) array.
 
-    Returns a (4^k, 2^m) array when that fits in memory, else (for sparse
-    channels on large registers) a dict {(v, e): probability}.  `group` may
-    also be a sequence of G groups, whose laws come as one (G, 4^k, 2^m)
-    array.  Dense channels transform the eigenvalues on `full`, the
-    `group_labels` block of the group or the stack of the groups' blocks
-    (`label_chunks`), built here when not given, in one `wht_forward` call;
-    sparse channels bin the syndromes of their support, group by group.
+    `group` may also be a sequence of G groups, whose laws come as one
+    (G, 4^k, 2^m) array.  Dense channels transform the eigenvalues on
+    `full`, the `group_labels` block of the group or the stack of the
+    groups' blocks (`label_chunks`), built here when not given, in one
+    `wht_forward` call; sparse channels bin the syndromes of their support,
+    group by group.  A table of more than 2^26 cells, which only a sparse
+    channel on a large register can ask for, is a CapabilityError.
     """
     stacked = not isinstance(group, StabilizerGroup)
     groups = tuple(group) if stacked else (group,)
@@ -211,25 +213,18 @@ def outcome_distribution_alg1(ch: PauliChannel, k: int, group,
         law = wht_forward(lam, syndrome_digits=m)
         law /= cells
         return law.reshape(shape)
+    if cells > _DIST_ARRAY_LIMIT:
+        raise CapabilityError(f"outcome table with {cells} cells too large")
     if stacked:
-        if cells > _DIST_ARRAY_LIMIT:
-            raise CapabilityError(f"outcome tables with {cells} cells too "
-                                  "large to stack")
         return np.stack([outcome_distribution_alg1(ch, k, grp)
                          for grp in groups]).reshape(shape)
+    # cells <= 2^26, so 2n < 64 and the labels are uint64
     labels, probs = ch.support_labels, ch.support_probs
-    if cells <= _DIST_ARRAY_LIMIT:  # then 2n < 64 and labels are uint64
-        v = labels & np.uint64((1 << (2 * k)) - 1)
-        e = group.syndromes(labels >> np.uint64(2 * k))
-        idx = (v.astype(np.int64) << m) | e.astype(np.int64)
-        flat = np.bincount(idx, weights=probs, minlength=cells)
-        return flat.reshape(4**k, 2**m)
-    out: dict[tuple[int, int], float] = {}
-    for lbl, pr in zip(labels, probs):
-        a = int(lbl)
-        key = (a & ((1 << (2 * k)) - 1), group.syndrome(a >> (2 * k)))
-        out[key] = out.get(key, 0.0) + float(pr)
-    return out
+    v = labels & np.uint64((1 << (2 * k)) - 1)
+    e = group.syndromes(labels >> np.uint64(2 * k))
+    idx = (v.astype(np.int64) << m) | e.astype(np.int64)
+    flat = np.bincount(idx, weights=probs, minlength=cells)
+    return flat.reshape(4**k, 2**m)
 
 
 def _eigenvalue_vector(ch: PauliChannel) -> np.ndarray:

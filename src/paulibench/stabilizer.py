@@ -4,8 +4,8 @@ A stabilizer group is generated by m pairwise-commuting, independent Pauli
 labels, i.e. a maximal isotropic subspace of Z_2^(2m).  Syndromes are packed
 ints: bit j of `S.syndrome(c)` is the symplectic product of generator j
 with the error label c.  `S.syndromes(labels)` is the same map over a
-uint64 label array, used by the batch samplers; the scalar form serves
-per-shot Python-int callers.
+uint64 label array, used by the batch samplers; the scalar form is the
+per-label reference the suite checks it against.
 
 The quotient-space pairing <s, e> that appears in the outcome distribution
 is represented generator-wise: for s = sum_j alpha_j g_j and an error c
@@ -37,7 +37,8 @@ array.  `element_block` turns generator rows into their (G, 2^m) element
 blocks by XOR doubling, the array form of `StabilizerGroup.elements`; the
 estimator's label blocks and the ancilla-free discrimination are built
 from it.  `verify_covering` stays on the scalar `elements` and `symp`, so
-it checks the array code rather than repeating it.
+it checks the array code rather than repeating it.  Membership is read off
+`elements`, and a whole covering's label -> groups map off `coverage_map`.
 """
 
 from __future__ import annotations
@@ -155,21 +156,6 @@ class StabilizerGroup:
         object.__setattr__(self, "generators", gens)
         _check_generators(self.m, _generator_rows(self.m, [gens]))
 
-    @cached_property
-    def _basis(self) -> tuple[tuple[int, int], ...]:
-        """Triangular basis with pivot rows tagged by generator combination,
-        for `coefficients`."""
-        basis: list[tuple[int, int]] = []
-        for j, g in enumerate(self.generators):
-            vec, mask = g, 1 << j
-            for bvec, bmask in basis:
-                if vec ^ bvec < vec:
-                    vec ^= bvec
-                    mask ^= bmask
-            basis.append((vec, mask))
-            basis.sort(reverse=True)
-        return tuple(basis)
-
     def syndrome(self, c: int) -> int:
         """Packed syndrome of error label c: bit j = <g_j, c>."""
         if c < 0 or c >> (2 * self.m):
@@ -205,18 +191,6 @@ class StabilizerGroup:
         for g in self.generators:
             elems += [e ^ g for e in elems]
         return elems
-
-    def contains(self, label: int) -> bool:
-        return self.coefficients(label) is not None
-
-    def coefficients(self, label: int) -> int | None:
-        """alpha with element(alpha) == label, or None if not a member."""
-        vec, alpha = label, 0
-        for bvec, bmask in self._basis:
-            if vec ^ bvec < vec:
-                vec ^= bvec
-                alpha ^= bmask
-        return alpha if vec == 0 else None
 
 
 def pairing_with_syndrome(alpha: int, e: int) -> int:
@@ -275,10 +249,6 @@ class Covering:
 
     def __len__(self):
         return len(self.groups)
-
-    def coverage(self, label: int) -> tuple[int, ...]:
-        """Indices of the groups containing `label`."""
-        return tuple(i for i, g in enumerate(self.groups) if g.contains(label))
 
     def coverage_map(self) -> list[list[int]]:
         """Dense label -> group-indices map (small m only)."""

@@ -147,6 +147,11 @@ CONFIG_ERRORS = [
         {"kind": "identity", "n": "q"}, {"kind": "identity"}]}), 2),
     ("estimate", dict(_EST, channel={"kind": "tensor", "factors": "II"}), 2),
     ("estimate", dict(_EST, n=14, k=14), 3),
+    # a raw spike label must be an int in [0, 4^n), not a bool or null
+    *[("estimate", dict(_EST, channel={"kind": "spike", "label": label,
+                                       "sign": 1}), 2)
+      for label in (100, 2.5, -1, True, None)],
+    ("estimate", dict(_EST, clamp="no"), 2),
     ("benchmark", dict(_BENCH, spam_sweep=[]), 2),
     ("benchmark", dict(_BENCH, spam_sweep=["high"]), 2),
     ("benchmark", dict(_BENCH, m_list=5), 2),
@@ -189,6 +194,18 @@ def test_config_errors(tmp_path, capsys):
     assert run_cli("verify", "--seed", "-1") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 4 and err.count("config error: ") == 4, err
+
+
+def test_estimate_clamp_takes_a_boolean(tmp_path):
+    # means of +-1 signs already lie in [-1, 1], so clamping keeps the table
+    tables = {}
+    for clamp in (True, False):
+        cfg = write_config(tmp_path, f"{clamp}.json", dict(
+            _EST, channel={"kind": "random-dirichlet"}, clamp=clamp))
+        out = tmp_path / str(clamp)
+        assert run_cli("estimate", "--config", cfg, "--out", str(out)) == 0
+        tables[clamp] = (out / "estimates.csv").read_bytes()
+    assert tables[True] == tables[False]
 
 
 def test_capability_exit_code(tmp_path):
@@ -292,16 +309,25 @@ def test_benchmark_over_memory_limit_exits_3_before_allocating(
 
 
 def test_estimate_run_json_records_stages(tmp_path):
-    cfg = write_config(tmp_path, "cfg.json", {
-        "experiment": "estimate", "n": 3, "k": 1,
-        "channel": {"kind": "random-dirichlet"}, "samples": 900,
-    })
-    out = tmp_path / "run"
-    assert run_cli("estimate", "--config", cfg, "--out", str(out)) == 0
-    stages = json.loads((out / "run.json").read_text())["stages"]
-    assert list(stages) == ["covering", "channel", "estimate", "write"]
-    assert all(isinstance(sec, float) and sec >= 0.0
-               for sec in stages.values())
+    # every command records its named stages in run.json, in order
+    runs = [
+        ("estimate", {"experiment": "estimate", "n": 3, "k": 1,
+                      "channel": {"kind": "random-dirichlet"},
+                      "samples": 900},
+         ["covering", "channel", "estimate", "write"]),
+        ("benchmark", _BENCH, ["channel", "benchmark", "write"]),
+        ("sweep-ancilla", dict(_SWEEP, k_list=[0, 2]),
+         ["covering", "sweep", "write"]),
+        ("discriminate", _DISC, ["discriminate", "write"]),
+    ]
+    for command, cfg, expected in runs:
+        path = write_config(tmp_path, f"{command}.json", cfg)
+        out = tmp_path / command
+        assert run_cli(command, "--config", path, "--out", str(out)) == 0
+        stages = json.loads((out / "run.json").read_text())["stages"]
+        assert list(stages) == expected, command
+        assert all(isinstance(sec, float) and sec >= 0.0
+                   for sec in stages.values())
 
 
 def test_run_writer_stage_sums_repeats(tmp_path):

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from paulibench import (
-    DecaySeries,
-    FitError,
     NoiseModel,
     PauliChannel,
     UsageError,
     benchmark_alg2,
     draw_histogram,
     estimate_alg1,
-    fit_decay,
     fit_decays,
     mub_covering,
     pauli_basis_covering,
@@ -77,7 +74,7 @@ def test_spike_channel_estimation():
     ch = PauliChannel.spike(3, a, -1)
     est = estimate_alg1(ch, 1, mub_covering(2), 100_000, rng)
     assert est.lambda_hat[0] == 1.0
-    assert abs(est.value(a) + 1.0) < 0.03
+    assert abs(est.lambda_hat[a] + 1.0) < 0.03
     others = np.delete(est.lambda_hat, [0, a])
     assert np.max(np.abs(others)) < 0.03
 
@@ -106,9 +103,6 @@ def test_histogram_path_equals_literal_loop(n, k):
     ref = estimate_alg1_reference(replay, k, cov, 2000, np.random.default_rng(0))
     assert np.array_equal(fast.lambda_hat, ref.lambda_hat)
     assert np.array_equal(fast.n_shots, ref.n_shots)
-    sub = estimate_alg1(replay, k, cov, 2000, np.random.default_rng(0),
-                        labels=list(range(4**n)))
-    assert np.array_equal(sub.lambda_hat, fast.lambda_hat)
 
 
 def _per_group_estimate(channel_or_source, k, covering, total, rng):
@@ -304,7 +298,7 @@ def test_unbiasedness_over_runs():
     values = np.empty((runs, len(labels)))
     for r in range(runs):
         est = estimate_alg1(ch, 1, cov, 1500, np.random.default_rng(1000 + r))
-        values[r] = [est.value(lbl) for lbl in labels]
+        values[r] = est.lambda_hat[labels]
     for j, lbl in enumerate(labels):
         truth = float(ch.eigenvalues[lbl])
         mean = values[:, j].mean()
@@ -338,51 +332,52 @@ def test_clamping_is_separate():
 
 
 def test_estimate_set_lookup_and_validation():
-    est = EstimateSet(1, np.ones(4), np.full(4, 7, dtype=np.int64))
-    assert est.value(2) == 1.0
-    with pytest.raises(UsageError):
+    # dense only: entry b is label b, and every label needs a shot
+    est = EstimateSet(1, np.array([1.0, 0.5, -0.25, 0.0]),
+                      np.full(4, 7, dtype=np.int64))
+    assert est.lambda_hat[2] == -0.25
+    assert est.max_abs_error([1.0, 0.5, 0.0, 0.0]) == 0.25
+    with pytest.raises(UsageError, match="cover all labels"):
         EstimateSet(1, np.ones(3), np.ones(3, dtype=np.int64))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="at least one shot"):
         EstimateSet(1, np.ones(4), np.zeros(4, dtype=np.int64))
-    sub = EstimateSet(3, np.array([0.5]), np.array([10]),
-                      labels=np.array([9], dtype=np.uint64))
-    assert sub.value(9) == 0.5
-    with pytest.raises(UsageError):
-        sub.value(1)
 
 
 def test_fit_exact_exponential():
     lengths = np.array([0, 1, 2, 4, 8])
-    series = DecaySeries(2, lengths, 0.9 * 0.95**lengths, [1000] * 5)
-    fit = fit_decay(series)
-    assert abs(fit.a_hat - 0.9) < 1e-12
-    assert abs(fit.lambda_hat - 0.95) < 1e-12
-    assert fit.n_used == 5 and not fit.dropped
+    fits = fit_decays(lengths, (0.9 * 0.95**lengths)[:, None], [1000] * 5)
+    assert abs(fits.a_hat[0] - 0.9) < 1e-12
+    assert abs(fits.lambda_hat[0] - 0.95) < 1e-12
+    assert fits.n_used[0] == 5 and not fits.errors
 
 
 def test_fit_constant_one():
-    series = DecaySeries(0, [0, 1, 2], np.ones(3), [10] * 3)
-    fit = fit_decay(series)
-    assert fit.a_hat == 1.0 and fit.lambda_hat == 1.0
-    assert fit.stderr_lambda == 0.0
+    fits = fit_decays([0, 1, 2], np.ones((3, 1)), [10] * 3)
+    assert fits.a_hat[0] == 1.0 and fits.lambda_hat[0] == 1.0
+    assert fits.stderr_lambda[0] == 0.0
 
 
 def test_fit_drops_below_floor():
     lengths = np.array([0, 1, 2, 4, 8, 16])
     f = 0.99 * 0.6**lengths  # falls below 0.05 at m = 8
-    series = DecaySeries(1, lengths, f, [500] * 6)
-    fit = fit_decay(series)
-    assert fit.dropped == [8, 16]
-    assert abs(fit.lambda_hat - 0.6) < 1e-9
+    fits = fit_decays(lengths, f[:, None], [500] * 6)
+    assert fits.n_used[0] == 4  # m = 8 and 16 dropped
+    assert abs(fits.lambda_hat[0] - 0.6) < 1e-9
 
 
 def test_fit_errors():
-    with pytest.raises(FitError, match="decay too fast"):
-        fit_decay(DecaySeries(1, [0, 1, 2], [1.0, 0.01, 0.001], [10] * 3))
-    series = DecaySeries(1, [0, 1, 2], [0.9, 0.3, -0.2], [10] * 3)
-    fit = fit_decay(series)
-    assert any("negative" in w for w in fit.warnings)
-    assert fit.n_used == 2
+    # too few usable points, a repeated length, and a negative mean that is
+    # dropped like any point below the floor
+    f = np.array([[1.0, 1.0, 0.9],
+                  [0.01, 1.0, 0.3],
+                  [0.001, 1.0, -0.2]])
+    fits = fit_decays([0, 1, 2], f, [10] * 3)
+    assert fits.errors == {0: "decay too fast for chosen M"}
+    assert np.isnan(fits.lambda_hat[0]) and np.isnan(fits.a_hat[0])
+    assert list(fits.n_used) == [1, 3, 2]
+    assert fits.lambda_hat[2] == pytest.approx(0.3 / 0.9, rel=1e-12)
+    fits = fit_decays([1, 1], np.array([[0.9], [0.8]]), [10] * 2)
+    assert fits.errors == {0: "degenerate design: repeated sequence length"}
 
 
 def test_batch_fit_columns_independent():
@@ -407,11 +402,13 @@ def test_batch_fit_columns_independent():
     assert fits.stderr_lambda[4] == 0.0
     # each column alone gives the same fit as inside the batch
     for col in (0, 1, 2, 4):
-        alone = fit_decay(DecaySeries(col, lengths, f[:, col], [1000] * 6))
-        assert alone.lambda_hat == pytest.approx(fits.lambda_hat[col], rel=1e-15)
-        assert alone.stderr_lambda == pytest.approx(fits.stderr_lambda[col],
-                                                    rel=1e-12, abs=1e-300)
-        assert alone.residual == pytest.approx(fits.residual[col], abs=1e-12)
+        alone = fit_decays(lengths, f[:, [col]], [1000] * 6)
+        assert alone.lambda_hat[0] == pytest.approx(fits.lambda_hat[col],
+                                                    rel=1e-15)
+        assert alone.stderr_lambda[0] == pytest.approx(
+            fits.stderr_lambda[col], rel=1e-12, abs=1e-300)
+        assert alone.residual[0] == pytest.approx(fits.residual[col],
+                                                  abs=1e-12)
 
 
 def test_batch_fit_matches_matrix_wls():
@@ -438,13 +435,6 @@ def test_batch_fit_matches_matrix_wls():
             np.sqrt(w @ resid**2), rel=1e-9)
 
 
-def test_decay_series_validation():
-    with pytest.raises(UsageError):
-        DecaySeries(0, [0, 0, 1], [1, 1, 1], [5, 5, 5])
-    with pytest.raises(UsageError):
-        DecaySeries(0, [0, 1], [1.5, 1.0], [5, 5])
-
-
 def test_benchmark_noiseless_exact():
     rng = np.random.default_rng(6)
     res = benchmark_alg2(NoiseModel.noiseless(2), [0, 1, 2, 4], 200, rng)
@@ -468,17 +458,6 @@ def test_benchmark_recovers_gate_eigenvalues():
     model = NoiseModel.with_depolarizing_spam(gate, 0.1)
     res = benchmark_alg2(model, [0, 1, 2, 4, 8, 16], 30_000, rng)
     assert res.estimates.max_abs_error(gate.eigenvalues) < 0.02
-
-
-def test_benchmark_label_subset():
-    rng = np.random.default_rng(9)
-    gate = PauliChannel.depolarizing(2, 0.05)
-    model = NoiseModel(2, gate, PauliChannel.identity(2), PauliChannel.identity(2))
-    labels = [0, 3, 9]
-    res = benchmark_alg2(model, [0, 1, 2, 4], 20_000, rng, labels=labels)
-    assert list(res.estimates.labels) == labels
-    for lbl in labels:
-        assert abs(res.estimates.value(lbl) - gate.eigenvalues[lbl]) < 0.03
 
 
 def test_spam_robustness_two_sample():
@@ -601,4 +580,4 @@ def test_benchmark_fit_failure_reported_not_fatal():
     assert res.estimates.lambda_hat[0] == 1.0
     assert res.fit_errors  # some labels cannot be fit
     for lbl in res.fit_errors:
-        assert np.isnan(res.estimates.value(lbl))
+        assert np.isnan(res.estimates.lambda_hat[lbl])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from paulibench import (
+    CapabilityError,
     NoiseModel,
     PauliChannel,
     UsageError,
@@ -121,6 +122,11 @@ def test_sparse_distribution_matches_dense():
         t1 = outcome_distribution_alg1(sparse, 1, grp)
         t2 = outcome_distribution_alg1(dense, 1, grp)
         assert np.max(np.abs(t1 - t2)) < 1e-12
+    # a table of more than 2^26 cells is refused, for one group as for a stack
+    wide = PauliChannel.from_sparse(14, [(0, 0.5), (1 << 27, 0.5)])
+    for group in (Z1, [Z1, Z1]):
+        with pytest.raises(CapabilityError, match="134217728 cells too large"):
+            outcome_distribution_alg1(wide, 13, group)
 
 
 def test_empirical_frequencies_converge():

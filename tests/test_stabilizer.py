@@ -85,19 +85,6 @@ def test_group_validation():
         StabilizerGroup(2, (parse_bits("ZI", 2),))
 
 
-def test_membership_and_coefficients():
-    grp = StabilizerGroup(2, (parse_bits("XZ", 2), parse_bits("ZY", 2)))
-    elems = grp.elements()
-    assert len(set(elems)) == 4
-    for alpha, lbl in enumerate(elems):
-        assert grp.contains(lbl)
-        assert grp.coefficients(lbl) == alpha
-    outside = [lbl for lbl in range(16) if lbl not in elems]
-    for lbl in outside:
-        assert not grp.contains(lbl)
-        assert grp.coefficients(lbl) is None
-
-
 def test_mub_m1_is_xyz():
     cov = mub_covering(1)
     gens = {grp.generators[0] for grp in cov.groups}
@@ -146,18 +133,20 @@ def test_pauli_basis_covering(m):
 def test_pauli_basis_coverage_counts():
     cov = pauli_basis_covering(2)
     assert len(cov.groups) == 9
+    cover = cov.coverage_map()
     xi = parse_bits("XI", 2)
     # a weight-1 label lies in every group agreeing on its support
-    assert len(cov.coverage(xi)) == 3
+    assert len(cover[xi]) == 3
     yy = parse_bits("YY", 2)
-    assert len(cov.coverage(yy)) == 1
+    assert len(cover[yy]) == 1
 
 
 def test_coverage_map_matches_scan():
     cov = mub_covering(3)
     cover = cov.coverage_map()
     for lbl in range(4**3):
-        assert tuple(cover[lbl]) == cov.coverage(lbl)
+        assert cover[lbl] == [i for i, grp in enumerate(cov.groups)
+                              if lbl in grp.elements()]
 
 
 def test_verify_covering_negative_control():
@@ -315,13 +304,6 @@ def test_from_json_goes_through_the_batched_check():
     obj["groups"][3] = ["XI"]
     with pytest.raises(UsageError, match="expected 2 generators, got 1"):
         Covering.from_json(obj)
-
-
-def test_coefficients_basis_built_on_demand():
-    cov = mub_covering(3)
-    for grp in cov.groups[:3]:
-        for alpha, lbl in enumerate(grp.elements()):
-            assert grp.coefficients(lbl) == alpha
 
 
 def test_verify_covering_stays_scalar():
