@@ -32,7 +32,6 @@ from .pauli import (
 )
 from .sampler import (
     NoiseModel,
-    draw_histogram,
     outcome_distribution_alg1,
     outcome_distribution_alg2,
     simulate_alg2_batch,
@@ -73,7 +72,6 @@ __all__ = [
     "symplectic_product",
     "weight",
     "NoiseModel",
-    "draw_histogram",
     "outcome_distribution_alg1",
     "outcome_distribution_alg2",
     "simulate_alg2_batch",

@@ -164,6 +164,7 @@ class PauliChannel:
         "support_labels",
         "support_probs",
         "_cdf",
+        "_laws",
     )
 
     def __init__(self, n, *, error_rates=None, eigenvalues=None,
@@ -174,6 +175,7 @@ class PauliChannel:
         self.support_labels = support_labels
         self.support_probs = support_probs
         self._cdf = None
+        self._laws = None
         if error_rates is not None:
             error_rates.setflags(write=False)
         if eigenvalues is not None:
@@ -362,6 +364,18 @@ class PauliChannel:
             probs = self.support_probs if self.is_sparse else self.error_rates
             self._cdf = np.cumsum(np.clip(probs, 0.0, None))
         return self._cdf
+
+    def _memo_laws(self, key, build):
+        """`build()`, made read-only and kept for as long as `key`, compared
+        by identity, is the last key asked for: the estimator keys a
+        covering's outcome laws on the covering's cached label block."""
+        # benign race, as in `_cumulative`
+        memo = self._laws
+        if memo is None or memo[0] is not key:
+            laws = build()
+            laws.setflags(write=False)
+            memo = self._laws = (key, laws)
+        return memo[1]
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw error labels a ~ p; returns an int, or a label array.

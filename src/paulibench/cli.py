@@ -539,10 +539,11 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
             cov = _covering(covering_kind, n - k)
         size = len(cov.groups)
         with writer.stage("sweep"):
-            rounds, confirmed = sweep_min_rounds(n, k, cov, epsilon, trials,
-                                                 frac, alpha, seed)
+            rounds, confirmed, probes, trials_run = sweep_min_rounds(
+                n, k, cov, epsilon, trials, frac, alpha, seed)
         rows.append([k, size, rounds, rounds * size, confirmed, trials])
-        summary[str(k)] = {"rounds_min": rounds, "n_min": rounds * size}
+        summary[str(k)] = {"rounds_min": rounds, "n_min": rounds * size,
+                           "probes": probes, "trials_run": trials_run}
     if len(set(k_list)) > 1:
         # least squares of log2 n_min against n - k; Theta(n 2^(n-k))
         # predicts 1

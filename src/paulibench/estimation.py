@@ -9,14 +9,17 @@ along the m syndrome bits:
 
 This replaces the per-shot inner loop over all (u, alpha) pairs at
 O(2^(n+k) (n+k)) work per group.  The groups are handled in chunks
-(`sampler.label_chunks`): one call gives a chunk's outcome laws, one its
-transforms and one `np.add.at` its sums, and only the draws go group by
-group, in order, so the random stream is that of a per-group loop.  For a
-simulated channel each histogram is one multinomial draw from the exact
-outcome law when the group's table has no more cells than it has rounds
-(`sampler.law_pays`); larger tables and injected shot streams sample every
-round.  A covering of one trivial group (k = n) skips the accumulation: its
-transform is already in label order.
+(`sampler.label_chunks`): one call gives a chunk's outcome laws, one
+`draw_histograms` call its histograms, one its transforms and one
+`np.add.at` its sums.  The stacked draw takes the groups in order and
+gives the random stream of one multinomial per group.  For a simulated
+channel the histograms are drawn from the exact outcome laws when a
+group's table has no more cells than it has rounds (`sampler.law_pays`);
+larger tables and injected shot streams sample every round.  The laws of
+a covering that fits one chunk are kept on the channel, keyed on the
+covering's cached label block, so repeated estimates of one channel (the
+`sweep-ancilla` probes) build them once.  A covering of one trivial group
+(k = n) skips the accumulation: its transform is already in label order.
 `estimate_alg1_reference` keeps the literal per-shot loop; on a shared shot
 stream both paths agree bit for bit (every partial sum is an integer below
 2^53), which the suite checks.
@@ -30,13 +33,15 @@ the unbiasedness checks.  `EstimateSet.clamp` gives a physically projected
 copy for downstream use.
 
 Benchmarking reduces each sequence length to the histogram of
-z = v xor (xor of gate labels) and one transform to all F(m) values; the
-histogram is drawn from its exact law when there are no more labels than
-shots, else from simulated shots.  The estimates come from fitting
-every label's decay F(m) ~ A * lambda^m by least squares on log F,
-weighted by shots * F^2 (the delta-method weight for log of a mean of
-signs).  `fit_decays` fits all labels at once from the (lengths x labels)
-array of means with the closed-form 2x2 normal equations.
+z = v xor (xor of gate labels), and one transform of the stacked
+histograms gives all F(m) values.  The histograms of all lengths are
+drawn in one `draw_histograms` call from their exact laws when there are
+no more labels than shots, else from simulated shots, length by length.
+The estimates come from fitting every label's decay F(m) ~ A * lambda^m
+by least squares on log F, weighted by shots * F^2 (the delta-method
+weight for log of a mean of signs).  `fit_decays` fits all labels at once
+from the (lengths x labels) array of means with the closed-form 2x2 normal
+equations.
 
 Both estimators report all 4^n labels: `EstimateSet` is a dense table,
 indexed by label.
@@ -55,7 +60,7 @@ from .errors import CapabilityError, UsageError
 from .pauli import format_bits, symp
 from .sampler import (
     NoiseModel,
-    draw_histogram,
+    draw_histograms,
     label_chunks,
     law_pays,
     outcome_distribution_alg1,
@@ -210,7 +215,8 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
     for start, block in label_chunks(k, covering):
         hists = _histograms(law_channel, source, k,
                             groups[start:start + len(block)], start, rounds,
-                            rng, block)
+                            rng, block,
+                            block is covering.label_blocks.get(k))
         # transformed[g, (u << m) | alpha], in the order of block[g]
         transformed = wht_forward(hists, syndrome_digits=m)
         np.add.at(sums, block.ravel(), transformed.ravel())
@@ -219,19 +225,22 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
 
 
 def _histograms(law_channel, source, k, groups, start, rounds, rng,
-                block=None) -> np.ndarray:
+                block=None, kept=False) -> np.ndarray:
     """(G, cells) int64 outcome histograms of `groups`, the covering's groups
-    from index `start` on, drawn group by group in order: from the exact
-    laws of `law_channel` unless it is None, else from the rounds `source`
-    returns.  `block` is the groups' stacked label block, if built."""
+    from index `start` on, in group order: drawn from the exact laws of
+    `law_channel` in one `draw_histograms` call unless it is None, else
+    binned from the rounds `source` returns.  `block` is the groups' stacked
+    label block, if built; `kept` says it is the covering's cached block,
+    on which the channel keeps its laws for the next estimate."""
     m = groups[0].m
     cells = 4**k << m
-    hists = np.empty((len(groups), cells), dtype=np.int64)
     if law_channel is not None:
-        laws = outcome_distribution_alg1(law_channel, k, groups, block)
-        for hist, law in zip(hists, laws):
-            hist[:] = draw_histogram(law, rounds, rng).ravel()
-        return hists
+        def build():
+            return outcome_distribution_alg1(law_channel, k, groups, block)
+
+        laws = law_channel._memo_laws(block, build) if kept else build()
+        return draw_histograms(laws, rounds, rng).reshape(len(groups), cells)
+    hists = np.empty((len(groups), cells), dtype=np.int64)
     for hist, (gi, group) in zip(hists, enumerate(groups, start)):
         v, e = source(gi, group, rounds, rng)
         idx = ((np.asarray(v, dtype=np.int64) << m)
@@ -354,9 +363,10 @@ def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
     """Run the SPAM-robust benchmarking protocol and fit all 4^n labels.
 
     Per sequence length, `shots_per_m` shots are reduced to all F(m)
-    values through a histogram of z = v xor (xor of gate labels) followed
-    by one symplectic transform.  The histogram is one multinomial draw
-    from `outcome_distribution_alg2` when `law_pays(4^n, shots_per_m)`,
+    values through a histogram of z = v xor (xor of gate labels); one
+    symplectic transform takes every length's histogram.  The histograms
+    are one `draw_histograms` call over the stacked
+    `outcome_distribution_alg2` laws when `law_pays(4^n, shots_per_m)`,
     else the shots are simulated.  All labels are fitted in one
     `fit_decays` call; fit failures are recorded per label, not raised.
     """
@@ -370,16 +380,17 @@ def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
         raise CapabilityError(
             f"dense benchmarking limited to n <= {DENSE_MAX_QUBITS}"
         )
-    f_rows = np.empty((lengths.size, 4**n))
-    from_law = law_pays(4**n, shots_per_m)
-    for row, m in enumerate(lengths):
-        if from_law:
-            hist = draw_histogram(outcome_distribution_alg2(model, int(m)),
-                                  shots_per_m, rng)
-        else:
-            z = simulate_alg2_batch(model, int(m), rng, shots_per_m)["z"]
-            hist = np.bincount(z.astype(np.int64), minlength=4**n)
-        f_rows[row] = wht_forward(hist) / shots_per_m
+    if law_pays(4**n, shots_per_m):
+        hists = draw_histograms(
+            np.stack([outcome_distribution_alg2(model, int(m))
+                      for m in lengths]), shots_per_m, rng)
+    else:
+        hists = np.stack([
+            np.bincount(simulate_alg2_batch(model, int(m), rng,
+                                            shots_per_m)["z"].astype(np.int64),
+                        minlength=4**n)
+            for m in lengths])
+    f_rows = wht_forward(hists) / shots_per_m
     shots = np.full(lengths.size, shots_per_m, dtype=np.int64)
     fits = fit_decays(lengths, f_rows, shots)
     n_shots = np.full(4**n, int(shots.sum()), dtype=np.int64)

@@ -49,10 +49,11 @@ SHOT_BLOCK_CELLS = 1 << 14
 
 def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
                      trials: int, success_fraction: float, alpha: float,
-                     seed: int) -> tuple[int, int]:
+                     seed: int) -> tuple[int, int, int, int]:
     """Fewest rounds per covering group, by bisection, at which at least
     ceil(success_fraction * trials) Dirichlet(alpha) channels are estimated
-    within `epsilon`; returns (rounds, successes of a full pass at it)."""
+    within `epsilon`; returns (rounds, successes of a full pass at it,
+    probes, trials run), the last two counting the confirmation pass."""
     size = len(cov.groups)
     needed = int(np.ceil(success_fraction * trials))
     channels = [
@@ -61,11 +62,15 @@ def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
         for t in range(trials)
     ]
     truths = [ch.eigenvalues for ch in channels]
+    probes = trials_run = 0
 
     def probe(rounds: int, early_stop: bool = True) -> tuple[bool, int]:
         # trials run in order and stop at the one that decides pass/fail
+        nonlocal probes, trials_run
+        probes += 1
         successes = 0
         for t in range(trials):
+            trials_run += 1
             rng = derive_rng(seed, "sweep-shots", k, rounds, t)
             est = estimate_alg1(channels[t], k, cov, rounds * size, rng)
             successes += bool(est.max_abs_error(truths[t]) <= epsilon)
@@ -91,7 +96,8 @@ def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
             hi = mid
         else:
             lo = mid
-    return hi, probe(hi, early_stop=False)[1]
+    confirmed = probe(hi, early_stop=False)[1]
+    return hi, confirmed, probes, trials_run
 
 
 def discriminate(n: int, mode: str, trials: int, max_shots: int,

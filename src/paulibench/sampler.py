@@ -33,13 +33,14 @@ labels, which is exact for Pauli noise:
   eigenbasis, so z has law wht_inverse(lambda_prep lambda_gate^(m+1)
   lambda_meas) (`outcome_distribution_alg2`).
 
-Both estimators use a batch only through its histogram, so the estimator
-draws the histogram in one `draw_histogram` (multinomial) call from the
-exact law whenever `law_pays`: the table has no more cells than the batch
-has draws, and fits in memory.  Both laws are dense arrays of at most 2^26
-cells; asking for a larger one is a CapabilityError.  Channel estimation
-computes a chunk of groups' laws together and then draws them one
-`draw_histogram` call per group, in group order.  Otherwise it samples every shot with
+Both estimators use a batch only through its histogram, so they draw
+histograms from the exact laws whenever `law_pays`: the table has no more
+cells than the batch has draws, and fits in memory.  Both laws are dense
+arrays of at most 2^26 cells; asking for a larger one is a CapabilityError.
+One `draw_histograms` (multinomial) call draws a whole stack of tables,
+in order, exactly as one call per table would: channel estimation draws a
+chunk of groups' laws at once, benchmarking all its sequence lengths;
+there are no per-group draws.  Otherwise they sample every shot with
 `simulate_rounds_alg1` / `simulate_alg2_batch`, which are vectorized over
 shots and return uint64 label arrays, so a single shot is a batch of size
 1.  Callers own the RNG; see `seeding.derive_rng` for the reproducibility
@@ -73,21 +74,42 @@ def law_pays(cells: int, draws: int) -> bool:
     return cells <= draws and cells <= _DIST_ARRAY_LIMIT
 
 
-def draw_histogram(law: np.ndarray, draws: int, rng: np.random.Generator
-                   ) -> np.ndarray:
-    """Counts of `draws` independent outcomes from the table `law`, drawn
-    in one multinomial call; int64, shaped like `law`.
+def draw_histograms(laws: np.ndarray, draws: int, rng: np.random.Generator
+                    ) -> np.ndarray:
+    """Counts of `draws` independent outcomes from each table of the (G, ...)
+    stack `laws`, in table order, drawn in one multinomial call; int64,
+    shaped like `laws`.
 
-    Roundoff negatives are clipped to 0 and the rest renormalised.  Only
-    cells of positive probability enter the draw, so a cell of probability
-    0 never gets a count.
+    Only cells of positive probability enter a table's draw, renormalised
+    by their own sum, so roundoff negatives and zeros never get a count.
+    The counts and the generator state are those of G one-table draws
+    `rng.multinomial(draws, probs / probs.sum())` over each table's support
+    `probs`: the multinomial walks a row's cells in order, drawing
+    binomial(left, p_j / remaining) for all but the last, which takes the
+    remainder.  A cell of p = 0 draws nothing from the bit generator and
+    leaves `remaining` as it is, so zeros in front of a row change nothing,
+    where zeros behind its last support cell would cost that cell a
+    binomial draw.  Each row is therefore packed as its zero cells followed
+    by its support, in order.  A row with zero cells is normalised by the
+    sum of its support alone, so its probabilities match the one-table
+    ones bit for bit.
     """
-    p = np.ravel(law)
-    support = np.flatnonzero(p > 0.0)
-    probs = p[support]
-    counts = np.zeros(p.size, dtype=np.int64)
-    counts[support] = rng.multinomial(draws, probs / probs.sum())
-    return counts.reshape(np.shape(law))
+    p = laws.reshape(len(laws), -1)
+    support = p > 0.0
+    partial = np.flatnonzero(~support.all(axis=1))
+    if partial.size == 0:
+        counts = rng.multinomial(draws, p / p.sum(axis=1, keepdims=True))
+        return counts.reshape(laws.shape)
+    totals = p.sum(axis=1)
+    for row in partial:
+        totals[row] = p[row, support[row]].sum()
+    # per row: the zero cells first, then the support in order
+    order = np.argsort(support, axis=1, kind="stable")
+    packed = np.take_along_axis(np.where(support, p / totals[:, None], 0.0),
+                                order, axis=1)
+    counts = np.empty(p.shape, dtype=np.int64)
+    np.put_along_axis(counts, order, rng.multinomial(draws, packed), axis=1)
+    return counts.reshape(laws.shape)
 
 
 @dataclass(frozen=True)

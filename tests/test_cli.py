@@ -416,9 +416,14 @@ def test_sweep_ancilla_cli(tmp_path):
     assert n_min["1"] > n_min["3"]
     assert (out / "sweep.gp").exists()
     # two points: the least-squares slope is the one through both
-    slope = json.loads((out / "run.json").read_text())["summary"][
-        "log2_n_min_slope"]
+    summary = json.loads((out / "run.json").read_text())["summary"]
+    slope = summary["log2_n_min_slope"]
     assert slope == pytest.approx(np.log2(n_min["1"] / n_min["3"]) / 2)
+    for k in ("1", "3"):
+        # a passing budget, rounds = 1 and the confirmation pass at least;
+        # every probe runs a trial, the confirmation pass all ten
+        probes, trials_run = summary[k]["probes"], summary[k]["trials_run"]
+        assert probes >= 3 and trials_run >= probes - 1 + 10
 
 
 def test_gnuplot_only_on_sweep_ancilla(tmp_path, capsys):

@@ -9,7 +9,6 @@ from paulibench import (
     PauliChannel,
     UsageError,
     benchmark_alg2,
-    draw_histogram,
     estimate_alg1,
     fit_decays,
     mub_covering,
@@ -26,11 +25,23 @@ from paulibench.estimation import (
 )
 from paulibench.pauli import format_bits, format_labels, parse_bits
 from paulibench.sampler import (
+    draw_histograms,
     outcome_distribution_alg1,
     outcome_distribution_alg2,
     simulate_alg2_batch,
     simulate_rounds_alg1,
 )
+
+
+def one_table_draw(law, draws, rng):
+    """One table's law draw written out: its support, normalised by its own
+    sum, in one multinomial."""
+    p = np.ravel(law)
+    support = np.flatnonzero(p > 0.0)
+    probs = p[support]
+    counts = np.zeros(p.size, dtype=np.int64)
+    counts[support] = rng.multinomial(draws, probs / probs.sum())
+    return counts.reshape(np.shape(law))
 
 
 def test_required_samples_instance():
@@ -127,7 +138,7 @@ def _per_group_estimate(channel_or_source, k, covering, total, rng):
             else:
                 law = wht_forward(ch.eigenvalues[full.ravel()],
                                   syndrome_digits=m) / cells
-            hist = draw_histogram(law, rounds, rng).ravel()
+            hist = one_table_draw(law, rounds, rng).ravel()
         else:
             v, e = source(gi, group, rounds, rng)
             idx = ((np.asarray(v, dtype=np.int64) << m)
@@ -212,6 +223,55 @@ def test_label_chunks_keep_only_a_covering_that_fits(monkeypatch):
     assert fresh.label_blocks == {}
 
 
+def test_channel_keeps_the_laws_of_a_kept_block(monkeypatch):
+    # a channel's laws on a covering that fits one chunk are built once and
+    # handed out read-only; another covering object or another k rebuilds,
+    # and a covering of several chunks keeps nothing
+    from paulibench import estimation, sampler
+
+    builds, drawn = [], []
+    build, draw = estimation.outcome_distribution_alg1, draw_histograms
+
+    def counted_build(*args):
+        builds.append(args[1])
+        return build(*args)
+
+    def recorded_draw(laws, draws, rng):
+        drawn.append(laws)
+        return draw(laws, draws, rng)
+
+    monkeypatch.setattr(estimation, "outcome_distribution_alg1",
+                        counted_build)
+    monkeypatch.setattr(estimation, "draw_histograms", recorded_draw)
+
+    def channel():
+        return PauliChannel.random_dirichlet(3, np.random.default_rng(41))
+
+    ch, cov = channel(), mub_covering(3)  # k = 0: 9 groups of 8 cells
+    first = estimate_alg1(ch, 0, cov, 9 * 100, np.random.default_rng(1))
+    second = estimate_alg1(ch, 0, cov, 9 * 300, np.random.default_rng(2))
+    assert builds == [0]
+    assert drawn[0] is drawn[1] and not drawn[0].flags.writeable
+    for est, rounds, seed in ((first, 100, 1), (second, 300, 2)):
+        cold = estimate_alg1(channel(), 0, mub_covering(3), 9 * rounds,
+                             np.random.default_rng(seed))
+        assert est.lambda_hat.tobytes() == cold.lambda_hat.tobytes()
+        assert est.n_shots.tobytes() == cold.n_shots.tobytes()
+        assert est.stderr.tobytes() == cold.stderr.tobytes()
+    del builds[:]
+    estimate_alg1(ch, 0, mub_covering(3), 9 * 100, np.random.default_rng(3))
+    estimate_alg1(ch, 1, mub_covering(2), 5 * 100, np.random.default_rng(4))
+    estimate_alg1(ch, 1, mub_covering(2), 5 * 100, np.random.default_rng(4))
+    assert builds == [0, 1, 1]
+    del builds[:]
+    monkeypatch.setattr(sampler, "LABEL_CHUNK_CELLS", 4 * 8)
+    several = mub_covering(3)
+    estimate_alg1(ch, 0, several, 9 * 100, np.random.default_rng(5))
+    estimate_alg1(ch, 0, several, 9 * 100, np.random.default_rng(5))
+    assert builds == [0] * 6  # chunks of 4, 4 and 1 groups, twice
+    assert all(laws.flags.writeable for laws in drawn[-6:])
+
+
 def test_stacked_laws_equal_per_group_laws():
     cov = mub_covering(2)
     dense = PauliChannel.random_dirichlet(3, np.random.default_rng(38))
@@ -262,25 +322,35 @@ def test_law_draws_never_fill_zero_cells():
                 PauliChannel.identity(n), PauliChannel.from_error_rates(n, rates)]
     rng = np.random.default_rng(17)
     negatives = 0
+
+    def check(laws, reachable):
+        # every table of the stack at once, as one table at a time would
+        seed = int(rng.integers(1 << 30))
+        ref_rng = np.random.default_rng(seed)
+        ref = np.stack([one_table_draw(law, 10_000, ref_rng)
+                        for law in laws])
+        counts = draw_histograms(laws, 10_000, np.random.default_rng(seed))
+        assert np.array_equal(counts, ref)
+        assert np.all(counts.reshape(len(laws), -1).sum(axis=1) == 10_000)
+        assert not counts[~reachable].any()
+        return int((laws < 0).sum())
+
     for ch in channels:
         twin = PauliChannel.from_sparse(n, [(a, ch.probability(a))
                                             for a in range(16)
                                             if ch.probability(a) > 0])
         for k in range(n + 1):
-            for grp in mub_covering(n - k).groups:
-                law = outcome_distribution_alg1(ch, k, grp)
-                reachable = outcome_distribution_alg1(twin, k, grp) > 0
-                counts = draw_histogram(law, 10_000, rng)
-                assert counts.sum() == 10_000 and not counts[~reachable].any()
-                negatives += int((law < 0).sum())
+            groups = mub_covering(n - k).groups
+            negatives += check(outcome_distribution_alg1(ch, k, groups),
+                               outcome_distribution_alg1(twin, k, groups) > 0)
         for spam in (PauliChannel.identity(n), ch):
             model = NoiseModel(n, ch, spam, spam)
-            for m in (0, 1, 2, 5):
-                law = outcome_distribution_alg2(model, m)
-                reachable = oracle.alg2_distribution_convolution(model, m) > 0
-                counts = draw_histogram(law, 10_000, rng)
-                assert counts.sum() == 10_000 and not counts[~reachable].any()
-                negatives += int((law < 0).sum())
+            lengths = (0, 1, 2, 5)
+            negatives += check(
+                np.stack([outcome_distribution_alg2(model, m)
+                          for m in lengths]),
+                np.stack([oracle.alg2_distribution_convolution(model, m) > 0
+                          for m in lengths]))
     assert negatives > 0  # the roundoff case is exercised
     # the identity channel's law-drawn estimates are exact
     est = estimate_alg1(PauliChannel.identity(3), 0, mub_covering(3), 900, rng)

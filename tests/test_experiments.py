@@ -31,7 +31,7 @@ def test_sweep_min_rounds_matches_cli_table(tmp_path):
     for k in k_list:
         cov = mub_covering(n - k)
         size = len(cov.groups)
-        rounds, confirmed = experiments.sweep_min_rounds(
+        rounds, confirmed, _, _ = experiments.sweep_min_rounds(
             n, k, cov, epsilon, trials, 0.9, 1.0, seed)
         expected.append([str(v) for v in (k, size, rounds, rounds * size,
                                           confirmed, trials)])
@@ -224,9 +224,11 @@ def test_probe_stops_at_the_deciding_trial(monkeypatch):
         return _StubEstimate(0.0 if ok(rounds, len(probes[-1]) - 1) else 1.0)
 
     monkeypatch.setattr(experiments, "estimate_alg1", stub)
-    rounds_min, confirmed = experiments.sweep_min_rounds(
+    rounds_min, confirmed, n_probes, trials_run = experiments.sweep_min_rounds(
         n, k, cov, epsilon, trials, frac, 1.0, seed=0)
     assert rounds_min == threshold
+    assert n_probes == len(probes)
+    assert trials_run == sum(len(calls) for calls in probes)
     assert len(probes) > 3
     *searched, confirmation = probes
     for calls in searched:

@@ -6,7 +6,6 @@ from paulibench import (
     NoiseModel,
     PauliChannel,
     UsageError,
-    draw_histogram,
     outcome_distribution_alg1,
     outcome_distribution_alg2,
     simulate_alg2_batch,
@@ -146,9 +145,9 @@ def test_empirical_frequencies_converge():
     z = simulate_alg2_batch(model, 3, rng, shots)["z"]
     cases = [
         (exact1, counts),
-        (exact1, draw_histogram(exact1, shots, rng)),
+        (exact1, sampler.draw_histograms(exact1[None], shots, rng)[0]),
         (exact2, np.bincount(z.astype(np.int64), minlength=16)),
-        (exact2, draw_histogram(exact2, shots, rng)),
+        (exact2, sampler.draw_histograms(exact2[None], shots, rng)[0]),
     ]
     for exact, hist in cases:
         assert hist.shape == exact.shape and hist.sum() == shots
@@ -301,3 +300,81 @@ def test_n10_k0_chunk_boundaries():
     sizes = [(start, len(block)) for start, block
              in sampler.label_chunks(0, cov)]
     assert sizes == [(start, 64) for start in range(0, 1024, 64)] + [(1024, 1)]
+
+
+def one_table_draw(law, draws, rng):
+    """One table's law draw written out: its support, normalised by its own
+    sum, in one multinomial.  Returns the counts and the probabilities."""
+    p = np.ravel(law)
+    support = np.flatnonzero(p > 0.0)
+    probs = p[support]
+    probs = probs / probs.sum()
+    counts = np.zeros(p.size, dtype=np.int64)
+    counts[support] = rng.multinomial(draws, probs)
+    return counts.reshape(np.shape(law)), probs
+
+
+class _RecordingRng:
+    """A generator that keeps the probabilities of every multinomial call."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.pvals = []
+
+    def multinomial(self, n, pvals):
+        self.pvals.append(np.array(pvals))
+        return self.rng.multinomial(n, pvals)
+
+
+def _law_stacks():
+    """(G, 4, cells / 4) stacks of laws: full support, zero cells in the
+    middle and last, roundoff negatives, single-cell support, and all of
+    them mixed in one stack."""
+    rng = np.random.default_rng(60)
+    for case in range(120):
+        groups, cells = int(rng.integers(1, 7)), 4 * int(rng.integers(1, 65))
+        laws = rng.random((groups, cells))
+        for row in laws:
+            # stacks 0 to 4 hold one kind of row each, the rest mix them
+            kind = (case + int(rng.integers(0, 5))) % 5 if case >= 5 else case
+            if kind == 1:
+                row[rng.random(cells) < 0.3] = 0.0
+                row[-int(rng.integers(1, 4)):] = 0.0
+            elif kind == 2:
+                row[rng.random(cells) < 0.3] = -1e-17
+                row[-1] = -2e-18
+            elif kind == 3:
+                row[:] = 0.0
+                row[int(rng.integers(0, cells))] = rng.random() + 0.1
+            elif kind == 4:
+                row[rng.random(cells) < 0.5] = 0.0
+                row[0] = row[0] or 0.5
+        laws /= np.abs(laws).sum(axis=1, keepdims=True)
+        yield laws.reshape(groups, 4, cells // 4), int(10 ** rng.uniform(0, 5))
+
+
+def test_stacked_draw_equals_one_table_draws():
+    # same counts, same generator state and bit-equal probabilities as one
+    # multinomial per table; summing a support with `np.add.reduceat` would
+    # pass on the draws alone and fail on the probabilities
+    partial = full = full_stacks = 0
+    for case, (laws, draws) in enumerate(_law_stacks()):
+        ref_rng = np.random.default_rng(case)
+        rec = _RecordingRng(np.random.default_rng(case))
+        ref = [one_table_draw(law, draws, ref_rng) for law in laws]
+        counts = sampler.draw_histograms(laws, draws, rec)
+        assert counts.dtype == np.int64 and counts.shape == laws.shape
+        assert np.array_equal(counts, np.stack([c for c, _ in ref]))
+        assert rec.rng.bit_generator.state == ref_rng.bit_generator.state
+        (packed,) = rec.pvals
+        full_stacks += all(probs.size == row.size
+                           for row, (_, probs) in zip(packed, ref))
+        for row, (_, probs) in zip(packed.reshape(len(laws), -1), ref):
+            lead = row.size - probs.size
+            assert not row[:lead].any()
+            assert row[lead:].tobytes() == probs.tobytes()
+            partial += lead > 0
+            full += lead == 0
+    # both kinds of row, and stacks of full rows alone, are exercised
+    assert partial > 100 and full > 50 and full_stacks >= 5
+
