@@ -13,10 +13,9 @@ Experiments are configured by a JSON file (--config) with flag overrides
 (--seed, --threads, --out, --format).  Every run writes a primary table
 (CSV by default) plus run metadata JSON with the resolved config, seed,
 timings, per table its row count and write time, and per named stage
-(`RunWriter.stage`) its seconds.  Floats are written
-with 17 significant digits.  `estimate` writes its 4^n-row table from numpy
-columns (`RunWriter.write_columns`), the other commands from rows
-(`RunWriter.write_table`); both give the same bytes for the same values.
+(`RunWriter.stage`) its seconds.  Every table goes through one writer,
+`RunWriter.write_table`, as blocks of numpy columns (`benchmark` gives one
+block per SPAM rate); floats are written with 17 significant digits.
 Outputs are byte-identical for a fixed (config, seed): all randomness is
 derived from (seed, structural key), and every run is serial; `--threads`
 is only recorded in run.json.
@@ -61,7 +60,7 @@ from .stabilizer import mub_covering, pauli_basis_covering
 from .verify import run_checks
 
 _FLOAT = "{:.17g}"
-_CSV_CHUNK_ROWS = 1 << 16  # rows per block of `RunWriter.write_columns`
+_CSV_CHUNK_ROWS = 1 << 16  # rows per piece of `RunWriter.write_table`
 
 SCHEMA_VERSION = 1
 # bytes a dense `estimate` or `benchmark` may plan to hold; `_memory_limit`
@@ -247,44 +246,31 @@ class RunWriter:
         self.stages[name] = (self.stages.get(name, 0.0)
                              + time.perf_counter() - start)
 
-    def write_table(self, name: str, header: list[str], rows: list[list]):
-        """Write a table given as rows of Python values."""
+    def write_table(self, name: str, header: list[str], blocks):
+        """Write a table given as an iterable of column blocks, each a list
+        of equal-length numpy columns: ``S`` byte strings, floats or
+        integers.  Blocks are taken one at a time and written in pieces of
+        at most `_CSV_CHUNK_ROWS` rows, so no more than one piece is held as
+        text or Python values.  A CSV float has 17 significant digits; the
+        JSON text is ``json.dumps([dict(zip(header, row)) ...], indent=1)``
+        of the rows as Python str, float and int values."""
         start = time.perf_counter()
         path = self.dir / f"{name}.{self.fmt}"
-        if self.fmt == "json":
-            _write_json(path, header, rows)
-        else:
-            # row by row, so no second copy of a 4^n-row table is held
-            with path.open("w") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join([_FLOAT.format(x) if isinstance(x, float)
-                                       else str(x) for x in row]) + "\n")
-        return self._add_table(path, len(rows), start)
-
-    def write_columns(self, name: str, header: list[str],
-                      columns: list[np.ndarray]):
-        """Write a table given as equal-length numpy columns: ``S`` byte
-        strings, floats or integers.  The bytes equal those of `write_table`
-        on the rows of Python str, float and int values."""
-        start = time.perf_counter()
-        path = self.dir / f"{name}.{self.fmt}"
-        rows = len(columns[0])
-        if self.fmt == "json":
-            # one block of Python values at a time, as in the CSV branch
-            _write_json(path, header, (
-                row for lo in range(0, rows, _CSV_CHUNK_ROWS)
-                for row in zip(*[_py_values(col[lo:lo + _CSV_CHUNK_ROWS])
-                                 for col in columns])))
-        else:
-            with path.open("wb") as fh:
+        rows = 0
+        with path.open("wb") as fh:
+            if self.fmt == "csv":
                 fh.write((",".join(header) + "\n").encode())
-                for lo in range(0, rows, _CSV_CHUNK_ROWS):
-                    fh.write(_csv_block([col[lo:lo + _CSV_CHUNK_ROWS]
-                                         for col in columns]))
-        return self._add_table(path, rows, start)
-
-    def _add_table(self, path: Path, rows: int, start: float) -> Path:
+            keys = [f"\n  {json.dumps(h)}: " for h in header]
+            for block in blocks:
+                for lo in range(0, len(block[0]), _CSV_CHUNK_ROWS):
+                    piece = [col[lo:lo + _CSV_CHUNK_ROWS] for col in block]
+                    if self.fmt == "csv":
+                        fh.write(_csv_block(piece))
+                    else:
+                        fh.write(_json_rows(keys, piece, rows == 0))
+                    rows += len(piece[0])
+            if self.fmt == "json":
+                fh.write(b"\n]\n" if rows else b"[]\n")
         self.outputs.append(path.name)
         self.tables[path.name] = {
             "rows": rows,
@@ -320,22 +306,17 @@ class RunWriter:
         (self.dir / "run.json").write_text(json.dumps(meta, indent=1) + "\n")
 
 
-def _write_json(path: Path, header: list[str], rows):
-    """Stream ``json.dumps([dict(zip(header, row)) ...], indent=1) + "\\n"``
-    one row at a time, so neither the dicts nor the whole text are held."""
-    keys = [f"\n  {json.dumps(h)}: " for h in header]
-    opener = "[\n {"
-    with path.open("w") as fh:
-        for row in rows:
-            fh.write(opener + ",".join([key + _json_cell(value) for key, value
-                                        in zip(keys, row)]) + "\n }")
-            opener = ",\n {"
-        fh.write("[]\n" if opener == "[\n {" else "\n]\n")
-
-
-def _py_values(col: np.ndarray) -> list:
-    """A numpy column as Python str, float or int values."""
-    return col.astype(str).tolist() if col.dtype.kind == "S" else col.tolist()
+def _json_rows(keys: list[str], columns: list[np.ndarray],
+               first: bool) -> bytes:
+    """The JSON objects of a piece of rows, each opened by ``[`` or ``,``;
+    `keys` holds each header's ``"name": `` prefix."""
+    values = [col.astype(str).tolist() if col.dtype.kind == "S"
+              else col.tolist() for col in columns]
+    objects = [",".join([key + _json_cell(value)
+                         for key, value in zip(keys, row)])
+               for row in zip(*values)]
+    return (("[\n {" if first else ",\n {")
+            + "\n },\n {".join(objects) + "\n }").encode()
 
 
 def _json_cell(value) -> str:
@@ -356,7 +337,7 @@ def _csv_cells(col: np.ndarray) -> np.ndarray:
     Each distinct value is formatted once.  Floats are keyed on their bit
     pattern, not their value, so -0.0 and 0.0 keep their own text."""
     if col.dtype.kind == "S":
-        return col
+        return np.ascontiguousarray(col)  # a broadcast column
     if col.dtype.kind == "f":
         bits = col.astype(np.float64, copy=False).view(np.uint64)
         keys, inverse = np.unique(bits, return_inverse=True)
@@ -384,6 +365,11 @@ def _csv_block(columns: list[np.ndarray]) -> bytes:
     return flat[flat != 0].tobytes()
 
 
+def _repeated(text: str, rows: int) -> np.ndarray:
+    """A column of `rows` copies of the ASCII string `text`, held once."""
+    return np.broadcast_to(np.bytes_(text), (rows,))
+
+
 def _git_describe():
     try:
         out = subprocess.run(
@@ -403,14 +389,11 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     _require_keys(
         cfg,
         ("experiment", "n", "k", "channel"),
-        ("covering", "epsilon", "delta", "samples", "clamp"),
+        ("covering", "epsilon", "delta", "samples"),
         "estimate config",
     )
     n = _int(cfg["n"], "n", 1)
     k = _int(cfg["k"], "k", 0, n)
-    clamp = cfg.get("clamp", False)
-    if not isinstance(clamp, bool):
-        raise ConfigError(f"clamp must be true or false, got {clamp!r}")
     _require_memory(dense_estimate_bytes(n),
                     f"a dense estimate on n={n} qubits")
     with writer.stage("covering"):
@@ -426,13 +409,11 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
         channel = build_channel(cfg["channel"], n, derive_rng(seed, "channel"))
     with writer.stage("estimate"):
         est = estimate_alg1(channel, k, cov, total, derive_rng(seed, "shots"))
-        if clamp:
-            est = est.clamp()
     with writer.stage("write"):
-        writer.write_columns(
+        writer.write_table(
             "estimates", ["label", "lambda_hat", "n_shots", "stderr"],
-            [format_labels(all_labels(n), n), est.lambda_hat, est.n_shots,
-             est.stderr])
+            [[format_labels(all_labels(n), n), est.lambda_hat, est.n_shots,
+              est.stderr]])
     return {
         "samples": total,
         "rounds_per_group": total // len(cov.groups),
@@ -476,27 +457,22 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
         results, consistency = spam_sweep(gate, rates, m_list, shots, seed,
                                           spam)
     with writer.stage("write"):
-        names = [format_bits(lbl, n) for lbl in all_labels(n).tolist()]
-        est_rows = []
-        decay_rows = []
-        for rate, res in zip(rates, results):
-            rate_s = _FLOAT.format(rate)
-            est = res.estimates
-            est_rows += [[rate_s, name, lam, cnt, se]
-                         for name, lam, cnt, se in zip(
-                             names, est.lambda_hat.tolist(),
-                             est.n_shots.tolist(), est.stderr.tolist())]
-            lengths = list(zip(res.lengths.tolist(), res.shots.tolist()))
-            for name, f_col in zip(names, res.f_mean.T.tolist()):
-                decay_rows += [[rate_s, name, m, fm, r]
-                               for (m, r), fm in zip(lengths, f_col)]
+        # one block per SPAM rate, built as the writer reaches it, so one
+        # rate's columns are held at a time
+        labels = format_labels(all_labels(n), n)
         writer.write_table(
             "estimates",
             ["spam_rate", "label", "lambda_hat", "n_shots", "stderr"],
-            est_rows)
-        writer.write_table("decays",
-                           ["spam_rate", "label", "m", "f_mean", "shots"],
-                           decay_rows)
+            ([_repeated(_FLOAT.format(rate), labels.size), labels,
+              res.estimates.lambda_hat, res.estimates.n_shots,
+              res.estimates.stderr] for rate, res in zip(rates, results)))
+        writer.write_table(
+            "decays", ["spam_rate", "label", "m", "f_mean", "shots"],
+            ([_repeated(_FLOAT.format(rate), res.f_mean.size),
+              np.repeat(labels, res.lengths.size),
+              np.tile(res.lengths, labels.size), res.f_mean.T.ravel(),
+              np.tile(res.shots, labels.size)]
+             for rate, res in zip(rates, results)))
     summary: dict = {
         "fit_errors": {
             _FLOAT.format(rate): {format_bits(lbl, n): msg
@@ -532,30 +508,29 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
     alpha = _float(cfg.get("channel_alpha", 1.0), "channel_alpha")
     covering_kind = cfg.get("covering", "mub")
 
-    rows = []
+    table = np.empty((len(k_list), 6), dtype=np.int64)
     summary = {}
-    for k in k_list:
+    for i, k in enumerate(k_list):
         with writer.stage("covering"):
             cov = _covering(covering_kind, n - k)
         size = len(cov.groups)
         with writer.stage("sweep"):
             rounds, confirmed, probes, trials_run = sweep_min_rounds(
                 n, k, cov, epsilon, trials, frac, alpha, seed)
-        rows.append([k, size, rounds, rounds * size, confirmed, trials])
+        table[i] = k, size, rounds, rounds * size, confirmed, trials
         summary[str(k)] = {"rounds_min": rounds, "n_min": rounds * size,
                            "probes": probes, "trials_run": trials_run}
     if len(set(k_list)) > 1:
         # least squares of log2 n_min against n - k; Theta(n 2^(n-k))
         # predicts 1
         summary["log2_n_min_slope"] = float(np.polyfit(
-            [n - row[0] for row in rows], np.log2([row[3] for row in rows]),
-            1)[0])
+            n - table[:, 0], np.log2(table[:, 3]), 1)[0])
     with writer.stage("write"):
         writer.write_table(
             "sweep",
             ["k", "covering_size", "rounds_min", "n_min", "successes",
              "trials"],
-            rows,
+            [list(table.T)],
         )
     return summary
 
@@ -576,29 +551,29 @@ def cmd_discriminate(cfg: dict, seed: int, writer: RunWriter) -> dict:
         if mode not in DISCRIMINATE_MODES:
             raise ConfigError(f"unknown discriminate mode {mode!r}")
     max_shots = _int(cfg.get("max_shots", 100_000), "max_shots", 1)
-    rows = []
+    blocks = []  # one per (mode, n)
     summary = {}
     with writer.stage("discriminate"):
         for mode in modes:
             for n in n_list:
-                shots_correct = []
-                for t, (truth, declared, shots) in enumerate(
-                        discriminate(n, mode, trials, max_shots, seed)):
-                    correct = int(declared == truth)
-                    rows.append([mode, n, t, truth, declared, correct, shots])
-                    if correct:
-                        shots_correct.append(shots)
-                rate = len(shots_correct) / trials
+                truth, declared, shots = (np.array(col) for col in zip(
+                    *discriminate(n, mode, trials, max_shots, seed)))
+                correct = truth == declared
+                blocks.append([
+                    _repeated(mode, trials), np.full(trials, n),
+                    np.arange(trials), truth.astype(np.bytes_),
+                    declared.astype(np.bytes_), correct.astype(np.int64),
+                    shots])
                 summary[f"{mode}:n={n}"] = {
-                    "success_rate": rate,
-                    "median_shots": float(np.median(shots_correct))
-                    if shots_correct else None,
+                    "success_rate": np.count_nonzero(correct) / trials,
+                    "median_shots": float(np.median(shots[correct]))
+                    if correct.any() else None,
                 }
     with writer.stage("write"):
         writer.write_table(
             "discriminate",
             ["mode", "n", "trial", "truth", "declared", "correct", "shots"],
-            rows,
+            blocks,
         )
     return summary
 

@@ -29,8 +29,7 @@ part, and for all compatible groups of the 3^m covering) are merged by
 shot-count-weighted mean, i.e. the one final division by N_a.
 
 Estimates are reported raw, not clamped to [-1, 1]; clamping would break
-the unbiasedness checks.  `EstimateSet.clamp` gives a physically projected
-copy for downstream use.
+the unbiasedness checks.
 
 Benchmarking reduces each sequence length to the histogram of
 z = v xor (xor of gate labels), and one transform of the stacked
@@ -77,13 +76,15 @@ DEFAULT_LENGTHS = (0, 1, 2, 4, 8, 16)
 DENSE_BYTES_PER_LABEL = 96
 # peak bytes per label of a dense `benchmark` run with L distinct lengths and
 # R SPAM rates, PER_LABEL + R * (PER_RATE + L * PER_LENGTH): its peak RSS
-# above the import measured 240 + R * (414 + 176 L) B per label at n = 8
-# (L = 1, 6; R = 1, 3; 4^n - 1 shots, the most a shot batch holds), rounded
-# up.  A rate holds its result's f_rows and fit arrays; the table rows the
-# CLI builds for every rate and length take most of it
-BENCHMARK_BYTES_PER_LABEL = 256
-BENCHMARK_BYTES_PER_RATE = 448
-BENCHMARK_BYTES_PER_LENGTH = 192
+# above the import measured 436, 710 and 1178 B per label for L = 1 and
+# R = 1, 2, 3, and 658, 840 and 945 B for L = 6, at n = 8 with 4^n - 1
+# shots (the most a shot batch holds); the constants bound every point.  A
+# rate holds its result's f_rows and fit arrays, and the CLI writes one
+# rate's table columns at a time.  The L = 1 runs set PER_RATE: one length
+# fits no decay, so every label keeps a fit-error message
+BENCHMARK_BYTES_PER_LABEL = 96
+BENCHMARK_BYTES_PER_RATE = 320
+BENCHMARK_BYTES_PER_LENGTH = 48
 
 
 @dataclass
@@ -101,12 +102,6 @@ class EstimateSet:
             raise UsageError("dense estimate set must cover all labels")
         if np.any(self.n_shots < 1):
             raise UsageError("every reported label needs at least one shot")
-
-    def clamp(self) -> "EstimateSet":
-        """Physical projection of the estimates onto [-1, 1]."""
-        return EstimateSet(self.n, np.clip(self.lambda_hat, -1.0, 1.0),
-                           self.n_shots.copy(),
-                           None if self.stderr is None else self.stderr.copy())
 
     def max_abs_error(self, true_eigenvalues: np.ndarray) -> float:
         truth = np.asarray(true_eigenvalues, dtype=np.float64)
@@ -141,7 +136,7 @@ def dense_benchmark_bytes(n: int, lengths: int, rates: int) -> int:
     """Bytes a dense `benchmark` run on n qubits holds at its peak, beyond
     the interpreter, with `lengths` distinct sequence lengths and `rates`
     SPAM rates: every rate's (lengths x 4^n) means and fit arrays, and the
-    rows of its estimate and decay tables.  Pure arithmetic, like
+    columns of one rate's estimate and decay tables.  Pure arithmetic, like
     `dense_estimate_bytes`."""
     per_rate = BENCHMARK_BYTES_PER_RATE + lengths * BENCHMARK_BYTES_PER_LENGTH
     return (BENCHMARK_BYTES_PER_LABEL + rates * per_rate) * 4**n

@@ -10,8 +10,8 @@ per-label reference the suite checks it against.
 The quotient-space pairing <s, e> that appears in the outcome distribution
 is represented generator-wise: for s = sum_j alpha_j g_j and an error c
 with syndrome e, the product alpha . e (mod 2) equals <s, c> by bilinearity,
-independently of which coset representative c is.  `pairing_with_syndrome`
-implements exactly that dot product.
+independently of which coset representative c is; the estimator's
+transform applies it along the m syndrome bits.
 
 Two coverings of the m-qubit Pauli labels are provided:
 
@@ -38,7 +38,7 @@ blocks by XOR doubling, the array form of `StabilizerGroup.elements`; the
 estimator's label blocks and the ancilla-free discrimination are built
 from it.  `verify_covering` stays on the scalar `elements` and `symp`, so
 it checks the array code rather than repeating it.  Membership is read off
-`elements`, and a whole covering's label -> groups map off `coverage_map`.
+`elements`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .gf2m import MAX_M, trace_masks
 from .pauli import format_bits, parse_bits, symp, symp_u64
 
 VERIFY_MAX_M = 10
-_DENSE_MAP_LIMIT = 1 << 22  # total coverage entries kept in memory
 _ARRAY_MAX_M = 32  # a generator is a uint64 of 2m bits
 
 
@@ -193,12 +192,6 @@ class StabilizerGroup:
         return elems
 
 
-def pairing_with_syndrome(alpha: int, e: int) -> int:
-    """alpha . e over GF(2); equals <S.element(alpha), c> whenever
-    e = S.syndrome(c)."""
-    return (alpha & e).bit_count() & 1
-
-
 @dataclass(frozen=True)
 class Covering:
     """A family of stabilizer groups jointly containing every label."""
@@ -249,19 +242,6 @@ class Covering:
 
     def __len__(self):
         return len(self.groups)
-
-    def coverage_map(self) -> list[list[int]]:
-        """Dense label -> group-indices map (small m only)."""
-        total = sum(1 << g.m for g in self.groups)
-        if self.m > VERIFY_MAX_M or total > _DENSE_MAP_LIMIT:
-            raise CapabilityError(
-                f"dense coverage map too large (m={self.m}, {total} entries)"
-            )
-        cover: list[list[int]] = [[] for _ in range(4**self.m)]
-        for i, g in enumerate(self.groups):
-            for lbl in g.elements():
-                cover[lbl].append(i)
-        return cover
 
     def to_json(self) -> dict:
         return {

@@ -196,18 +196,6 @@ def test_config_errors(tmp_path, capsys):
     assert err.count("\n") == 4 and err.count("config error: ") == 4, err
 
 
-def test_estimate_clamp_takes_a_boolean(tmp_path):
-    # means of +-1 signs already lie in [-1, 1], so clamping keeps the table
-    tables = {}
-    for clamp in (True, False):
-        cfg = write_config(tmp_path, f"{clamp}.json", dict(
-            _EST, channel={"kind": "random-dirichlet"}, clamp=clamp))
-        out = tmp_path / str(clamp)
-        assert run_cli("estimate", "--config", cfg, "--out", str(out)) == 0
-        tables[clamp] = (out / "estimates.csv").read_bytes()
-    assert tables[True] == tables[False]
-
-
 def test_capability_exit_code(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "experiment": "estimate", "n": 14, "k": 14,
@@ -505,22 +493,48 @@ def test_verify_full_passes(capsys):
 
 
 def test_json_columns_span_blocks(tmp_path, monkeypatch):
-    # the JSON branch converts one block of rows at a time
+    # the JSON branch converts one piece of rows at a time
     monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
-    labels = np.arange(29, dtype=np.uint64)  # the last block holds one row
+    labels = np.arange(29, dtype=np.uint64)  # the last piece holds one row
     lam = np.linspace(-1.0, 1.0, 29)
     lam[[3, 7, 8]] = [np.nan, -0.0, np.inf]
     counts = np.arange(29) * 1000
     header = ["label", "lambda_hat", "n_shots"]
-    writer = cli.RunWriter(str(tmp_path), "json")
-    path = writer.write_columns("t", header, [format_labels(labels, 3), lam,
-                                              counts])
+    columns = [format_labels(labels, 3), lam, counts]
     rows = [[format_bits(b, 3), x, c] for b, x, c in
             zip(labels.tolist(), lam.tolist(), counts.tolist())]
-    assert path.read_text() == json.dumps(
+    expected = json.dumps(
         [dict(zip(header, row)) for row in rows], indent=1) + "\n"
+    writer = cli.RunWriter(str(tmp_path), "json")
+    assert writer.write_table("t", header, [columns]).read_text() == expected
+    # several blocks, an empty one and one longer than a piece, in one file
+    cuts = [0, 2, 2, 20, 29]
+    path = writer.write_table("b", header, [
+        [col[lo:hi] for col in columns] for lo, hi in zip(cuts, cuts[1:])])
+    assert path.read_text() == expected
+    assert writer.tables["b.json"]["rows"] == 29
     empty = writer.write_table("e", header, [])
     assert empty.read_text() == "[]\n"
+    assert writer.tables["e.json"]["rows"] == 0
+
+
+def test_benchmark_json_equals_csv_rows(tmp_path):
+    # the JSON tables hold the CSV's values: spam_rate stays a string
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "benchmark", "n": 2,
+        "gate": {"kind": "random-dirichlet"}, "m_list": [0, 4, 1, 4],
+        "shots_per_m": 400, "spam_sweep": [0, 0.05, 0.2], "seed": 3})
+    for fmt in ("csv", "json"):
+        assert run_cli("benchmark", "--config", cfg, "--format", fmt,
+                       "--out", str(tmp_path / fmt)) == 0
+    kinds = {"m": int, "n_shots": int, "shots": int, "lambda_hat": float,
+             "stderr": float, "f_mean": float}
+    for table, count in (("estimates", 3 * 16), ("decays", 3 * 3 * 16)):
+        rows = [{key: kinds.get(key, str)(value) for key, value in row.items()}
+                for row in read_csv(tmp_path / "csv" / f"{table}.csv")]
+        assert len(rows) == count and rows[1]["spam_rate"] == "0"
+        text = (tmp_path / "json" / f"{table}.json").read_text()
+        assert text == json.dumps(rows, indent=1) + "\n"
 
 
 def test_verify_fails_on_corrupted_covering(monkeypatch, capsys):

@@ -391,16 +391,6 @@ def test_success_guarantee_small_instance():
     assert ok >= math.ceil((1 - delta) * trials)
 
 
-def test_clamping_is_separate():
-    rng = np.random.default_rng(3)
-    ch = PauliChannel.spike(2, 3, +1)
-    est = estimate_alg1(ch, 2, mub_covering(0), 2000, rng)
-    assert np.max(est.lambda_hat) >= 1.0  # raw estimates may exceed 1
-    clamped = est.clamp()
-    assert np.max(clamped.lambda_hat) <= 1.0
-    assert np.min(clamped.lambda_hat) >= -1.0
-
-
 def test_estimate_set_lookup_and_validation():
     # dense only: entry b is label b, and every label needs a shot
     est = EstimateSet(1, np.array([1.0, 0.5, -0.25, 0.0]),
@@ -551,19 +541,25 @@ def test_spam_robustness_two_sample():
 
 
 def test_csv_writers(tmp_path):
-    # rows of Python values: floats at 17 significant digits, ints as is
+    # floats at 17 significant digits, ints as is
     writer = RunWriter(str(tmp_path), "csv")
-    path = writer.write_table("estimates",
-                              ["label", "lambda_hat", "n_shots", "stderr"],
-                              [["I", 1.0, 100, 0.0], ["X", 0.25, 100, 0.1]])
+    path = writer.write_table(
+        "estimates", ["label", "lambda_hat", "n_shots", "stderr"],
+        [[np.array([b"I", b"X"]), np.array([1.0, 0.25]), np.array([100, 100]),
+          np.array([0.0, 0.1])]])
     lines = path.read_text().splitlines()
     assert lines[0] == "label,lambda_hat,n_shots,stderr"
     assert lines[1] == "I,1,100,0"
     assert lines[2] == "X,0.25,100,0.10000000000000001"
-    path = writer.write_table("decays", ["label", "m", "f_mean", "shots"],
-                              [["Z", 0, 1.0, 10]])
+    path = writer.write_table(
+        "decays", ["label", "m", "f_mean", "shots"],
+        [[np.array([b"Z"]), np.array([0]), np.array([1.0]), np.array([10])]])
     assert path.read_text().splitlines()[1] == "Z,0,1,10"
     assert writer.tables["decays.csv"]["rows"] == 1
+    # an empty table is its header alone
+    path = writer.write_table("empty", ["label", "m"], [])
+    assert path.read_text() == "label,m\n"
+    assert writer.tables["empty.csv"]["rows"] == 0
 
 
 def test_column_writer_matches_rows(tmp_path):
@@ -589,14 +585,21 @@ def test_column_writer_matches_rows(tmp_path):
     assert [line.split(",")[1] for line in
             expected_csv[_CSV_CHUNK_ROWS - 3:_CSV_CHUNK_ROWS - 1]] == ["-0", "0"]
     writer = RunWriter(str(tmp_path / "csv"), "csv")
-    text = writer.write_columns("estimates", header, columns).read_text()
+    text = writer.write_table("estimates", header, [columns]).read_text()
     assert text.endswith("\n") and text.splitlines() == expected_csv
     assert writer.tables["estimates.csv"]["rows"] == rows
+    # several blocks, an empty one and one longer than a piece, in one file
+    cuts = [0, 3, 3, _CSV_CHUNK_ROWS + 13, rows]
+    blocks = ([col[lo:hi] for col in columns]
+              for lo, hi in zip(cuts, cuts[1:]))
+    text = writer.write_table("blocks", header, blocks).read_text()
+    assert text.endswith("\n") and text.splitlines() == expected_csv
+    assert writer.tables["blocks.csv"]["rows"] == rows
     # JSON takes no chunks: the rows around the special values suffice
     part = slice(_CSV_CHUNK_ROWS - 50, _CSV_CHUNK_ROWS + 50)
     writer = RunWriter(str(tmp_path / "json"), "json")
-    path = writer.write_columns("estimates", header,
-                                [col[part] for col in columns])
+    path = writer.write_table("estimates", header,
+                              [[col[part] for col in columns]])
     assert path.read_text() == json.dumps(
         [dict(zip(header, row)) for row in py_rows[part]], indent=1) + "\n"
     assert writer.tables["estimates.json"]["rows"] == 100

@@ -16,7 +16,7 @@ from paulibench import (
 from paulibench import stabilizer
 from paulibench.gf2m import alpha_powers, gf_mul, gf_trace
 from paulibench.pauli import format_bits, parse_bits, symp
-from paulibench.stabilizer import element_block, pairing_with_syndrome
+from paulibench.stabilizer import element_block
 
 Z1 = StabilizerGroup(1, (parse_bits("Z", 1),))
 
@@ -49,10 +49,24 @@ def test_element_examples():
     assert zz.element(0b11) == parse_bits("ZZ", 2)
 
 
+def _pairing(alpha: int, e: int) -> int:
+    """alpha . e over GF(2), the estimator's sign exponent."""
+    return (alpha & e).bit_count() & 1
+
+
+def _coverage_map(cov) -> list[list[int]]:
+    """label -> indices of the groups holding it, by scanning `elements`."""
+    cover: list[list[int]] = [[] for _ in range(4**cov.m)]
+    for i, grp in enumerate(cov.groups):
+        for lbl in grp.elements():
+            cover[lbl].append(i)
+    return cover
+
+
 def test_pairing_examples():
-    assert pairing_with_syndrome(0, 0b11) == 0
-    assert pairing_with_syndrome(0b10, 0) == 0
-    assert pairing_with_syndrome(0b01, 0b11) == 1
+    assert _pairing(0, 0b11) == 0
+    assert _pairing(0b10, 0) == 0
+    assert _pairing(0b01, 0b11) == 1
 
 
 def test_syndrome_linearity():
@@ -73,7 +87,7 @@ def test_pairing_equals_symplectic_product(m):
             s = grp.element(alpha)
             for c in range(4**m):
                 e = grp.syndrome(c)
-                assert pairing_with_syndrome(alpha, e) == symp(s, c)
+                assert _pairing(alpha, e) == symp(s, c)
 
 
 def test_group_validation():
@@ -133,7 +147,7 @@ def test_pauli_basis_covering(m):
 def test_pauli_basis_coverage_counts():
     cov = pauli_basis_covering(2)
     assert len(cov.groups) == 9
-    cover = cov.coverage_map()
+    cover = _coverage_map(cov)
     xi = parse_bits("XI", 2)
     # a weight-1 label lies in every group agreeing on its support
     assert len(cover[xi]) == 3
@@ -142,11 +156,14 @@ def test_pauli_basis_coverage_counts():
 
 
 def test_coverage_map_matches_scan():
+    # the scalar scan agrees with the array elements, and the MUB groups
+    # share only the identity
     cov = mub_covering(3)
-    cover = cov.coverage_map()
+    cover = _coverage_map(cov)
+    block = element_block(cov.generator_array)
     for lbl in range(4**3):
-        assert cover[lbl] == [i for i, grp in enumerate(cov.groups)
-                              if lbl in grp.elements()]
+        assert cover[lbl] == np.flatnonzero((block == lbl).any(axis=1)).tolist()
+        assert len(cover[lbl]) == (len(cov.groups) if lbl == 0 else 1)
 
 
 def test_verify_covering_negative_control():
