@@ -433,6 +433,10 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
     n = _int(cfg["n"], "n", 1)
     m_list = [_int(m, "m_list entry", 0)
               for m in _list(cfg.get("m_list", list(DEFAULT_LENGTHS)), "m_list")]
+    if len(set(m_list)) < 2:
+        raise ConfigError(
+            f"m_list needs two or more distinct lengths to fit a decay, "
+            f"got {m_list}")
     shots = _int(cfg["shots_per_m"], "shots_per_m", 1)
     explicit_spam = "prep" in cfg or "meas" in cfg
     if explicit_spam and ("spam_sweep" in cfg or "spam_depolarizing" in cfg):
@@ -569,6 +573,17 @@ def cmd_discriminate(cfg: dict, seed: int, writer: RunWriter) -> dict:
                     "median_shots": float(np.median(shots[correct]))
                     if correct.any() else None,
                 }
+    slopes = {}
+    for mode in modes:
+        medians = {n: summary[f"{mode}:n={n}"]["median_shots"] for n in n_list}
+        ns = [n for n, median in medians.items() if median is not None]
+        if len(ns) > 1:
+            # least squares of log2 median_shots against n; the ancilla-free
+            # Omega(2^(n/3)) lower bound implies at least 1/3
+            slopes[mode] = float(np.polyfit(
+                ns, np.log2([medians[n] for n in ns]), 1)[0])
+    if slopes:
+        summary["log2_median_shots_slope"] = slopes
     with writer.stage("write"):
         writer.write_table(
             "discriminate",
@@ -585,6 +600,7 @@ def cmd_verify(level: str, seed: int, writer: RunWriter | None) -> int:
         print(res.line())
         lines.append(res.line())
     if writer is not None:
+        writer.stages = {r.name: r.seconds for r in results}
         writer.write_text("verify.txt", "\n".join(lines) + "\n")
         checks = [{"name": r.name, "ok": bool(r.ok),
                    "seconds": round(r.seconds, 6), "detail": r.detail,

@@ -81,7 +81,9 @@ DENSE_BYTES_PER_LABEL = 96
 # shots (the most a shot batch holds); the constants bound every point.  A
 # rate holds its result's f_rows and fit arrays, and the CLI writes one
 # rate's table columns at a time.  The L = 1 runs set PER_RATE: one length
-# fits no decay, so every label keeps a fit-error message
+# fits no decay, so every label keeps a fit-error message.  The CLI now
+# refuses ladders of fewer than two distinct lengths; the constants, set
+# with them, still bound every run it accepts
 BENCHMARK_BYTES_PER_LABEL = 96
 BENCHMARK_BYTES_PER_RATE = 320
 BENCHMARK_BYTES_PER_LENGTH = 48

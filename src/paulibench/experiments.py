@@ -13,10 +13,12 @@ Each function takes validated values and returns plain results.  Every
 trial and every SPAM rate draws from its own `derive_rng(seed, ...)` stream
 and runs in key order, one after another.
 
-A discrimination trial draws its shots in blocks and computes each block's
-consistency masks in a few array ops; the stopping rule then reads the
-shots one at a time, so a trial stops at the same shot, with the same
-decision, as a loop that draws one shot at a time.
+A discrimination trial applies one rule in both modes: a shot keeps the
+candidates of its group that commute with its error, the one Bell group
+holding every label.  Shots come a block of whole rounds at a time, and a
+block's masks, alive counts and log2 ratios take a few array ops, so a
+trial stops at the same shot, with the same decision, as a loop that draws
+one shot at a time.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from .seeding import derive_rng
 from .stabilizer import Covering, element_block, mub_covering
 
 DISCRIMINATE_MODES = ("bell", "ancilla-free")
-# `discriminate` draws shots in blocks of at most SHOT_BLOCK shots whose
-# consistency masks hold at most SHOT_BLOCK_CELLS cells, and an ancilla-free
-# block measures each group at most once: at n = 6 that is 64 ancilla-free
-# shots of 63 cells and 4 Bell shots of 4095, one Bell shot from n = 7 on.
-# A Bell block of 16 at n = 6, with its uint64 temporaries, raised the
-# README `discriminate` peak RSS by about 2 MB; this one by 0.1 MB
+# `discriminate` draws blocks of at most SHOT_BLOCK rounds (one shot per
+# group) whose consistency masks hold at most SHOT_BLOCK_CELLS cells.  A
+# round has 4^n - 1 cells in either mode, so at n = 6 a block is 4 Bell or
+# 260 ancilla-free shots, and from n = 7 on one round.  A Bell block of 16
+# at n = 6, with its uint64 temporaries, raised the README `discriminate`
+# peak RSS by about 2 MB; this one by 0.1 MB
 SHOT_BLOCK = 64
 SHOT_BLOCK_CELLS = 1 << 14
 
@@ -103,36 +105,25 @@ def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
 def discriminate(n: int, mode: str, trials: int, max_shots: int,
                  seed: int) -> list[tuple[str, str, int]]:
     """(truth, declared, shots) of each of `trials` trials in `mode`."""
-    groups = None
-    if mode == "ancilla-free":
-        # column alpha of an element block is element(alpha), so member
-        # i of every group has coefficient vector i + 1
-        generators = mub_covering(n).generator_array
-        groups = (generators, element_block(generators)[:, 1:])
-    return [_discriminate_trial(n, mode, seed, t, max_shots, groups)
+    if mode == "bell":
+        members = np.arange(1, 4**n, dtype=np.uint64)[None]
+    else:
+        members = element_block(
+            mub_covering(n).generator_array)[:, 1:].astype(np.uint64)
+    return [_discriminate_trial(n, mode, seed, t, max_shots, members)
             for t in range(trials)]
 
 
-def _shot_blocks(max_shots: int, width: int, most: int):
-    """(first shot, block size) pairs that tile shots 1..max_shots in blocks
-    of at most `most` shots and SHOT_BLOCK_CELLS mask cells, `width` cells
-    per shot."""
-    size = max(1, min(most, SHOT_BLOCK_CELLS // width))
-    for first in range(1, max_shots + 1, size):
-        yield first, min(size, max_shots + 1 - first)
-
-
 def _discriminate_trial(n: int, mode: str, seed: int, trial: int,
-                        max_shots: int, groups) -> tuple[str, str, int]:
+                        max_shots: int, members) -> tuple[str, str, int]:
     """Sequential decision between the fully-depolarizing channel and a
     random spike channel; returns (truth, declared, shots).
 
     The running log-likelihood ratio of the composite spike hypothesis
     against the depolarizing one is log2(sum over alive candidates of
     2^consistent-own-group-shots) + shots-in-favor - log2(4^n - 1); the
-    trial stops at posterior 0.9, i.e. |log2 ratio| >= log2(9), or when no
-    candidate is left.  `groups` is the ancilla-free (generators, members)
-    pair of `_ancilla_free_steps`.
+    trial stops at the first shot with posterior 0.9, i.e. |log2 ratio| >=
+    log2(9), or with no candidate left; `members` as in `_shot_rounds`.
     """
     rng = derive_rng(seed, "discriminate", mode, n, trial)
     spike_truth = bool(rng.integers(0, 2))
@@ -143,104 +134,78 @@ def _discriminate_trial(n: int, mode: str, seed: int, trial: int,
     else:
         channel = PauliChannel.fully_depolarizing(n)
     log2_threshold = float(np.log2(9.0))  # posterior 0.9 under equal priors
-    steps = _bell_steps(n, channel, rng, max_shots) if mode == "bell" \
-        else _ancilla_free_steps(n, channel, rng, max_shots, groups)
-    for shot, n_alive, log2_ratio, last in steps:
-        if n_alive == 0 or log2_ratio <= -log2_threshold:
-            return truth, "dep", shot
-        if n_alive == 1 and log2_ratio >= log2_threshold:
-            return truth, f"spike:{format_bits(last, n)}", shot
+    for first, total, ratio, alive in _shot_rounds(channel, rng, max_shots,
+                                                   members):
+        spike = (total == 1) & (ratio >= log2_threshold)
+        stop = np.flatnonzero((total == 0) | (ratio <= -log2_threshold)
+                              | spike)
+        if stop.size:
+            i = int(stop[0])
+            if not spike[i]:
+                return truth, "dep", first + i
+            last = int(_alive_members(members, alive, i)[0])
+            return truth, f"spike:{format_bits(last, n)}", first + i
     return truth, "undecided", max_shots
 
 
-def _bell_steps(n: int, channel: PauliChannel, rng: np.random.Generator,
-                max_shots: int):
-    """Yield (shot, alive candidates, log2 ratio, the one alive candidate or
-    None) after each Bell shot; the ratio is None when none is alive.
+def _shot_rounds(channel: PauliChannel, rng: np.random.Generator,
+                 max_shots: int, members: np.ndarray):
+    """Yield (first shot, alive counts, log2 ratios, alive states) per
+    block of whole rounds of shots 1..max_shots: the counts and ratios after
+    each shot up to max_shots (the ratio -inf once none is alive), and
+    (rounds + 1, G, W) states, the block's starting state, then each
+    group's state after its shot of each round.
 
-    Shots are drawn a block at a time, with their commutation masks in one
-    array op; `sample(rng, B)` reads the same uniforms as B single draws,
-    and a trial owns its stream, so draws past its stopping shot change
-    nothing.  A Bell shot reveals the error label itself, so it keeps the
-    candidates commuting with it and every alive one has all shots in its
-    favour."""
-    labels = np.arange(1, 4**n, dtype=np.uint64)
-    alive = np.ones(labels.shape, dtype=bool)
-    log2_count = float(np.log2(4**n - 1))
-    for first, size in _shot_blocks(max_shots, labels.size, SHOT_BLOCK):
-        commuting = symp_u64(labels, channel.sample(rng, size)[:, None]) == 0
-        for shot, row in enumerate(commuting, first):
-            alive &= row
-            n_alive = int(alive.sum())
-            if n_alive == 0:
-                yield shot, 0, None, None
-                continue
-            log2_ratio = shot + float(np.log2(n_alive)) - log2_count
-            last = int(labels[int(np.argmax(alive))]) if n_alive == 1 \
-                else None
-            yield shot, n_alive, log2_ratio, last
+    Shot s measures group (s - 1) % G of the (G, W) uint64 `members` and
+    keeps the members b of that group with <b, a> = 0 for its error a: one
+    group of every label with a Bell ancilla, the MUB groups' non-identity
+    elements without (their syndrome test is <b, a> by bilinearity).  A
+    trial owns its stream, and `sample(rng, B)` reads the uniforms of B
+    single draws, so draws past a stopping shot change nothing.
 
-
-def _ancilla_free_steps(n: int, channel: PauliChannel,
-                        rng: np.random.Generator, max_shots: int, groups):
-    """`_bell_steps` without an ancilla: shot s measures the syndrome of
-    MUB group (s - 1) % G.  `groups` is the (generators, members) pair of
-    (G, n) and (G, 2^n - 1) arrays, members[g, i] having coefficient
-    vector i + 1.
-
-    A block's syndromes and consistency masks take a few array ops; the
-    state then advances shot by shot.  A candidate is alive while every
-    shot of its own group agreed with it, and the MUB groups partition the
-    non-identity labels, so the consistent own-group shots of an alive
-    candidate are its group's shot count.  Round-robin shots keep every
-    group's count within one of the peak: after a shot of group g, groups
-    0..g have one shot more than the rest.  The log-sum-exp terms
-    2^(count - peak) are therefore 1 and 1/2, and their float sum is exact
-    in any order: live_hi + live_lo / 2."""
-    generators, members = groups
-    n_groups, width = members.shape
-    alphas = np.arange(1, 2**n, dtype=np.uint64)
-    bits = np.arange(n, dtype=np.uint64)
-    log2_count = float(np.log2(4**n - 1))
+    The groups partition the non-identity labels and an alive candidate
+    agreed with every shot of its group.  After a shot of group g, groups
+    0..g have had one shot more than the rest, so the log-sum-exp terms
+    2^(shots - peak) are 1 and 1/2, and their float sum is exact in any
+    order: hi + lo / 2, hi alive in groups 0..g, lo in the rest."""
+    n_groups = members.shape[0]
+    log2_count = float(np.log2(4**channel.n - 1))
+    most = max(1, min(SHOT_BLOCK, SHOT_BLOCK_CELLS // members.size))
     alive = np.ones(members.shape, dtype=bool)
-    n_live = [width] * n_groups
-    total = n_groups * width
-    live_hi = 0  # alive candidates in the groups one shot ahead
-    for first, size in _shot_blocks(max_shots, width,
-                                    min(SHOT_BLOCK, n_groups)):
-        group = np.arange(first - 1, first - 1 + size) % n_groups
-        a = channel.sample(rng, size)
-        # bit j of e is <g_j, a> for the generators of each shot's group
-        e = np.bitwise_or.reduce(
-            symp_u64(generators[group], a[:, None]) << bits, axis=1)
-        consistent = (np.bitwise_count(alphas & e[:, None])
-                      & np.uint64(1)) == 0
-        # a block's groups are distinct, so each row is its group's state
-        # after its shot
-        rows = alive[group] & consistent
-        for at, (g, live_g) in enumerate(zip(
-                group.tolist(), np.count_nonzero(rows, axis=1).tolist())):
-            shot = first + at
-            total += live_g - n_live[g]
-            n_live[g] = live_g
-            live_hi = live_g + (live_hi if g else 0)
-            if total == 0:
-                yield shot, 0, None, None
-                continue
-            behind = (shot - 1) // n_groups  # shots of groups g+1..G-1
-            if live_hi:
-                peak, spread = behind + 1, live_hi + (total - live_hi) / 2
-            else:
-                peak, spread = behind, total
-            log2_ratio = peak + float(np.log2(spread)) - log2_count
-            last = None
-            if total == 1:
-                g_last = n_live.index(1)
-                seen = np.flatnonzero(group[:at + 1] == g_last)
-                row = rows[seen[0]] if seen.size else alive[g_last]
-                last = int(members[g_last, int(np.argmax(row))])
-            yield shot, total, log2_ratio, last
-        alive[group] = rows
+    counts = np.full((1, n_groups), members.shape[1])
+    for first in range(1, max_shots + 1, most * n_groups):
+        left = max_shots + 1 - first
+        rounds = min(most, -(-left // n_groups))
+        errors = channel.sample(rng, rounds * n_groups)
+        states = np.empty((rounds + 1,) + members.shape, dtype=bool)
+        states[0] = alive
+        np.equal(symp_u64(members, errors.reshape(rounds, n_groups, 1)), 0,
+                 out=states[1:])
+        # np.logical_and.accumulate(axis=0) would run its inner loop along
+        # the short round axis, several times slower at n = 10
+        for r in range(rounds):
+            states[r + 1] &= states[r]
+        alive = states[-1]
+        counts = np.concatenate(
+            [counts[-1:], np.count_nonzero(states[1:], axis=2)])
+        hi = np.cumsum(counts[1:], axis=1)
+        lo = counts[:-1].sum(axis=1, keepdims=True) \
+            - np.cumsum(counts[:-1], axis=1)
+        total, ahead = hi + lo, hi > 0
+        behind = np.arange(rounds)[:, None] + (first - 1) // n_groups
+        with np.errstate(divide="ignore"):
+            ratio = (behind + ahead) + np.log2(
+                np.where(ahead, hi + lo / 2, total)) - log2_count
+        shots = min(left, rounds * n_groups)
+        yield first, total.ravel()[:shots], ratio.ravel()[:shots], states
+
+
+def _alive_members(members, states, i: int) -> np.ndarray:
+    """The members alive after shot i of a `_shot_rounds` block: groups up
+    to the shot's own as of its round, the rest as of the round before."""
+    r, g = divmod(i, members.shape[0])
+    done = np.arange(members.shape[0])[:, None] <= g
+    return members[np.where(done, states[r + 1], states[r])]
 
 
 def spam_sweep(gate: PauliChannel, rates: list[float], lengths: list[int],

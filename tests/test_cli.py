@@ -156,6 +156,9 @@ CONFIG_ERRORS = [
     ("benchmark", dict(_BENCH, spam_sweep=["high"]), 2),
     ("benchmark", dict(_BENCH, m_list=5), 2),
     ("benchmark", dict(_BENCH, m_list=[]), 2),
+    # fewer than two distinct lengths fit no decay
+    ("benchmark", dict(_BENCH, m_list=[0]), 2),
+    ("benchmark", dict(_BENCH, m_list=[3, 3]), 2),
     ("benchmark", dict(_BENCH, shots_per_m=0), 2),
     ("sweep-ancilla", dict(_SWEEP, k_list=[]), 2),
     ("sweep-ancilla", dict(_SWEEP, k_list=[3]), 2),
@@ -316,6 +319,13 @@ def test_estimate_run_json_records_stages(tmp_path):
         assert list(stages) == expected, command
         assert all(isinstance(sec, float) and sec >= 0.0
                    for sec in stages.values())
+    # verify records one stage per check, its seconds
+    out = tmp_path / "verify"
+    assert run_cli("verify", "--level", "quick", "--out", str(out)) == 0
+    meta = json.loads((out / "run.json").read_text())
+    checks = meta["summary"]["checks"]
+    assert meta["stages"] == {c["name"]: c["seconds"] for c in checks}
+    assert checks and list(meta["stages"]) == [c["name"] for c in checks]
 
 
 def test_run_writer_stage_sums_repeats(tmp_path):
@@ -454,6 +464,28 @@ def test_discriminate_cli(tmp_path):
     bell_summary = meta["summary"]["bell:n=2"]
     free_summary = meta["summary"]["ancilla-free:n=2"]
     assert bell_summary["median_shots"] < free_summary["median_shots"]
+    assert "log2_median_shots_slope" not in meta["summary"]  # one n only
+
+
+def test_discriminate_median_shots_slope(tmp_path):
+    # the slope of log2 median_shots against n, recomputed from the table
+    n_list = [1, 2, 3]
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "discriminate", "n_list": n_list, "trials": 12,
+        "max_shots": 4000, "seed": 3,
+    })
+    out = tmp_path / "run"
+    assert run_cli("discriminate", "--config", cfg, "--out", str(out)) == 0
+    rows = read_csv(out / "discriminate.csv")
+    slopes = json.loads((out / "run.json").read_text())["summary"][
+        "log2_median_shots_slope"]
+    assert list(slopes) == ["bell", "ancilla-free"]
+    for mode, slope in slopes.items():
+        medians = [np.median([int(r["shots"]) for r in rows
+                              if r["mode"] == mode and r["n"] == str(n)
+                              and r["correct"] == "1"]) for n in n_list]
+        expected = np.polyfit(n_list, np.log2(medians), 1)[0]
+        assert slope == pytest.approx(expected, rel=1e-12), mode
 
 
 def test_json_output_format(tmp_path):

@@ -109,14 +109,23 @@ def _per_shot_trial(n, mode, seed, trial, max_shots, groups):
     return truth, "undecided", max_shots
 
 
-@pytest.mark.parametrize("block", [None, 3])
+# blocks of the default size, of at most three rounds, and of one round
+BLOCKS = [None, 3, "one-round"]
+
+
+def _set_block(monkeypatch, block):
+    if block == "one-round":
+        monkeypatch.setattr(experiments, "SHOT_BLOCK_CELLS", 1)
+    elif block is not None:
+        monkeypatch.setattr(experiments, "SHOT_BLOCK", block)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("mode", experiments.DISCRIMINATE_MODES)
 def test_block_trials_equal_per_shot_trials(mode, block, monkeypatch):
-    # blocks of the default size and of three shots, so that trials cross
-    # block ends; max_shots 3 leaves most trials undecided, 70 and 2000 end
-    # inside and past a first default block
-    if block is not None:
-        monkeypatch.setattr(experiments, "SHOT_BLOCK", block)
+    # trials cross block ends; max_shots 3 leaves most trials undecided, 70
+    # and 2000 end inside and past a first default block
+    _set_block(monkeypatch, block)
     outcomes = set()
     for n in range(1, 5):
         groups = [(grp, np.asarray(grp.elements()[1:], dtype=np.int64))
@@ -167,31 +176,41 @@ def _per_shot_steps(n, mode, channel, rng, max_shots, groups):
                int(live[0]) if live.size == 1 else None)
 
 
-@pytest.mark.parametrize("block", [None, 3])
+def _block_steps(channel, rng, max_shots, members):
+    """The blocks of `experiments._shot_rounds` as the per-shot stream of
+    `_per_shot_steps`, the last alive candidate read at every shot."""
+    for first, total, ratio, states in experiments._shot_rounds(
+            channel, rng, max_shots, members):
+        for i, (alive, log2_ratio) in enumerate(zip(total.tolist(),
+                                                    ratio.tolist())):
+            last = int(experiments._alive_members(members, states, i)[0]) \
+                if alive == 1 else None
+            yield first + i, alive, log2_ratio if alive else None, last
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("mode", experiments.DISCRIMINATE_MODES)
 def test_step_streams_equal_per_shot_arithmetic(mode, block, monkeypatch):
     # every shot's alive count, exact log2 ratio and last candidate,
     # also past the point where a trial would stop
-    if block is not None:
-        monkeypatch.setattr(experiments, "SHOT_BLOCK", block)
-    steps = (experiments._bell_steps if mode == "bell"
-             else experiments._ancilla_free_steps)
+    _set_block(monkeypatch, block)
     for n in range(1, 6):
         cover = mub_covering(n).groups
         groups = [(grp, np.asarray(grp.elements()[1:], dtype=np.int64))
                   for grp in cover]
-        arrays = (np.array([grp.generators for grp in cover], dtype=np.uint64),
-                  np.array([members for _, members in groups]))
+        members = (np.arange(1, 4**n, dtype=np.uint64)[None] if mode == "bell"
+                   else np.array([m for _, m in groups], dtype=np.uint64))
         picks = np.random.default_rng(n).integers(1, 4**n, size=3)
         channels = [PauliChannel.fully_depolarizing(n)] + [
             PauliChannel.spike(n, int(a), +1) for a in picks]
+        # one shot into a thirteenth round, so the last block is cut short
+        max_shots = 12 * len(cover) + 1
         for i, channel in enumerate(channels):
-            args = (n, channel, np.random.default_rng(i), 12 * len(cover))
-            fast = list(steps(*args) if mode == "bell"
-                        else steps(*args, arrays))
+            fast = list(_block_steps(channel, np.random.default_rng(i),
+                                     max_shots, members))
             slow = list(_per_shot_steps(n, mode, channel,
-                                        np.random.default_rng(i),
-                                        12 * len(cover), groups))
+                                        np.random.default_rng(i), max_shots,
+                                        groups))
             assert fast == slow, (n, i)
 
 

@@ -48,6 +48,10 @@ CONFIGS = {
     "discriminate-n2-3": ("discriminate", {
         "experiment": "discriminate", "n_list": [2, 3], "trials": 20,
         "max_shots": 100000, "seed": 7}, ("discriminate.csv",)),
+    "discriminate-n6": ("discriminate", {
+        "experiment": "discriminate", "n_list": [6],
+        "modes": ["bell", "ancilla-free"], "trials": 10,
+        "max_shots": 100000, "seed": 7}, ("discriminate.csv",)),
 }
 
 DIGESTS = {
@@ -60,6 +64,10 @@ DIGESTS = {
     "discriminate-n2-3": {
         "discriminate.csv":
             "119b2284d5befe6229c25325819cd8ee47f98072f43eef9ef3553bfd772974eb",
+    },
+    "discriminate-n6": {
+        "discriminate.csv":
+            "dd2b33eb40e505b3a8328c76b94d256799da4a10cbd51291f361bcaa2e4ab3a5",
     },
     "estimate-k0": {
         "estimates.csv":
