@@ -101,27 +101,19 @@ def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
     return out
 
 
-def wht_forward(p: np.ndarray, n: int | None = None, *,
-                syndrome_digits: int = 0) -> np.ndarray:
+def wht_forward(p: np.ndarray, *, syndrome_digits: int = 0) -> np.ndarray:
     """Error rates -> eigenvalues: lambda_b = sum_a p_a (-1)^<a,b>.
 
     With `syndrome_digits = m` the last axis is indexed by (v << m) | e,
     and the standard +-1 transform runs over the m syndrome bits e as well:
     out[(u << m) | alpha] = sum_{v,e} p[(v << m) | e] (-1)^(<u,v> + alpha.e).
     """
-    p = np.asarray(p)
-    if n is not None and p.shape[-1] != 4**n << syndrome_digits:
-        raise UsageError(
-            f"expected length {4**n << syndrome_digits}, got {p.shape[-1]}"
-        )
-    return _digit_transform(p, syndrome_digits)
+    return _digit_transform(np.asarray(p), syndrome_digits)
 
 
-def wht_inverse(lam: np.ndarray, n: int | None = None) -> np.ndarray:
+def wht_inverse(lam: np.ndarray) -> np.ndarray:
     """Eigenvalues -> error rates: p_a = 4^-n sum_b lambda_b (-1)^<a,b>."""
     lam = np.asarray(lam)
-    if n is not None and lam.shape[-1] != 4**n:
-        raise UsageError(f"expected length {4**n}, got {lam.shape[-1]}")
     return _digit_transform(lam, 0) / lam.shape[-1]
 
 

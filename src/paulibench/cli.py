@@ -15,7 +15,8 @@ Experiments are configured by a JSON file (--config) with flag overrides
 timings, per table its row count and write time, and per named stage
 (`RunWriter.stage`) its seconds.  Every table goes through one writer,
 `RunWriter.write_table`, as blocks of numpy columns (`benchmark` gives one
-block per SPAM rate); floats are written with 17 significant digits.
+block per SPAM rate), and CSV and JSON share one text layout; CSV floats
+are written with 17 significant digits.
 Outputs are byte-identical for a fixed (config, seed): all randomness is
 derived from (seed, structural key), and every run is serial; `--threads`
 is only recorded in run.json.
@@ -33,7 +34,6 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,8 @@ from .stabilizer import mub_covering, pauli_basis_covering
 from .verify import run_checks
 
 _FLOAT = "{:.17g}"
-_CSV_CHUNK_ROWS = 1 << 16  # rows per piece of `RunWriter.write_table`
+# rows per piece of `RunWriter.write_table`, in CSV and in JSON alike
+_CSV_CHUNK_ROWS = 1 << 16
 
 SCHEMA_VERSION = 1
 # bytes a dense `estimate` or `benchmark` may plan to hold; `_memory_limit`
@@ -251,26 +252,37 @@ class RunWriter:
         of equal-length numpy columns: ``S`` byte strings, floats or
         integers.  Blocks are taken one at a time and written in pieces of
         at most `_CSV_CHUNK_ROWS` rows, so no more than one piece is held as
-        text or Python values.  A CSV float has 17 significant digits; the
-        JSON text is ``json.dumps([dict(zip(header, row)) ...], indent=1)``
-        of the rows as Python str, float and int values."""
+        text.  Both formats format each distinct value once (`_cells`)
+        and lay the cells out in one byte matrix (`_text_block`).  A CSV
+        float has 17 significant digits; the JSON text is
+        ``json.dumps([dict(zip(header, row)) ...], indent=1)`` of the rows
+        as Python str, float and int values, as long as every ``S`` column
+        is ASCII with no ``"``, ``\\`` or control character: true of every
+        one the commands write (label, spam_rate, mode, truth, declared)."""
         start = time.perf_counter()
         path = self.dir / f"{name}.{self.fmt}"
+        csv = self.fmt == "csv"
+        if csv:  # the text in front of each column, and after each row
+            seps, end = [b""] + [b","] * (len(header) - 1), b"\n"
+        else:
+            seps = [(b",\n {" if i == 0 else b",")
+                    + f"\n  {json.dumps(h)}: ".encode()
+                    for i, h in enumerate(header)]
+            end = b"\n }"
         rows = 0
         with path.open("wb") as fh:
-            if self.fmt == "csv":
+            if csv:
                 fh.write((",".join(header) + "\n").encode())
-            keys = [f"\n  {json.dumps(h)}: " for h in header]
             for block in blocks:
                 for lo in range(0, len(block[0]), _CSV_CHUNK_ROWS):
                     piece = [col[lo:lo + _CSV_CHUNK_ROWS] for col in block]
-                    if self.fmt == "csv":
-                        fh.write(_csv_block(piece))
-                    else:
-                        fh.write(_json_rows(keys, piece, rows == 0))
+                    fh.write(_text_block([_cells(col, csv) for col in piece],
+                                         seps, end))
                     rows += len(piece[0])
-            if self.fmt == "json":
+            if not csv:  # the first row's leading "," becomes "["
                 fh.write(b"\n]\n" if rows else b"[]\n")
+                fh.seek(0)
+                fh.write(b"[")
         self.outputs.append(path.name)
         self.tables[path.name] = {
             "rows": rows,
@@ -306,62 +318,45 @@ class RunWriter:
         (self.dir / "run.json").write_text(json.dumps(meta, indent=1) + "\n")
 
 
-def _json_rows(keys: list[str], columns: list[np.ndarray],
-               first: bool) -> bytes:
-    """The JSON objects of a piece of rows, each opened by ``[`` or ``,``;
-    `keys` holds each header's ``"name": `` prefix."""
-    values = [col.astype(str).tolist() if col.dtype.kind == "S"
-              else col.tolist() for col in columns]
-    objects = [",".join([key + _json_cell(value)
-                         for key, value in zip(keys, row)])
-               for row in zip(*values)]
-    return (("[\n {" if first else ",\n {")
-            + "\n },\n {".join(objects) + "\n }").encode()
+def _cells(col: np.ndarray, csv: bool) -> np.ndarray:
+    """A column as fixed-width, NUL-padded ASCII cells of CSV or JSON text.
 
-
-def _json_cell(value) -> str:
-    """`json.dumps` of one table cell, indented for its depth in the table."""
-    kind = type(value)
-    if kind is str:
-        return _json_str(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and value - value == 0.0:  # finite
-        return float.__repr__(value)
-    return json.dumps(value, indent=1).replace("\n", "\n  ")
-
-
-def _csv_cells(col: np.ndarray) -> np.ndarray:
-    """A column as fixed-width, NUL-padded ASCII cells.
-
-    Each distinct value is formatted once.  Floats are keyed on their bit
-    pattern, not their value, so -0.0 and 0.0 keep their own text."""
+    Each distinct number is formatted once: a float with 17 significant
+    digits in CSV and as `json.dumps` writes it in JSON, an integer with
+    `str` in both.  Floats are keyed on their bit pattern, not their value,
+    so -0.0 and 0.0 keep their own text.  Strings are written as they are
+    in CSV and quoted in JSON."""
     if col.dtype.kind == "S":
-        return np.ascontiguousarray(col)  # a broadcast column
+        if csv:
+            return np.ascontiguousarray(col)  # a broadcast column
+        return np.strings.add(np.strings.add(b'"', col), b'"')
     if col.dtype.kind == "f":
         bits = col.astype(np.float64, copy=False).view(np.uint64)
         keys, inverse = np.unique(bits, return_inverse=True)
-        text = [_FLOAT.format(x) for x in keys.view(np.float64).tolist()]
+        values = keys.view(np.float64)
+        text = list(map(_FLOAT.format if csv else float.__repr__,
+                        values.tolist()))
+        if not csv:  # NaN, Infinity and -Infinity
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                text[i] = json.dumps(values[i].item())
     else:
         keys, inverse = np.unique(col, return_inverse=True)
-        text = [str(x) for x in keys.tolist()]
+        text = list(map(str, keys.tolist()))
     return np.array(text, dtype=np.bytes_)[inverse]
 
 
-def _csv_block(columns: list[np.ndarray]) -> bytes:
-    """CSV lines of equal-length columns: the cells laid side by side in one
-    byte matrix with ',' and '\\n' columns, then the NUL padding dropped."""
-    cells = [_csv_cells(col) for col in columns]
+def _text_block(cells: list[np.ndarray], seps: list[bytes],
+                end: bytes) -> bytes:
+    """Rows of equal-length cell columns, each row ``seps[0]``, its first
+    cell, ``seps[1]``, its second cell, ... and `end`: laid side by side in
+    one byte matrix, then the NUL padding dropped."""
     rows = len(cells[0])
-    widths = [c.dtype.itemsize for c in cells]
-    block = np.empty((rows, sum(widths) + len(cells)), dtype=np.uint8)
-    at = 0
-    for c, width in zip(cells, widths):
-        block[:, at:at + width] = c.view(np.uint8).reshape(rows, width)
-        block[:, at + width] = ord(",")
-        at += width + 1
-    block[:, -1] = ord("\n")
-    flat = block.ravel()
+    consts = [np.broadcast_to(np.frombuffer(text, np.uint8), (rows, len(text)))
+              for text in [*seps, end]]
+    flat = np.concatenate(
+        [part for const, c in zip(consts, cells) for part in
+         (const, c.view(np.uint8).reshape(rows, c.dtype.itemsize))]
+        + consts[-1:], axis=1).ravel()
     return flat[flat != 0].tobytes()
 
 
@@ -643,6 +638,10 @@ def main(argv=None) -> int:
             seed = _int(args.seed, "seed", 0)
             writer = RunWriter(args.out, "csv") if args.out else None
             return cmd_verify(args.level, seed, writer)
+        gnuplot = args.command == "sweep-ancilla" and args.gnuplot
+        if gnuplot and args.format != "csv":
+            raise ConfigError("--gnuplot plots sweep.csv, so it needs "
+                              "--format csv")
         cfg = _load_config(args.config)
         expected = args.command.replace("-", "_")
         declared = str(cfg.get("experiment", expected)).replace("-", "_")
@@ -666,7 +665,7 @@ def main(argv=None) -> int:
         body = dict(cfg)
         body.pop("seed", None)
         summary = handler(body, seed, writer)
-        if args.command == "sweep-ancilla" and args.gnuplot:
+        if gnuplot:
             writer.write_text("sweep.gp", _GNUPLOT_SWEEP)
         writer.finish(args.command, config_echo, seed, args.threads, summary)
         return 0

@@ -249,9 +249,6 @@ class DenseChannel:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return sum(op @ rho @ op.conj().T for op in self.kraus)
 
-    def adjoint_apply(self, effect: np.ndarray) -> np.ndarray:
-        return sum(op.conj().T @ effect @ op for op in self.kraus)
-
     def ptm(self) -> np.ndarray:
         """G[a, b] = Tr(sigma_a Lambda(sigma_b)) over normalized Paulis."""
         d = 2**self.n

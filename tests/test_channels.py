@@ -47,7 +47,7 @@ def test_syndrome_digits_match_brute_force(k, m):
     # out[(u << m) | alpha] = sum hist[(v << m) | e] (-1)^(<u,v> + alpha.e)
     rng = np.random.default_rng(10 * k + m)
     hist = rng.integers(0, 50, size=4**k << m)
-    out = wht_forward(hist, k, syndrome_digits=m)
+    out = wht_forward(hist, syndrome_digits=m)
     for u in range(4**k):
         for alpha in range(2**m):
             expected = sum(

@@ -256,6 +256,10 @@ def test_dense_benchmark_bytes_refuse_13_qubits():
 def test_dense_benchmark_bytes_bound_a_small_run(tmp_path):
     # the estimate covers what a run allocates, not just its arrays
     cfg = write_config(tmp_path, "cfg.json", _SPAM_BENCHMARK)
+    # an untraced run first: the modules a first run imports lazily would
+    # add about 560 kB of import machinery to the traced peak
+    assert run_cli("benchmark", "--config", cfg, "--out",
+                   str(tmp_path / "warm")) == 0
     tracemalloc.start()
     try:
         code = run_cli("benchmark", "--config", cfg, "--out",
@@ -432,6 +436,14 @@ def test_gnuplot_only_on_sweep_ancilla(tmp_path, capsys):
                     str(tmp_path / "run"), "--gnuplot")
         assert exc.value.code == 2
         assert "--gnuplot" in capsys.readouterr().err
+    # its plot script reads sweep.csv, so a JSON sweep refuses it too
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "sweep-ancilla", "n": 2, "k_list": [0],
+        "epsilon": 0.35, "trials": 3})
+    assert run_cli("sweep-ancilla", "--config", cfg, "--out",
+                   str(tmp_path / "run"), "--gnuplot", "--format",
+                   "json") == 2
+    assert "--gnuplot" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -550,21 +562,46 @@ def test_json_columns_span_blocks(tmp_path, monkeypatch):
     assert writer.tables["e.json"]["rows"] == 0
 
 
-def test_benchmark_json_equals_csv_rows(tmp_path):
-    # the JSON tables hold the CSV's values: spam_rate stays a string
-    cfg = write_config(tmp_path, "cfg.json", {
+# per command: a small config, and each table with its row count
+_JSON_RUNS = {
+    "estimate": ({
+        "experiment": "estimate", "n": 2, "k": 1,
+        "channel": {"kind": "random-dirichlet"}, "samples": 300, "seed": 3,
+    }, {"estimates": 16}),
+    "benchmark": ({
         "experiment": "benchmark", "n": 2,
         "gate": {"kind": "random-dirichlet"}, "m_list": [0, 4, 1, 4],
-        "shots_per_m": 400, "spam_sweep": [0, 0.05, 0.2], "seed": 3})
+        "shots_per_m": 400, "spam_sweep": [0, 0.05, 0.2], "seed": 3,
+    }, {"estimates": 3 * 16, "decays": 3 * 3 * 16}),
+    "sweep-ancilla": ({
+        "experiment": "sweep-ancilla", "n": 3, "k_list": [0, 2],
+        "epsilon": 0.35, "trials": 5, "seed": 3,
+    }, {"sweep": 2}),
+    "discriminate": ({
+        "experiment": "discriminate", "n_list": [2], "trials": 6,
+        "max_shots": 4000, "seed": 3,
+    }, {"discriminate": 2 * 6}),
+}
+_FLOAT_COLUMNS = {"lambda_hat", "stderr", "f_mean"}
+_STR_COLUMNS = {"label", "spam_rate", "mode", "truth", "declared"}
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_RUNS))
+def test_json_equals_csv_rows(tmp_path, command):
+    # the JSON tables hold the CSV's values: spam_rate stays a string
+    config, tables = _JSON_RUNS[command]
+    cfg = write_config(tmp_path, "cfg.json", config)
     for fmt in ("csv", "json"):
-        assert run_cli("benchmark", "--config", cfg, "--format", fmt,
+        assert run_cli(command, "--config", cfg, "--format", fmt,
                        "--out", str(tmp_path / fmt)) == 0
-    kinds = {"m": int, "n_shots": int, "shots": int, "lambda_hat": float,
-             "stderr": float, "f_mean": float}
-    for table, count in (("estimates", 3 * 16), ("decays", 3 * 3 * 16)):
-        rows = [{key: kinds.get(key, str)(value) for key, value in row.items()}
+    for table, count in tables.items():
+        rows = [{key: (str if key in _STR_COLUMNS else
+                       float if key in _FLOAT_COLUMNS else int)(value)
+                 for key, value in row.items()}
                 for row in read_csv(tmp_path / "csv" / f"{table}.csv")]
-        assert len(rows) == count and rows[1]["spam_rate"] == "0"
+        assert len(rows) == count
+        if "spam_rate" in rows[0]:
+            assert rows[1]["spam_rate"] == "0"
         text = (tmp_path / "json" / f"{table}.json").read_text()
         assert text == json.dumps(rows, indent=1) + "\n"
 

@@ -6,7 +6,8 @@ changes one of these sha256 digests.  A change that alters a stream on
 purpose must re-record them, and re-run the statistical acceptance criteria
 at their seeds.  The digests were recorded with the numpy version below;
 numpy does not promise the same streams across versions, so another
-version skips rather than fails.
+version skips rather than fails.  Four of the runs are also pinned as
+written with `--format json`.
 """
 
 import hashlib
@@ -87,16 +88,41 @@ DIGESTS = {
     },
 }
 
+# the same runs written with --format json
+JSON_DIGESTS = {
+    "benchmark-readme": {
+        "estimates.json":
+            "733349ca5c38c80dec92801fa33f78dcb20b7208f71bad3bff0ada40a4dbea22",
+        "decays.json":
+            "ac6324bee20925acc216b929f3030b80e26b4bd3bce87daa09c9bc6383546ddc",
+    },
+    "discriminate-n2-3": {
+        "discriminate.json":
+            "0f35f127b643ef8f53fb2685e5f7f971d67530ef7b5c47559c9be527b49fa93d",
+    },
+    "estimate-readme": {
+        "estimates.json":
+            "9f1f7d4c69ed246fc4485328be87b6711cfcd60f9f1640fdda5a2239cfbcc071",
+    },
+    "sweep-n4": {
+        "sweep.json":
+            "6816da70017b7763c21abbc18f8729968a402400fbd80f6546f5dba09a24d124",
+    },
+}
 
-def table_digests(tmp_path, name: str) -> dict[str, str]:
-    """sha256 of each primary table of the run `name`, keyed by file name."""
+
+def table_digests(tmp_path, name: str, fmt: str = "csv") -> dict[str, str]:
+    """sha256 of each primary table of the run `name` written in `fmt`,
+    keyed by file name."""
     command, cfg, tables = CONFIGS[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / name
-    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert main([command, "--config", str(path), "--out", str(out),
+                 "--format", fmt]) == 0
+    files = [table.replace(".csv", f".{fmt}") for table in tables]
     return {table: hashlib.sha256((out / table).read_bytes()).hexdigest()
-            for table in tables}
+            for table in files}
 
 
 @pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
@@ -104,3 +130,10 @@ def table_digests(tmp_path, name: str) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_primary_table_digests(tmp_path, name):
     assert table_digests(tmp_path, name) == DIGESTS[name]
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}")
+@pytest.mark.parametrize("name", sorted(JSON_DIGESTS))
+def test_primary_json_table_digests(tmp_path, name):
+    assert table_digests(tmp_path, name, "json") == JSON_DIGESTS[name]
