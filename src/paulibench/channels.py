@@ -17,9 +17,13 @@ butterfly whose per-qubit kernel over the two-bit labels (I, X, Z, Y) is
 
 rather than by bit-swap reindexing into a standard Hadamard transform; the
 two routes are cross-tested in the suite.  The same digit-by-digit kernel
-also applies the radix-2 Hadamard to low syndrome bits, so the estimator's
-per-group transform over (v << m) | e indices is one `wht_forward` call with
-`syndrome_digits=m`; there is no second transform implementation.
+also applies the Hadamard to low syndrome bits, two bits at a time as the
+radix-4 H (x) H butterfly (the kernel above with its middle rows swapped)
+and one odd leftover bit as a radix-2 H, so the estimator's per-group
+transform over (v << m) | e indices is one `wht_forward` call with
+`syndrome_digits=m`; there is no second transform implementation.  A pair
+of bits costs the same float operations, in the same order, as two radix-2
+stages, so the result is bit-identical to one stage per syndrome bit.
 
 Channels come in two representations:
 
@@ -63,42 +67,53 @@ def _pauli_digits(length: int, syndrome_digits: int) -> int:
 
 def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
     """The one transform kernel: walk the last axis digit by digit, from
-    the least significant, applying the radix-2 Hadamard H to the first
-    `syndrome_digits` bits and the radix-4 symplectic kernel to every
-    base-4 digit above them."""
+    the least significant.  The first `syndrome_digits` bits take the
+    Hadamard H, in pairs as one radix-4 H (x) H stage and an odd leftover
+    bit as one radix-2 stage; every base-4 digit above them takes the
+    radix-4 symplectic kernel.
+
+    Each stage reads the lowest digit of one buffer and writes its results
+    as contiguous rows, through `out=`, under the top digit of the other
+    (a Stockham autosort), so once every digit has gone round the order is
+    the input's again.  A pair of bits costs the same float operations, in
+    the same order, as two radix-2 stages, so the output is bit for bit the
+    same as walking the syndrome bits one at a time."""
     length = vec.shape[-1]
     n = _pauli_digits(length, syndrome_digits)
     if not np.all(np.isfinite(vec)):
         raise UsageError("transform input has non-finite entries")
-    out = np.array(vec, dtype=np.float64)
-    lead = out.shape[:-1]
-    step = 1
-    for _ in range(syndrome_digits):
-        blocks = out.reshape(lead + (length // (2 * step), 2, step))
-        b0 = blocks[..., 0, :]
-        b1 = blocks[..., 1, :]
-        # the sums materialize before any write-back into the views
-        t0 = b0 + b1
-        t1 = b0 - b1
-        blocks[..., 0, :] = t0
-        blocks[..., 1, :] = t1
-        step *= 2
-    for _ in range(n):
-        blocks = out.reshape(lead + (length // (4 * step), 4, step))
-        b0 = blocks[..., 0, :]
-        b1 = blocks[..., 1, :]
-        b2 = blocks[..., 2, :]
-        b3 = blocks[..., 3, :]
-        t0 = b0 + b1
-        t1 = b0 - b1
-        t2 = b2 + b3
-        t3 = b2 - b3
-        blocks[..., 0, :] = t0 + t2
-        blocks[..., 1, :] = t0 - t2
-        blocks[..., 2, :] = t1 + t3
-        blocks[..., 3, :] = t1 - t3
-        step *= 4
-    return out
+    src = np.array(vec, dtype=np.float64)
+    dst = np.empty(src.shape)
+    lead = src.shape[:-1]
+    # (j, k): the slots of t0 - t2 and t1 + t3 in a radix-4 stage, swapped
+    # for H (x) H; None for the odd syndrome bit
+    stages = ([(2, 1)] * (syndrome_digits // 2)
+              + [None] * (syndrome_digits % 2) + [(1, 2)] * n)
+    for slots in stages:
+        radix = 2 if slots is None else 4
+        a = src.reshape(lead + (length // radix, radix))
+        b = dst.reshape(lead + (radix, length // radix))
+        a0 = a[..., 0]
+        a1 = a[..., 1]
+        b0 = b[..., 0, :]
+        if slots is None:
+            np.add(a0, a1, b0)
+            np.subtract(a0, a1, b[..., 1, :])
+        else:
+            j, k = slots
+            a2 = a[..., 2]
+            a3 = a[..., 3]
+            bk = b[..., k, :]
+            t2 = a2 + a3
+            t3 = a2 - a3
+            np.subtract(a0, a1, bk)  # t1
+            np.add(a0, a1, b0)  # t0
+            np.subtract(bk, t3, b[..., 3, :])
+            np.add(bk, t3, bk)
+            np.subtract(b0, t2, b[..., j, :])
+            np.add(b0, t2, b0)
+        src, dst = dst, src
+    return src
 
 
 def wht_forward(p: np.ndarray, *, syndrome_digits: int = 0) -> np.ndarray:
@@ -190,7 +205,6 @@ class PauliChannel:
             raise UsageError(f"expected {4**n} error rates, got shape {p.shape}")
         _validate_probs(p)
         lam = wht_forward(p)
-        lam = lam.copy()
         lam[0] = 1.0
         if np.any(np.abs(lam) > 1.0 + EIGENVALUE_TOL):
             raise UsageError("eigenvalues exceed 1 beyond tolerance")

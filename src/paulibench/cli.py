@@ -54,7 +54,7 @@ from .experiments import (
     spam_sweep,
     sweep_min_rounds,
 )
-from .pauli import all_labels, format_bits, format_labels
+from .pauli import format_bits, label_column
 from .seeding import derive_rng
 from .stabilizer import mub_covering, pauli_basis_covering
 from .verify import run_checks
@@ -407,8 +407,7 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     with writer.stage("write"):
         writer.write_table(
             "estimates", ["label", "lambda_hat", "n_shots", "stderr"],
-            [[format_labels(all_labels(n), n), est.lambda_hat, est.n_shots,
-              est.stderr]])
+            [[label_column(n), est.lambda_hat, est.n_shots, est.stderr]])
     return {
         "samples": total,
         "rounds_per_group": total // len(cov.groups),
@@ -458,7 +457,7 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
     with writer.stage("write"):
         # one block per SPAM rate, built as the writer reaches it, so one
         # rate's columns are held at a time
-        labels = format_labels(all_labels(n), n)
+        labels = label_column(n)
         writer.write_table(
             "estimates",
             ["spam_rate", "label", "lambda_hat", "n_shots", "stderr"],

@@ -177,7 +177,12 @@ def _estimate_set(n: int, sums: np.ndarray, counts: np.ndarray
             f"covering leaves label {format_bits(missing, n)} unsampled"
         )
     lam = np.asarray(sums, dtype=np.float64) / counts
-    stderr = np.sqrt(np.clip(1.0 - lam**2, 0.0, None) / counts)
+    # sqrt(max(1 - lam^2, 0) / counts), in one buffer
+    stderr = np.square(lam)
+    np.subtract(1.0, stderr, stderr)
+    np.clip(stderr, 0.0, None, stderr)
+    np.divide(stderr, counts, stderr)
+    np.sqrt(stderr, stderr)
     return EstimateSet(n, lam, counts, stderr)
 
 

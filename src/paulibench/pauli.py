@@ -142,31 +142,38 @@ def label_weight(bits: int) -> int:
 # --- vectorized uint64 versions (n <= 32) ------------------------------------
 
 
-def parity_u64(x: np.ndarray) -> np.ndarray:
-    """Elementwise bit parity of a uint64 array."""
-    return (np.bitwise_count(x) & np.uint64(1)).astype(np.uint64)
-
-
 def symp_u64(a, b) -> np.ndarray:
-    """Elementwise symplectic product; `a`, `b` are uint64 scalars/arrays."""
+    """Elementwise symplectic product; `a`, `b` are uint64 scalars/arrays.
+    Builds the result in place, with one temporary of the broadcast shape
+    beside it."""
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     one = np.uint64(1)
-    word = ((a & (b >> one)) ^ ((a >> one) & b)) & _EVEN_BITS_64
-    return parity_u64(word)
+    # a 0-d array, not a numpy scalar, when both inputs are scalars
+    word = np.asarray(a & (b >> one))
+    word ^= (a >> one) & b
+    word &= _EVEN_BITS_64
+    np.bitwise_count(word, out=word)
+    word &= one
+    return word
 
 
-def format_labels(labels, n: int) -> np.ndarray:
-    """Vectorized `format_bits`: uint64 labels on 1 <= n <= 32 qubits to a
-    fixed-width ``S{n}`` array of ASCII letter strings."""
+def label_column(n: int) -> np.ndarray:
+    """The letters of all 4^n labels on 1 <= n <= 32 qubits, in label order,
+    as a fixed-width ``S{n}`` array: row b is `format_bits(b, n)`."""
     if not 1 <= n <= 32:
-        raise UsageError(f"format_labels needs 1 <= n <= 32, got {n}")
-    labels = np.asarray(labels, dtype=np.uint64)
-    letters = np.empty(labels.shape + (n,), dtype=np.uint8)
-    for i in range(n):
-        digit = (labels >> np.uint64(2 * i)) & np.uint64(3)
-        letters[..., i] = _LETTER_CODES[digit]
-    return letters.view(f"S{n}")[..., 0]
+        raise UsageError(f"label_column needs 1 <= n <= 32, got {n}")
+    letters = np.empty((4**n, n), dtype=np.uint8)
+    letters[:4, 0] = _LETTER_CODES
+    for j in range(1, n):
+        # rows d * 4^j + r, for digit d of qubit j, repeat row r in the
+        # columns below j; whole rows are copied, since columns j and up
+        # are written by this step and the later ones
+        rows = 4**j
+        block = letters[:4 * rows].reshape(4, rows, n)
+        block[1:] = letters[:rows]
+        block[:, :, j] = _LETTER_CODES[:, None]
+    return letters.view(f"S{n}")[:, 0]
 
 
 def all_labels(n: int) -> np.ndarray:

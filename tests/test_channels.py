@@ -11,6 +11,7 @@ from paulibench import (
     wht_forward,
     wht_inverse,
 )
+from paulibench.channels import _digit_transform
 from paulibench.pauli import PauliLabel, parse_bits, symp
 
 
@@ -58,6 +59,60 @@ def test_syndrome_digits_match_brute_force(k, m):
             assert out[(u << m) | alpha] == expected
     with pytest.raises(UsageError):
         wht_forward(np.ones(4**k << m), syndrome_digits=m + 1)
+
+
+def staged_transform(vec, syndrome_digits):
+    """Reference kernel: one radix-2 stage per syndrome bit, then one
+    radix-4 stage per base-4 digit, each into fresh arrays."""
+    out = np.array(vec, dtype=np.float64)
+    length = out.shape[-1]
+    lead = out.shape[:-1]
+    step = 1
+    for _ in range(syndrome_digits):
+        blocks = out.reshape(lead + (length // (2 * step), 2, step))
+        b0 = blocks[..., 0, :]
+        b1 = blocks[..., 1, :]
+        t0 = b0 + b1
+        t1 = b0 - b1
+        blocks[..., 0, :] = t0
+        blocks[..., 1, :] = t1
+        step *= 2
+    while step < length:
+        blocks = out.reshape(lead + (length // (4 * step), 4, step))
+        b0 = blocks[..., 0, :]
+        b1 = blocks[..., 1, :]
+        b2 = blocks[..., 2, :]
+        b3 = blocks[..., 3, :]
+        t0 = b0 + b1
+        t1 = b0 - b1
+        t2 = b2 + b3
+        t3 = b2 - b3
+        blocks[..., 0, :] = t0 + t2
+        blocks[..., 1, :] = t0 - t2
+        blocks[..., 2, :] = t1 + t3
+        blocks[..., 3, :] = t1 - t3
+        step *= 4
+    return out
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_digit_transform_bit_identical_to_staged_reference(m):
+    # the same float operations in the same order give the same bits
+    rng = np.random.default_rng(40 + m)
+    for n in range(4):
+        length = 4**n << m
+        for lead in [(), (3,), (2, 3)]:
+            inputs = [
+                rng.dirichlet(np.ones(length), size=lead or None),
+                rng.normal(size=lead + (length,)),
+                rng.integers(-1000, 1000, size=lead + (length,)),
+            ]
+            for vec in inputs:
+                got = _digit_transform(vec, m)
+                want = staged_transform(vec, m)
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

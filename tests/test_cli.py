@@ -10,7 +10,7 @@ from paulibench import PauliChannel, estimate_alg1, mub_covering
 from paulibench import cli
 from paulibench.cli import build_channel, main
 from paulibench.estimation import dense_benchmark_bytes, dense_estimate_bytes
-from paulibench.pauli import format_bits, format_labels
+from paulibench.pauli import format_bits
 from paulibench.seeding import derive_rng
 from paulibench.stabilizer import Covering
 from paulibench import verify
@@ -544,9 +544,9 @@ def test_json_columns_span_blocks(tmp_path, monkeypatch):
     lam[[3, 7, 8]] = [np.nan, -0.0, np.inf]
     counts = np.arange(29) * 1000
     header = ["label", "lambda_hat", "n_shots"]
-    columns = [format_labels(labels, 3), lam, counts]
-    rows = [[format_bits(b, 3), x, c] for b, x, c in
-            zip(labels.tolist(), lam.tolist(), counts.tolist())]
+    text = [format_bits(b, 3) for b in labels.tolist()]
+    columns = [np.array(text, dtype="S3"), lam, counts]
+    rows = [list(row) for row in zip(text, lam.tolist(), counts.tolist())]
     expected = json.dumps(
         [dict(zip(header, row)) for row in rows], indent=1) + "\n"
     writer = cli.RunWriter(str(tmp_path), "json")

@@ -23,7 +23,7 @@ from paulibench.estimation import (
     estimate_alg1_reference,
     two_sample_consistency,
 )
-from paulibench.pauli import format_bits, format_labels, parse_bits
+from paulibench.pauli import format_bits, parse_bits
 from paulibench.sampler import (
     draw_histograms,
     outcome_distribution_alg1,
@@ -575,9 +575,10 @@ def test_column_writer_matches_rows(tmp_path):
     cnt = rng.choice(np.array([0, -7, 2**63 - 1, 10**12]), rows)
     labels = rng.integers(0, 4**6, size=rows, dtype=np.uint64)
     header = ["label", "lambda_hat", "n_shots", "stderr"]
-    columns = [format_labels(labels, 6), lam, cnt, se]
-    py_rows = [[format_bits(b, 6), x, c, e] for b, x, c, e in zip(
-        labels.tolist(), lam.tolist(), cnt.tolist(), se.tolist())]
+    text = [format_bits(b, 6) for b in labels.tolist()]
+    columns = [np.array(text, dtype="S6"), lam, cnt, se]
+    py_rows = [list(row) for row in zip(
+        text, lam.tolist(), cnt.tolist(), se.tolist())]
     expected_csv = [",".join(header)] + [
         ",".join(["{:.17g}".format(x) if isinstance(x, float) else str(x)
                   for x in row]) for row in py_rows]

@@ -30,6 +30,15 @@ CONFIGS = {
         "experiment": "estimate", "n": 4, "k": 4,
         "channel": {"kind": "random-dirichlet"}, "covering": "mub",
         "epsilon": 0.1, "delta": 0.05, "seed": 7}, ("estimates.csv",)),
+    # odd syndrome digit counts: m = 5 and m = 3
+    "estimate-n5-k0": ("estimate", {
+        "experiment": "estimate", "n": 5, "k": 0,
+        "channel": {"kind": "random-dirichlet"}, "covering": "mub",
+        "epsilon": 0.1, "delta": 0.05, "seed": 7}, ("estimates.csv",)),
+    "estimate-n5-k2": ("estimate", {
+        "experiment": "estimate", "n": 5, "k": 2,
+        "channel": {"kind": "random-dirichlet"}, "covering": "mub",
+        "epsilon": 0.1, "delta": 0.05, "seed": 7}, ("estimates.csv",)),
     "estimate-readme": ("estimate", {
         "experiment": "estimate", "n": 3, "k": 1,
         "channel": {"kind": "spike", "label": "XZY", "sign": -1},
@@ -77,6 +86,14 @@ DIGESTS = {
     "estimate-k4": {
         "estimates.csv":
             "38ac8dcc6453056ee8458b817e3edaaa5d61f55fb20476382083f61333bbc02e",
+    },
+    "estimate-n5-k0": {
+        "estimates.csv":
+            "c955a748c4553481afcecf80ce20246e92b5725e7954db4bbac4109d1adfa5b5",
+    },
+    "estimate-n5-k2": {
+        "estimates.csv":
+            "385ca01a6ab3088421a0190d39abba864884caa6216b3ea3e093992dc804de4c",
     },
     "estimate-readme": {
         "estimates.csv":

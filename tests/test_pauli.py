@@ -13,7 +13,7 @@ from paulibench import (
 from paulibench.pauli import (
     all_labels,
     format_bits,
-    format_labels,
+    label_column,
     label_weight,
     symp,
     symp_u64,
@@ -114,27 +114,29 @@ def test_vectorized_matches_scalar():
         a = rng.integers(0, 1 << min(2 * n, 63), size=200, dtype=np.uint64)
         b = rng.integers(0, 1 << min(2 * n, 63), size=200, dtype=np.uint64)
         vec = symp_u64(a, b)
+        assert vec.dtype == np.uint64
         for ai, bi, vi in zip(a, b, vec):
             assert symp(int(ai), int(bi)) == int(vi)
+        # a result larger than either input
+        table = symp_u64(a[:20, None], b[None, :30])
+        assert table.dtype == np.uint64 and table.shape == (20, 30)
+        assert table.tolist() == [[symp(int(ai), int(bi)) for bi in b[:30]]
+                                  for ai in a[:20]]
 
 
-def test_format_labels_matches_format_bits():
-    for n in range(1, 6):
-        labels = all_labels(n)
-        out = format_labels(labels, n)
-        assert out.dtype == np.dtype(f"S{n}")
+def test_label_column_matches_format_bits():
+    for n in range(1, 7):
+        out = label_column(n)
+        assert out.dtype == np.dtype(f"S{n}") and out.shape == (4**n,)
         assert [x.decode() for x in out.tolist()] == [
-            format_bits(b, n) for b in labels.tolist()]
-    rng = np.random.default_rng(6)
-    for n in (10, 32):
-        labels = rng.integers(0, 4**n - 1, size=500, dtype=np.uint64,
-                              endpoint=True)
-        # n = 32 also needs the top bit pair
-        labels[:2] = [4**n - 1, 3 << (2 * n - 2)]
-        assert [x.decode() for x in format_labels(labels, n).tolist()] == [
-            format_bits(b, n) for b in labels.tolist()]
-    with pytest.raises(UsageError):
-        format_labels(labels, 33)
+            format_bits(b, n) for b in range(4**n)]
+    out = label_column(10)
+    rows = np.random.default_rng(6).integers(0, 4**10, size=500)
+    for b in [0, 4**10 - 1, *rows.tolist()]:
+        assert out[b].decode() == format_bits(b, 10)
+    for n in (0, 33):
+        with pytest.raises(UsageError):
+            label_column(n)
 
 
 def test_label_validation():
