@@ -80,7 +80,7 @@ def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
     same as walking the syndrome bits one at a time."""
     length = vec.shape[-1]
     n = _pauli_digits(length, syndrome_digits)
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise UsageError("transform input has non-finite entries")
     src = np.array(vec, dtype=np.float64)
     dst = np.empty(src.shape)
