@@ -22,14 +22,6 @@ from .estimation import (
     fit_decays,
     required_samples,
 )
-from .pauli import (
-    PauliLabel,
-    compose,
-    format_label,
-    parse_label,
-    symplectic_product,
-    weight,
-)
 from .sampler import (
     NoiseModel,
     outcome_distribution_alg1,
@@ -65,12 +57,6 @@ __all__ = [
     "estimate_alg1",
     "fit_decays",
     "required_samples",
-    "PauliLabel",
-    "compose",
-    "format_label",
-    "parse_label",
-    "symplectic_product",
-    "weight",
     "NoiseModel",
     "outcome_distribution_alg1",
     "outcome_distribution_alg2",

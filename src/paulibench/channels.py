@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapabilityError, UsageError
-from .pauli import PauliLabel, format_bits, parse_bits, symp, symp_u64
+from .pauli import format_bits, parse_bits, symp, symp_u64
 
 DENSE_MAX_QUBITS = 13
 NORMALIZATION_TOL = 1e-12
@@ -141,15 +141,11 @@ def _validate_probs(probs: np.ndarray):
         raise UsageError(f"probabilities sum to {total!r}, not 1")
 
 
-def _label_bits(label: int | str | PauliLabel, n: int) -> int:
-    """Bit-packed form of a letter string, an n-qubit label or a raw int in
-    [0, 4^n); anything else, a bool included, is out of range."""
+def _label_bits(label: int | str, n: int) -> int:
+    """Bit-packed form of an n-letter string or a raw int in [0, 4^n);
+    anything else, a bool included, is out of range."""
     if isinstance(label, str):
         return parse_bits(label, n)
-    if isinstance(label, PauliLabel):
-        if label.n != n:
-            raise UsageError(f"label on {label.n} qubits in {n}-qubit channel")
-        return label.bits
     if isinstance(label, Integral) and not isinstance(label, bool):
         bits = int(label)
         if 0 <= bits < 4**n:
@@ -273,7 +269,7 @@ class PauliChannel:
         return cls.from_error_rates(n, np.full(4**n, 4.0**-n))
 
     @classmethod
-    def spike(cls, n: int, a: int | str | PauliLabel, s: int) -> "PauliChannel":
+    def spike(cls, n: int, a: int | str, s: int) -> "PauliChannel":
         """The two-eigenvalue channel: lambda_0 = 1, lambda_a = s, rest 0.
 
         Its error rates are p_b = 4^-n (1 + s(-1)^<a,b>).
@@ -338,7 +334,7 @@ class PauliChannel:
     def is_sparse(self) -> bool:
         return self.error_rates is None
 
-    def eigenvalue(self, b: int | str | PauliLabel) -> float:
+    def eigenvalue(self, b: int | str) -> float:
         """lambda_b; O(|support|) for sparse channels, a lookup for dense."""
         b = _label_bits(b, self.n)
         if self.eigenvalues is not None:

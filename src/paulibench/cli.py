@@ -231,7 +231,12 @@ class RunWriter:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"--format must be csv or json, got {fmt!r}")
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create --out directory {out_dir}: {exc.strerror}"
+            ) from None
         self.fmt = fmt
         self.outputs: list[str] = []
         self.tables: dict[str, dict] = {}
@@ -421,7 +426,7 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
     _require_keys(
         cfg,
         ("experiment", "n", "gate", "shots_per_m"),
-        ("m_list", "spam_depolarizing", "spam_sweep", "prep", "meas"),
+        ("m_list", "spam_sweep", "prep", "meas"),
         "benchmark config",
     )
     n = _int(cfg["n"], "n", 1)
@@ -433,13 +438,11 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
             f"got {m_list}")
     shots = _int(cfg["shots_per_m"], "shots_per_m", 1)
     explicit_spam = "prep" in cfg or "meas" in cfg
-    if explicit_spam and ("spam_sweep" in cfg or "spam_depolarizing" in cfg):
+    if explicit_spam and "spam_sweep" in cfg:
         raise ConfigError("give either prep/meas channels or a SPAM rate, not both")
     if "spam_sweep" in cfg:
         rates = [_float(r, "spam_sweep entry")
                  for r in _list(cfg["spam_sweep"], "spam_sweep")]
-    elif "spam_depolarizing" in cfg:
-        rates = [_float(cfg["spam_depolarizing"], "spam_depolarizing")]
     else:
         rates = [0.0]
     _require_memory(dense_benchmark_bytes(n, len(set(m_list)), len(rates)),
@@ -652,6 +655,7 @@ def main(argv=None) -> int:
         cfg.setdefault("experiment", expected)
         seed = _int(args.seed if args.seed is not None else cfg.get("seed", 0),
                     "seed", 0)
+        threads = _int(args.threads, "threads", 1)
         config_echo = dict(cfg)
         config_echo["seed"] = seed
         writer = RunWriter(args.out, args.format)
@@ -666,7 +670,7 @@ def main(argv=None) -> int:
         summary = handler(body, seed, writer)
         if gnuplot:
             writer.write_text("sweep.gp", _GNUPLOT_SWEEP)
-        writer.finish(args.command, config_echo, seed, args.threads, summary)
+        writer.finish(args.command, config_echo, seed, threads, summary)
         return 0
     except (ConfigError, UsageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

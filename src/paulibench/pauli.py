@@ -21,15 +21,13 @@ operators commute iff their symplectic product
 vanishes.  Everything here is pure and operates on immutable values, so
 labels can be shared freely across threads.
 
-Scalar helpers (`symp`, `label_weight`) take plain ints and support any n.
-The *_u64 helpers act elementwise on numpy uint64 arrays and therefore
-require n <= 32; they exist for the hot loops in the samplers and the
-estimators.
+Scalar helpers (`symp`, `parse_bits`, `format_bits`) take plain ints and
+support any n.  The *_u64 helpers act elementwise on numpy uint64 arrays
+and therefore require n <= 32; they exist for the hot loops in the samplers
+and the estimators.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,30 +39,6 @@ _LETTER_CODES = np.frombuffer(LETTERS.encode(), dtype=np.uint8)
 _LETTER_BITS = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 
 _EVEN_BITS_64 = np.uint64(0x5555555555555555)
-
-
-@dataclass(frozen=True)
-class PauliLabel:
-    """A Pauli operator modulo phase: packed 2n bits plus the qubit count."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise UsageError(f"negative qubit count {self.n}")
-        if self.bits < 0 or self.bits >> (2 * self.n):
-            raise UsageError(
-                f"label bits {self.bits:#x} do not fit in {2 * self.n} bits"
-            )
-
-    def __str__(self):
-        return format_label(self)
-
-
-def _require_same_n(a: PauliLabel, b: PauliLabel):
-    if a.n != b.n:
-        raise UsageError(f"label sizes differ: {a.n} vs {b.n} qubits")
 
 
 def symp(a: int, b: int) -> int:
@@ -86,36 +60,6 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
-    """Return <a, b> in GF(2); equals 1 iff the operators anticommute."""
-    _require_same_n(a, b)
-    return symp(a.bits, b.bits)
-
-
-def compose(a: PauliLabel, b: PauliLabel) -> PauliLabel:
-    """Label of the product P_a P_b, with the phase dropped."""
-    _require_same_n(a, b)
-    return PauliLabel(a.bits ^ b.bits, a.n)
-
-
-def parse_label(text: str) -> PauliLabel:
-    """Parse a per-qubit letter string like "XIZY" (qubit 0 leftmost)."""
-    bits = 0
-    for i, ch in enumerate(text):
-        try:
-            bits |= _LETTER_BITS[ch] << (2 * i)
-        except KeyError:
-            raise UsageError(
-                f"invalid Pauli letter {ch!r} at position {i} in {text!r}"
-            ) from None
-    return PauliLabel(bits, len(text))
-
-
-def format_label(a: PauliLabel) -> str:
-    """Inverse of parse_label."""
-    return format_bits(a.bits, a.n)
-
-
 def format_bits(bits: int, n: int) -> str:
     """Format a raw label int on n qubits as a letter string."""
     return "".join(LETTERS[(bits >> (2 * i)) & 3] for i in range(n))
@@ -125,18 +69,15 @@ def parse_bits(text: str, n: int) -> int:
     """Parse a letter string of length n to a raw label int."""
     if len(text) != n:
         raise UsageError(f"label {text!r} has {len(text)} letters, expected {n}")
-    return parse_label(text).bits
-
-
-def weight(a: PauliLabel) -> int:
-    """Number of qubits on which the operator acts nontrivially."""
-    return label_weight(a.bits)
-
-
-def label_weight(bits: int) -> int:
-    """Weight of a raw label int."""
-    support = (bits | (bits >> 1)) & _even_mask(bits.bit_length())
-    return support.bit_count()
+    bits = 0
+    for i, ch in enumerate(text):
+        try:
+            bits |= _LETTER_BITS[ch] << (2 * i)
+        except KeyError:
+            raise UsageError(
+                f"invalid Pauli letter {ch!r} at position {i} in {text!r}"
+            ) from None
+    return bits
 
 
 # --- vectorized uint64 versions (n <= 32) ------------------------------------
@@ -175,7 +116,3 @@ def label_column(n: int) -> np.ndarray:
         block[:, :, j] = _LETTER_CODES[:, None]
     return letters.view(f"S{n}")[:, 0]
 
-
-def all_labels(n: int) -> np.ndarray:
-    """All 4**n raw labels as a uint64 array (n <= 13 to bound memory)."""
-    return np.arange(4**n, dtype=np.uint64)

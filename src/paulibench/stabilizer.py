@@ -43,7 +43,6 @@ it checks the array code rather than repeating it.  Membership is read off
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,7 +50,7 @@ import numpy as np
 
 from .errors import CapabilityError, UsageError
 from .gf2m import MAX_M, trace_masks
-from .pauli import format_bits, parse_bits, symp, symp_u64
+from .pauli import format_bits, symp, symp_u64
 
 VERIFY_MAX_M = 10
 _ARRAY_MAX_M = 32  # a generator is a uint64 of 2m bits
@@ -131,9 +130,9 @@ def _check_generators(m: int, gens: np.ndarray):
 
 def element_block(generators: np.ndarray) -> np.ndarray:
     """(G, 2^m) int64 elements of the groups generated by the rows of the
-    (G, m) array `generators` (m < 32), column alpha holding
-    element(alpha): the `elements` lists of G groups, built at once by XOR
-    doubling."""
+    (G, m) array `generators` (m < 32), column alpha holding the XOR of
+    the generators j with bit j of alpha set: the `elements` lists of G
+    groups, built at once by XOR doubling."""
     gens = np.asarray(generators).astype(np.int64)
     count, m = gens.shape
     block = np.zeros((count, 1 << m), dtype=np.int64)
@@ -176,14 +175,6 @@ class StabilizerGroup:
             e |= symp_u64(np.uint64(g), labels) << np.uint64(j)
         return e
 
-    def element(self, alpha: int) -> int:
-        """Group element sum_j alpha_j g_j (label XOR)."""
-        out = 0
-        for j, g in enumerate(self.generators):
-            if (alpha >> j) & 1:
-                out ^= g
-        return out
-
     def elements(self) -> list[int]:
         """All 2^m elements, indexed by coefficient vector alpha."""
         elems = [0]
@@ -198,7 +189,6 @@ class Covering:
 
     m: int
     groups: tuple[StabilizerGroup, ...]
-    kind: str = "custom"
     # the estimator's stacked label block per ancilla count k, kept by
     # `sampler.label_chunks` when the whole covering fits in one chunk
     label_blocks: dict = field(default_factory=dict, init=False, repr=False,
@@ -210,8 +200,7 @@ class Covering:
                 raise UsageError(f"group on {g.m} qubits in m={self.m} covering")
 
     @classmethod
-    def from_generators(cls, m: int, generators: np.ndarray,
-                        kind: str = "custom") -> "Covering":
+    def from_generators(cls, m: int, generators: np.ndarray) -> "Covering":
         """The covering whose group i is generated by row i of the (G, m)
         uint64 array `generators`.  Every row is checked as
         `StabilizerGroup` checks its generators, in one pass over the array,
@@ -227,7 +216,7 @@ class Covering:
             object.__setattr__(grp, "m", m)
             object.__setattr__(grp, "generators", tuple(row))
             groups.append(grp)
-        cov = cls(m, tuple(groups), kind)
+        cov = cls(m, tuple(groups))
         gens.setflags(write=False)
         cov.__dict__["generator_array"] = gens  # the cached property's value
         return cov
@@ -239,37 +228,6 @@ class Covering:
         gens = _generator_rows(self.m, [g.generators for g in self.groups])
         gens.setflags(write=False)
         return gens
-
-    def __len__(self):
-        return len(self.groups)
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "construction": self.kind,
-            "groups": [
-                [format_bits(g, self.m) for g in grp.generators]
-                for grp in self.groups
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Covering":
-        try:
-            m = int(obj["m"])
-            kind = obj["construction"]
-            rows = [tuple(parse_bits(s, m) for s in gens)
-                    for gens in obj["groups"]]
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"malformed covering JSON: {exc}") from None
-        return cls.from_generators(m, _generator_rows(m, rows), kind)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "Covering":
-        return cls.from_json(json.loads(text))
 
 
 def _spread_bits(x: np.ndarray) -> np.ndarray:
@@ -303,8 +261,8 @@ def mub_covering(m: int) -> Covering:
     if m < 0 or m > MAX_M:
         raise CapabilityError(f"mub_covering supports 0 <= m <= {MAX_M}, got {m}")
     if m == 0:
-        return Covering.from_generators(0, np.zeros((1, 0)), "mub")
-    return Covering.from_generators(m, _mub_generators(m), "mub")
+        return Covering.from_generators(0, np.zeros((1, 0)))
+    return Covering.from_generators(m, _mub_generators(m))
 
 
 def pauli_basis_covering(m: int) -> Covering:
@@ -320,7 +278,7 @@ def pauli_basis_covering(m: int) -> Covering:
         # base-3 digit of qubit q, read as the letter code X=1, Z=2, Y=3
         letter = word // np.uint64(3**(m - 1 - q)) % np.uint64(3) + np.uint64(1)
         gens[:, q] = letter << np.uint64(2 * q)
-    return Covering.from_generators(m, gens, "pauli-basis")
+    return Covering.from_generators(m, gens)
 
 
 @dataclass

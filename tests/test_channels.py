@@ -12,7 +12,7 @@ from paulibench import (
     wht_inverse,
 )
 from paulibench.channels import _digit_transform
-from paulibench.pauli import PauliLabel, parse_bits, symp
+from paulibench.pauli import parse_bits, symp
 
 
 def brute_wht(p):
@@ -165,9 +165,6 @@ def test_eigenvalue_query():
     ch = PauliChannel.from_sparse(1, [("I", 0.9), ("X", 0.1)])
     assert ch.eigenvalue(0) == 1.0
     assert ch.eigenvalue("Z") == pytest.approx(0.8, abs=1e-15)
-    assert ch.eigenvalue(PauliLabel(parse_bits("Z", 1), 1)) == ch.eigenvalue("Z")
-    with pytest.raises(UsageError):
-        ch.eigenvalue(PauliLabel(0, 2))
     rng = np.random.default_rng(3)
     sparse = PauliChannel.random_sparse(4, 12, rng)
     dense = PauliChannel.from_error_rates(4, _densify(sparse))

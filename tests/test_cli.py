@@ -160,6 +160,8 @@ CONFIG_ERRORS = [
     ("benchmark", dict(_BENCH, m_list=[0]), 2),
     ("benchmark", dict(_BENCH, m_list=[3, 3]), 2),
     ("benchmark", dict(_BENCH, shots_per_m=0), 2),
+    # the one-rate alias of spam_sweep is gone, so it is an unknown key
+    ("benchmark", dict(_BENCH, spam_depolarizing=0.1), 2),
     ("sweep-ancilla", dict(_SWEEP, k_list=[]), 2),
     ("sweep-ancilla", dict(_SWEEP, k_list=[3]), 2),
     ("sweep-ancilla", dict(_SWEEP, trials=0), 2),
@@ -195,8 +197,19 @@ def test_config_errors(tmp_path, capsys):
     assert run_cli("estimate", "--config", path, "--seed", "-1",
                    "--out", str(tmp_path)) == 2
     assert run_cli("verify", "--seed", "-1") == 2
+    # an --out that cannot be a directory, and --threads below 1
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = write_config(tmp_path, "est.json", _EST)
+    assert run_cli("estimate", "--config", path, "--out", str(taken)) == 2
+    assert run_cli("verify", "--out", str(taken / "x")) == 2
+    for threads in ("0", "-3"):
+        assert run_cli("estimate", "--config", path, "--threads", threads,
+                       "--out", str(tmp_path / "fresh")) == 2
+    assert not (tmp_path / "fresh").exists()
     err = capsys.readouterr().err
-    assert err.count("\n") == 4 and err.count("config error: ") == 4, err
+    assert err.count("\n") == 8 and err.count("config error: ") == 8, err
+    assert "Traceback" not in err
 
 
 def test_capability_exit_code(tmp_path):
@@ -612,7 +625,7 @@ def test_verify_fails_on_corrupted_covering(monkeypatch, capsys):
     def corrupted(m):
         cov = real(m)
         if m == 2:
-            return Covering(2, cov.groups[:-1], "mub")
+            return Covering(2, cov.groups[:-1])
         return cov
 
     monkeypatch.setattr(verify, "mub_covering", corrupted)
