@@ -33,7 +33,7 @@ import json
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -225,23 +225,29 @@ def _require_memory(need: int, what: str):
 
 class RunWriter:
     """Collects output files and run metadata for one CLI invocation:
-    the tables written, and the seconds of each named `stage`."""
+    the tables written, and the seconds of each named `stage`.  The output
+    directory is made at the first write, so a refused run leaves none."""
 
     def __init__(self, out_dir: str, fmt: str):
         if fmt not in ("csv", "json"):
             raise ConfigError(f"--format must be csv or json, got {fmt!r}")
         self.dir = Path(out_dir)
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot create --out directory {out_dir}: {exc.strerror}"
-            ) from None
+        with suppress(OSError):  # a file in the way is refused at once
+            if any(p.is_file() for p in (self.dir, *self.dir.parents)):
+                self._path("")  # mkdir fails, making nothing
         self.fmt = fmt
         self.outputs: list[str] = []
         self.tables: dict[str, dict] = {}
         self.stages: dict[str, float] = {}
         self.start = time.perf_counter()
+
+    def _path(self, name: str) -> Path:
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out directory {self.dir}: "
+                              f"{exc.strerror}") from None
+        return self.dir / name
 
     @contextmanager
     def stage(self, name: str):
@@ -265,7 +271,7 @@ class RunWriter:
         is ASCII with no ``"``, ``\\`` or control character: true of every
         one the commands write (label, spam_rate, mode, truth, declared)."""
         start = time.perf_counter()
-        path = self.dir / f"{name}.{self.fmt}"
+        path = self._path(f"{name}.{self.fmt}")
         csv = self.fmt == "csv"
         if csv:  # the text in front of each column, and after each row
             seps, end = [b""] + [b","] * (len(header) - 1), b"\n"
@@ -296,7 +302,7 @@ class RunWriter:
         return path
 
     def write_text(self, name: str, text: str):
-        path = self.dir / name
+        path = self._path(name)
         path.write_text(text)
         self.outputs.append(path.name)
         return path
@@ -320,7 +326,7 @@ class RunWriter:
         }
         if summary is not None:
             meta["summary"] = summary
-        (self.dir / "run.json").write_text(json.dumps(meta, indent=1) + "\n")
+        self._path("run.json").write_text(json.dumps(meta, indent=1) + "\n")
 
 
 def _cells(col: np.ndarray, csv: bool) -> np.ndarray:
@@ -592,10 +598,8 @@ def cmd_discriminate(cfg: dict, seed: int, writer: RunWriter) -> dict:
 
 def cmd_verify(level: str, seed: int, writer: RunWriter | None) -> int:
     results = run_checks(level, seed)
-    lines = []
-    for res in results:
-        print(res.line())
-        lines.append(res.line())
+    lines = [res.line() for res in results]
+    print("\n".join(lines))
     if writer is not None:
         writer.stages = {r.name: r.seconds for r in results}
         writer.write_text("verify.txt", "\n".join(lines) + "\n")
@@ -656,8 +660,6 @@ def main(argv=None) -> int:
         seed = _int(args.seed if args.seed is not None else cfg.get("seed", 0),
                     "seed", 0)
         threads = _int(args.threads, "threads", 1)
-        config_echo = dict(cfg)
-        config_echo["seed"] = seed
         writer = RunWriter(args.out, args.format)
         handler = {
             "estimate": cmd_estimate,
@@ -665,12 +667,11 @@ def main(argv=None) -> int:
             "sweep-ancilla": cmd_sweep_ancilla,
             "discriminate": cmd_discriminate,
         }[args.command]
-        body = dict(cfg)
-        body.pop("seed", None)
-        summary = handler(body, seed, writer)
+        summary = handler({key: val for key, val in cfg.items()
+                           if key != "seed"}, seed, writer)
         if gnuplot:
             writer.write_text("sweep.gp", _GNUPLOT_SWEEP)
-        writer.finish(args.command, config_echo, seed, threads, summary)
+        writer.finish(args.command, dict(cfg, seed=seed), seed, threads, summary)
         return 0
     except (ConfigError, UsageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

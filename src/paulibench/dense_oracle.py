@@ -162,10 +162,10 @@ def build_stabilizer_state(group: StabilizerGroup, e: int) -> np.ndarray:
     """Projector prod_j (I + (-1)^e_j P_gj) / 2 on m qubits."""
     m = group.m
     _check_qubits(m, "stabilizer state")
-    out = np.eye(2**m, dtype=complex)
+    out = eye = np.eye(2**m, dtype=complex)
     for j, g in enumerate(group.generators):
         sign = -1.0 if (e >> j) & 1 else 1.0
-        out = out @ (np.eye(2**m, dtype=complex) + sign * pauli_matrix(g, m)) / 2.0
+        out = out @ (eye + sign * pauli_matrix(g, m)) / 2.0
     return out
 
 
@@ -200,13 +200,14 @@ def apply_pauli_channel(ch: PauliChannel, rho: np.ndarray,
     return out.reshape(w * d, w * d)
 
 
-def alg1_distribution_dense(ch: PauliChannel, k: int, group: StabilizerGroup
-                            ) -> np.ndarray:
+def alg1_distribution_dense(ch: PauliChannel, k: int, group: StabilizerGroup,
+                            stabs: np.ndarray | None = None) -> np.ndarray:
     """Exact p(v, e) = Tr[(Psi_v x phi_e)(1 x Lambda)(Psi_0 x phi_0)].
 
     Both measurement projectors are rank one, so each cell is a sum of
     squared amplitudes: p(v, e) = sum_a p_a |<Psi_v x S_e|(1 x P_a)|psi_in>|^2
     with psi_in = Psi_0 x S_0 on ancilla (k) x main (n = k + m) qubits.
+    `stabs`, the group's `stabilizer_state_vectors`, is built if not given.
     """
     n = ch.n
     m = n - k
@@ -214,7 +215,7 @@ def alg1_distribution_dense(ch: PauliChannel, k: int, group: StabilizerGroup
         raise UsageError(f"group acts on {group.m} qubits, expected {m}")
     _check_qubits(n + k, "estimation round")
     bells = bell_state_vectors(k)
-    stabs = stabilizer_state_vectors(group)
+    stabs = stabilizer_state_vectors(group) if stabs is None else stabs
     psi_in = np.kron(bells[0], stabs[0]).reshape(2**k, 2**n)
     table = np.zeros((4**k, 2**m))
     for probs, paulis in _pauli_terms(ch):

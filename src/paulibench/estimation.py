@@ -26,7 +26,8 @@ stream both paths agree bit for bit (every partial sum is an integer below
 
 Labels covered by several groups (always the case for the identity syndrome
 part, and for all compatible groups of the 3^m covering) are merged by
-shot-count-weighted mean, i.e. the one final division by N_a.
+shot-count-weighted mean, i.e. the one final division by N_a: `alg1_sums`
+returns the sums and the N_a, and `estimate_alg1` their `EstimateSet`.
 
 Estimates are reported raw, not clamped to [-1, 1]; clamping would break
 the unbiasedness checks.
@@ -168,14 +169,15 @@ def _resolve(channel_or_source, k: int, covering: Covering,
     return source, n, total_samples // len(covering.groups)
 
 
+def _require_sampled(n: int, counts: np.ndarray):
+    if np.any(counts == 0):
+        missing = format_bits(int(np.argmax(counts == 0)), n)
+        raise UsageError(f"covering leaves label {missing} unsampled")
+
+
 def _estimate_set(n: int, sums: np.ndarray, counts: np.ndarray
                   ) -> EstimateSet:
-    """Per-label means sums / counts; every label must have been sampled."""
-    if np.any(counts == 0):
-        missing = int(np.argmax(counts == 0))
-        raise UsageError(
-            f"covering leaves label {format_bits(missing, n)} unsampled"
-        )
+    """Per-label means sums / counts and their stderr."""
     lam = np.asarray(sums, dtype=np.float64) / counts
     # sqrt(max(1 - lam^2, 0) / counts), in one buffer
     stderr = np.square(lam)
@@ -190,12 +192,19 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
                   total_samples: int, rng: np.random.Generator
                   ) -> EstimateSet:
     """Run the k-ancilla estimation protocol and estimate all 4^n
-    eigenvalues.
+    eigenvalues: the `EstimateSet` of `alg1_sums`, arguments as there."""
+    return _estimate_set(k + covering.m, *alg1_sums(
+        channel_or_source, k, covering, total_samples, rng))
 
-    `channel_or_source` is either a PauliChannel (rounds are simulated) or
-    a callable (group_index, group, rounds, rng) -> (v_array, e_array) for
-    injecting a fixed shot stream.
-    """
+
+def alg1_sums(channel_or_source, k: int, covering: Covering,
+              total_samples: int, rng: np.random.Generator
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-label float64 sums and int64 counts of the k-ancilla estimation
+    protocol over all 4^n labels, whose quotient is lambda_hat; a label left
+    unsampled is a UsageError.  `channel_or_source` is a PauliChannel
+    (rounds are simulated) or a callable (group_index, group, rounds, rng)
+    -> (v_array, e_array) for injecting a fixed shot stream."""
     source, n, rounds = _resolve(channel_or_source, k, covering, total_samples)
     if n > DENSE_MAX_QUBITS:
         raise CapabilityError(
@@ -210,8 +219,7 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
         # one trivial group: its transform is already in label order and
         # every label is seen in every round
         hist = _histograms(law_channel, source, k, groups, 0, rounds, rng)
-        return _estimate_set(n, wht_forward(hist[0]),
-                             np.full(4**n, rounds, dtype=np.int64))
+        return wht_forward(hist[0]), np.full(4**n, rounds, dtype=np.int64)
     sums = np.zeros(4**n)
     counts = np.zeros(4**n, dtype=np.int64)
     for start, block in label_chunks(k, covering):
@@ -223,7 +231,8 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
         transformed = wht_forward(hists, syndrome_digits=m)
         np.add.at(sums, block.ravel(), transformed.ravel())
         np.add.at(counts, block.ravel(), rounds)
-    return _estimate_set(n, sums, counts)
+    _require_sampled(n, counts)
+    return sums, counts
 
 
 def _histograms(law_channel, source, k, groups, start, rounds, rng,
@@ -278,6 +287,7 @@ def estimate_alg1_reference(channel_or_source, k: int, covering: Covering,
                     lbl = u | (elems[alpha] << (2 * k))
                     sums[lbl] += 1 - 2 * sign_bit
                     counts[lbl] += 1
+    _require_sampled(n, counts)
     return _estimate_set(n, sums, counts)
 
 

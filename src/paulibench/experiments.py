@@ -11,7 +11,8 @@
 
 Each function takes validated values and returns plain results.  Every
 trial and every SPAM rate draws from its own `derive_rng(seed, ...)` stream
-and runs in key order, one after another.
+and runs in key order, one after another.  A sweep probe takes a trial's
+largest error from `alg1_sums`, as `EstimateSet.max_abs_error` would.
 
 A discrimination trial applies one rule in both modes: a shot keeps the
 candidates of its group that commute with its error, the one Bell group
@@ -28,8 +29,8 @@ import numpy as np
 from .channels import PauliChannel
 from .errors import PauliBenchError
 from .estimation import (
+    alg1_sums,
     benchmark_alg2,
-    estimate_alg1,
     required_samples,
     two_sample_consistency,
 )
@@ -63,7 +64,6 @@ def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
                                       alpha)
         for t in range(trials)
     ]
-    truths = [ch.eigenvalues for ch in channels]
     probes = trials_run = 0
 
     def probe(rounds: int, early_stop: bool = True) -> tuple[bool, int]:
@@ -74,8 +74,9 @@ def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
         for t in range(trials):
             trials_run += 1
             rng = derive_rng(seed, "sweep-shots", k, rounds, t)
-            est = estimate_alg1(channels[t], k, cov, rounds * size, rng)
-            successes += bool(est.max_abs_error(truths[t]) <= epsilon)
+            sums, counts = alg1_sums(channels[t], k, cov, rounds * size, rng)
+            error = np.max(np.abs(sums / counts - channels[t].eigenvalues))
+            successes += bool(error <= epsilon)
             if early_stop and (successes >= needed
                                or t + 1 - successes > trials - needed):
                 break

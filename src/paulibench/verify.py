@@ -75,21 +75,17 @@ def check_wht_roundtrip(seed: int = 0, max_n: int = 6) -> CheckResult:
 
 def check_coverings(max_mub: int = 6, max_pauli: int = 4) -> CheckResult:
     def run():
-        for m in range(max_mub + 1):
-            cov = mub_covering(m)
-            expected = 1 if m == 0 else 2**m + 1
+        cases = [("mub", mub_covering, m, 2**m + 1 if m else 1)
+                 for m in range(max_mub + 1)]
+        cases += [("pauli-basis", pauli_basis_covering, m, 3**m)
+                  for m in range(1, max_pauli + 1)]
+        for name, build, m, expected in cases:
+            cov = build(m)
             if len(cov.groups) != expected:
-                return False, f"mub m={m}: {len(cov.groups)} groups"
+                return False, f"{name} m={m}: {len(cov.groups)} groups"
             report = verify_covering(cov)
             if not report.ok:
-                return False, f"mub m={m}: {report}"
-        for m in range(1, max_pauli + 1):
-            cov = pauli_basis_covering(m)
-            if len(cov.groups) != 3**m:
-                return False, f"pauli-basis m={m}: {len(cov.groups)} groups"
-            report = verify_covering(cov)
-            if not report.ok:
-                return False, f"pauli-basis m={m}: {report}"
+                return False, f"{name} m={m}: {report}"
         return True, f"mub m<={max_mub}, pauli-basis m<={max_pauli} all valid"
 
     return _timed("stabilizer-coverings", 0.0, run)
@@ -101,14 +97,15 @@ def check_alg1_oracle(seed: int = 0, max_n: int = 3,
         worst = 0.0
         for n in range(1, max_n + 1):
             for k in range(n + 1):
-                cov = mub_covering(n - k)
+                groups = mub_covering(n - k).groups
+                stabs = [oracle.stabilizer_state_vectors(g) for g in groups]
                 rng = derive_rng(seed, "alg1-oracle", n, k)
                 for _ in range(channels_per_case):
                     ch = PauliChannel.random_dirichlet(n, rng)
-                    for group in cov.groups:
-                        fast = outcome_distribution_alg1(ch, k, group)
-                        dense = oracle.alg1_distribution_dense(ch, k, group)
-                        worst = max(worst, float(np.max(np.abs(fast - dense))))
+                    fast = outcome_distribution_alg1(ch, k, groups)
+                    for law, group, vecs in zip(fast, groups, stabs):
+                        dense = oracle.alg1_distribution_dense(ch, k, group, vecs)
+                        worst = max(worst, float(np.max(np.abs(law - dense))))
         return worst < 1e-10, f"max |fast - dense| = {worst:.2e}"
 
     return _timed("alg1-outcome-distribution-vs-oracle", 1e-10, run)

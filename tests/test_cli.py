@@ -186,6 +186,8 @@ def test_config_errors(tmp_path, capsys):
         got = run_cli(command, "--config", path, "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
         assert got == code, (cfg, got, err)
+        # a refused config leaves no output directory behind
+        assert not (tmp_path / "o").exists(), cfg
         prefix = "config error: " if code == 2 else "capability error: "
         assert err.startswith(prefix) and err.count("\n") == 1, (cfg, err)
     assert run_cli("estimate", "--config", str(tmp_path / "nope.json"),
@@ -203,13 +205,33 @@ def test_config_errors(tmp_path, capsys):
     path = write_config(tmp_path, "est.json", _EST)
     assert run_cli("estimate", "--config", path, "--out", str(taken)) == 2
     assert run_cli("verify", "--out", str(taken / "x")) == 2
+    # a name longer than the file system allows: refused at the first write
+    assert run_cli("estimate", "--config", path, "--out",
+                   str(tmp_path / ("a" * 300))) == 2
     for threads in ("0", "-3"):
         assert run_cli("estimate", "--config", path, "--threads", threads,
                        "--out", str(tmp_path / "fresh")) == 2
     assert not (tmp_path / "fresh").exists()
     err = capsys.readouterr().err
-    assert err.count("\n") == 8 and err.count("config error: ") == 8, err
+    assert err.count("\n") == 9 and err.count("config error: ") == 9, err
     assert "Traceback" not in err
+
+
+def test_out_below_a_file_is_refused_before_the_run(tmp_path, monkeypatch):
+    # the directory is made at the first write, but a file in its way is
+    # refused before the command runs
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run_checks", never)
+    monkeypatch.setattr(cli, "estimate_alg1", never)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = write_config(tmp_path, "est.json", _EST)
+    for out in (taken, taken / "x" / "y"):
+        assert run_cli("estimate", "--config", path, "--out", str(out)) == 2
+        assert run_cli("verify", "--out", str(out)) == 2
+    assert taken.read_text() == ""
 
 
 def test_capability_exit_code(tmp_path):

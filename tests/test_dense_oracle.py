@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paulibench import CapabilityError, PauliChannel, UsageError, mub_covering
+from paulibench import (CapabilityError, PauliChannel, UsageError,
+                        mub_covering, pauli_basis_covering)
 from paulibench import dense_oracle as oracle
 from paulibench.pauli import parse_bits, symp
 from paulibench.sampler import outcome_distribution_alg1
@@ -183,6 +184,27 @@ def test_stabilizer_state_vectors_span_the_projectors():
             for e, vec in enumerate(vecs):
                 proj = oracle.build_stabilizer_state(group, e)
                 assert np.max(np.abs(np.outer(vec, vec.conj()) - proj)) < 1e-12
+
+
+def test_alg1_dense_from_given_stabilizer_states():
+    # the table from a group's stabilizer states, built once and handed to
+    # every channel (as `verify` does), equals the one built from scratch,
+    # for every group of both coverings at n <= 3
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            channels = [PauliChannel.random_dirichlet(n, rng)
+                        for _ in range(3)]
+            channels.append(PauliChannel.from_sparse(n, [(0, 0.6), (1, 0.4)]))
+            coverings = [mub_covering(n - k)]
+            if k < n:
+                coverings.append(pauli_basis_covering(n - k))
+            for group in [g for cov in coverings for g in cov.groups]:
+                stabs = oracle.stabilizer_state_vectors(group)
+                for ch in channels:
+                    assert np.array_equal(
+                        oracle.alg1_distribution_dense(ch, k, group, stabs),
+                        oracle.alg1_distribution_dense(ch, k, group))
 
 
 def test_alg1_dense_point_mass():

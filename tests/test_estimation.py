@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from paulibench import (
+    Covering,
     NoiseModel,
     PauliChannel,
+    StabilizerGroup,
     UsageError,
     benchmark_alg2,
     estimate_alg1,
@@ -20,12 +22,14 @@ from paulibench import dense_oracle as oracle
 from paulibench.cli import _CSV_CHUNK_ROWS, RunWriter
 from paulibench.estimation import (
     EstimateSet,
+    alg1_sums,
     estimate_alg1_reference,
     two_sample_consistency,
 )
 from paulibench.pauli import format_bits, parse_bits
 from paulibench.sampler import (
     draw_histograms,
+    law_pays,
     outcome_distribution_alg1,
     outcome_distribution_alg2,
     simulate_alg2_batch,
@@ -204,6 +208,44 @@ def test_batched_estimate_equals_per_group_loop(case, chunk_cells,
         assert est.lambda_hat.tobytes() == looped.lambda_hat.tobytes()
         assert est.n_shots.tobytes() == looped.n_shots.tobytes()
         assert est.stderr.tobytes() == looped.stderr.tobytes()
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 4 * 8])
+def test_sweep_probe_error_is_max_abs_error(chunk_cells, monkeypatch):
+    # the sweep probe's largest error from alg1_sums equals the EstimateSet's
+    # max_abs_error bit for bit, at every k of n <= 4 (the k = n group
+    # included), on the per-shot path (one round) and the law path (as many
+    # rounds as cells), with the default chunks and chunks of a few groups
+    from paulibench import sampler
+
+    if chunk_cells is not None:
+        monkeypatch.setattr(sampler, "LABEL_CHUNK_CELLS", chunk_cells)
+    for n in range(1, 5):
+        ch = PauliChannel.random_dirichlet(n, np.random.default_rng(n))
+        truth = ch.eigenvalues
+        for k in range(n + 1):
+            cov = mub_covering(n - k)
+            cells = 4**k << (n - k)
+            for rounds in (1, cells):
+                assert law_pays(cells, rounds) == (rounds == cells)
+                total = rounds * len(cov.groups)
+                sums, counts = alg1_sums(ch, k, cov, total,
+                                         np.random.default_rng(7))
+                probe = np.max(np.abs(sums / counts - truth))
+                est = estimate_alg1(ch, k, cov, total,
+                                    np.random.default_rng(7))
+                assert probe == est.max_abs_error(truth), (n, k, rounds)
+                assert (sums / counts).tobytes() == est.lambda_hat.tobytes()
+                assert counts.tobytes() == est.n_shots.tobytes()
+
+
+def test_unsampled_label_is_refused():
+    # a covering of one Z group never sees X or Y
+    z_only = Covering(1, (StabilizerGroup(1, (parse_bits("Z", 1),)),))
+    ch = PauliChannel.depolarizing(1, 0.1)
+    for estimator in (alg1_sums, estimate_alg1, estimate_alg1_reference):
+        with pytest.raises(UsageError, match="label X unsampled"):
+            estimator(ch, 0, z_only, 20, np.random.default_rng(0))
 
 
 def test_label_chunks_keep_only_a_covering_that_fits(monkeypatch):

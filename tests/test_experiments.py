@@ -214,14 +214,6 @@ def test_step_streams_equal_per_shot_arithmetic(mode, block, monkeypatch):
             assert fast == slow, (n, i)
 
 
-class _StubEstimate:
-    def __init__(self, error: float):
-        self.error = error
-
-    def max_abs_error(self, truth) -> float:
-        return self.error
-
-
 def test_probe_stops_at_the_deciding_trial(monkeypatch):
     # every probe but the last (the confirmation pass) must end at the trial
     # that settles pass/fail, and the confirmation pass runs every trial
@@ -236,13 +228,16 @@ def test_probe_stops_at_the_deciding_trial(monkeypatch):
         return t not in (1, 4) if rounds >= threshold else t not in (0, 2, 5, 6)
 
     def stub(channel, k_, cov_, total, rng):
+        # (sums, counts) whose quotient misses the truth by 0 or by 1
         if not probes or channel is probes[0][0][0]:
             probes.append([])
         rounds = total // size
         probes[-1].append((channel, rounds))
-        return _StubEstimate(0.0 if ok(rounds, len(probes[-1]) - 1) else 1.0)
+        error = 0.0 if ok(rounds, len(probes[-1]) - 1) else 1.0
+        counts = np.ones(4**n, dtype=np.int64)
+        return channel.eigenvalues + error, counts
 
-    monkeypatch.setattr(experiments, "estimate_alg1", stub)
+    monkeypatch.setattr(experiments, "alg1_sums", stub)
     rounds_min, confirmed, n_probes, trials_run = experiments.sweep_min_rounds(
         n, k, cov, epsilon, trials, frac, 1.0, seed=0)
     assert rounds_min == threshold

@@ -7,11 +7,13 @@ purpose must re-record them, and re-run the statistical acceptance criteria
 at their seeds.  The digests were recorded with the numpy version below;
 numpy does not promise the same streams across versions, so another
 version skips rather than fails.  Four of the runs are also pinned as
-written with `--format json`.
+written with `--format json`.  The README sweep pins its bisection work
+as well, and `verify --level quick` its report, less the seconds.
 """
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -154,3 +156,42 @@ def test_primary_table_digests(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(JSON_DIGESTS))
 def test_primary_json_table_digests(tmp_path, name):
     assert table_digests(tmp_path, name, "json") == JSON_DIGESTS[name]
+
+
+# the README sweep: the only golden run with the k = n group and probes on
+# the per-shot path; per k, (rounds_min, probes, trials_run) of run.json
+README_SWEEP = {"experiment": "sweep-ancilla", "n": 6, "k_list": [0, 2, 4, 6],
+                "epsilon": 0.2, "trials": 20, "seed": 7}
+README_SWEEP_DIGEST = \
+    "57c9b7b7e2ce0c757e7134352c2aeda5ca4eaed48a512cc09fde90ebff3c850c"
+README_SWEEP_WORK = {"0": (433, 12, 188), "2": (451, 12, 183),
+                     "4": (417, 12, 163), "6": (401, 12, 176)}
+# verify.txt of `verify --level quick`, with each check's seconds removed
+VERIFY_QUICK_DIGEST = \
+    "084fb5b7943dcf45d576da077f68d5dd38a66a764ef4eaba7f33158c5f3d454d"
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}")
+def test_readme_sweep_golden(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(README_SWEEP))
+    out = tmp_path / "sweep"
+    assert main(["sweep-ancilla", "--config", str(path), "--out",
+                 str(out)]) == 0
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == README_SWEEP_DIGEST
+    summary = json.loads((out / "run.json").read_text())["summary"]
+    assert {k: (summary[k]["rounds_min"], summary[k]["probes"],
+                summary[k]["trials_run"])
+            for k in README_SWEEP_WORK} == README_SWEEP_WORK
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}")
+def test_verify_quick_report_golden(tmp_path, capsys):
+    assert main(["verify", "--level", "quick", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = re.sub(r", [0-9.]+s\)$", ")", (tmp_path / "verify.txt").read_text(),
+                    flags=re.MULTILINE)
+    assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_QUICK_DIGEST
