@@ -36,7 +36,8 @@ Channels come in two representations:
 
 Inputs that are not a probability distribution (negative entries or total
 mass off by more than NORMALIZATION_TOL) are rejected, never silently
-renormalized.
+renormalized.  A channel is immutable and keeps no value but its sampling
+CDF; an estimator keeps what it derives from one, such as outcome laws.
 """
 
 from __future__ import annotations
@@ -167,7 +168,6 @@ class PauliChannel:
         "support_labels",
         "support_probs",
         "_cdf",
-        "_laws",
     )
 
     def __init__(self, n, *, error_rates=None, eigenvalues=None,
@@ -178,7 +178,6 @@ class PauliChannel:
         self.support_labels = support_labels
         self.support_probs = support_probs
         self._cdf = None
-        self._laws = None
         if error_rates is not None:
             error_rates.setflags(write=False)
         if eigenvalues is not None:
@@ -366,18 +365,6 @@ class PauliChannel:
             probs = self.support_probs if self.is_sparse else self.error_rates
             self._cdf = np.cumsum(np.clip(probs, 0.0, None))
         return self._cdf
-
-    def _memo_laws(self, key, build):
-        """`build()`, made read-only and kept for as long as `key`, compared
-        by identity, is the last key asked for: the estimator keys a
-        covering's outcome laws on the covering's cached label block."""
-        # benign race, as in `_cumulative`
-        memo = self._laws
-        if memo is None or memo[0] is not key:
-            laws = build()
-            laws.setflags(write=False)
-            memo = self._laws = (key, laws)
-        return memo[1]
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw error labels a ~ p; returns an int, or a label array.

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import PauliChannel
+from .channels import DENSE_MAX_QUBITS, PauliChannel
 from .errors import CapabilityError, ConfigError, UsageError
 from .estimation import (
     DEFAULT_LENGTHS,
@@ -60,6 +61,7 @@ from .stabilizer import mub_covering, pauli_basis_covering
 from .verify import run_checks
 
 _FLOAT = "{:.17g}"
+_INT64_MAX = (1 << 63) - 1  # the largest count numpy draws and stores
 # rows per piece of `RunWriter.write_table`, in CSV and in JSON alike
 _CSV_CHUNK_ROWS = 1 << 16
 
@@ -79,7 +81,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or too many digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
@@ -167,7 +169,7 @@ def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
         for sub in _list(spec["factors"], "tensor factors"):
             if not isinstance(sub, dict):
                 raise ConfigError(f"tensor factor must be an object: {sub!r}")
-            sub_n = _int(sub.get("n", 1), "tensor factor n", 1)
+            sub_n = _int(sub.get("n", 1), "tensor factor n", 1, n - consumed)
             inner = {key: val for key, val in sub.items() if key != "n"}
             factors.append(build_channel(inner, sub_n, rng))
             consumed += sub_n
@@ -209,10 +211,14 @@ def _memory_limit() -> int:
     return DENSE_MEMORY_LIMIT
 
 
-def _require_memory(need: int, what: str):
-    """CapabilityError (exit 3) when `what` needs more than `_memory_limit`
-    bytes; called before the run allocates any of it."""
-    limit = _memory_limit()
+def _require_memory(n: int, bytes_of, what: str):
+    """CapabilityError (exit 3) when n is past DENSE_MAX_QUBITS or `what`
+    needs more than `_memory_limit` bytes, `bytes_of(n)`; called before the
+    run allocates any of it, and before any 4^n of a larger n is computed."""
+    if n > DENSE_MAX_QUBITS:
+        raise CapabilityError(
+            f"{what}: dense runs limited to n <= {DENSE_MAX_QUBITS}")
+    need, limit = bytes_of(n), _memory_limit()
     if need > limit:
         raise CapabilityError(
             f"{what} needs about {need >> 20} MiB, over the {limit >> 20} MiB "
@@ -232,9 +238,16 @@ class RunWriter:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"--format must be csv or json, got {fmt!r}")
         self.dir = Path(out_dir)
-        with suppress(OSError):  # a file in the way is refused at once
-            if any(p.is_file() for p in (self.dir, *self.dir.parents)):
-                self._path("")  # mkdir fails, making nothing
+        # an unusable directory is refused at once: make the missing ones,
+        # then remove them again, deepest first
+        made = [p for p in (self.dir, *self.dir.parents)
+                if not os.path.exists(p)]
+        try:
+            self._path("")
+        finally:
+            for path in made:
+                with suppress(OSError):
+                    path.rmdir()
         self.fmt = fmt
         self.outputs: list[str] = []
         self.tables: dict[str, dict] = {}
@@ -400,12 +413,12 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     )
     n = _int(cfg["n"], "n", 1)
     k = _int(cfg["k"], "k", 0, n)
-    _require_memory(dense_estimate_bytes(n),
+    _require_memory(n, dense_estimate_bytes,
                     f"a dense estimate on n={n} qubits")
     with writer.stage("covering"):
         cov = _covering(cfg.get("covering", "mub"), n - k)
     if "samples" in cfg:
-        total = _int(cfg["samples"], "samples")
+        total = _int(cfg["samples"], "samples", maximum=_INT64_MAX)
     else:
         if "epsilon" not in cfg or "delta" not in cfg:
             raise ConfigError("estimate config needs samples or epsilon+delta")
@@ -436,13 +449,15 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
         "benchmark config",
     )
     n = _int(cfg["n"], "n", 1)
-    m_list = [_int(m, "m_list entry", 0)
+    m_list = [_int(m, "m_list entry", 0, _INT64_MAX)
               for m in _list(cfg.get("m_list", list(DEFAULT_LENGTHS)), "m_list")]
     if len(set(m_list)) < 2:
         raise ConfigError(
             f"m_list needs two or more distinct lengths to fit a decay, "
             f"got {m_list}")
-    shots = _int(cfg["shots_per_m"], "shots_per_m", 1)
+    # every label's shot count, shots_per_m per length, is an int64
+    shots = _int(cfg["shots_per_m"], "shots_per_m", 1,
+                 _INT64_MAX // len(set(m_list)))
     explicit_spam = "prep" in cfg or "meas" in cfg
     if explicit_spam and "spam_sweep" in cfg:
         raise ConfigError("give either prep/meas channels or a SPAM rate, not both")
@@ -451,8 +466,8 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
                  for r in _list(cfg["spam_sweep"], "spam_sweep")]
     else:
         rates = [0.0]
-    _require_memory(dense_benchmark_bytes(n, len(set(m_list)), len(rates)),
-                    f"a dense benchmark on n={n} qubits")
+    _require_memory(n, lambda n: dense_benchmark_bytes(
+        n, len(set(m_list)), len(rates)), f"a dense benchmark on n={n} qubits")
 
     with writer.stage("channel"):
         gate = build_channel(cfg["gate"], n, derive_rng(seed, "gate-channel"))
@@ -649,14 +664,11 @@ def main(argv=None) -> int:
             raise ConfigError("--gnuplot plots sweep.csv, so it needs "
                               "--format csv")
         cfg = _load_config(args.config)
-        expected = args.command.replace("-", "_")
-        declared = str(cfg.get("experiment", expected)).replace("-", "_")
-        if declared != expected:
+        if cfg.setdefault("experiment", args.command) != args.command:
             raise ConfigError(
-                f"config experiment {cfg.get('experiment')!r} does not match "
+                f"config experiment {cfg['experiment']!r} does not match "
                 f"subcommand {args.command!r}"
             )
-        cfg.setdefault("experiment", expected)
         seed = _int(args.seed if args.seed is not None else cfg.get("seed", 0),
                     "seed", 0)
         threads = _int(args.threads, "threads", 1)

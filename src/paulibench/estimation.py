@@ -15,10 +15,11 @@ O(2^(n+k) (n+k)) work per group.  The groups are handled in chunks
 gives the random stream of one multinomial per group.  For a simulated
 channel the histograms are drawn from the exact outcome laws when a
 group's table has no more cells than it has rounds (`sampler.law_pays`);
-larger tables and injected shot streams sample every round.  The laws of
-a covering that fits one chunk are kept on the channel, keyed on the
-covering's cached label block, so repeated estimates of one channel (the
-`sweep-ancilla` probes) build them once.  A covering of one trivial group
+larger tables and injected shot streams sample every round.  An
+`alg1_estimator(k, covering)` keeps the label block of a covering that
+fits one chunk and each channel's laws on it, so repeated estimates of
+one channel (the `sweep-ancilla` probes) build them once; channels and
+coverings keep nothing of an estimate.  A covering of one trivial group
 (k = n) skips the accumulation: its transform is already in label order.
 `estimate_alg1_reference` keeps the literal per-shot loop; on a shared shot
 stream both paths agree bit for bit (every partial sum is an integer below
@@ -26,8 +27,9 @@ stream both paths agree bit for bit (every partial sum is an integer below
 
 Labels covered by several groups (always the case for the identity syndrome
 part, and for all compatible groups of the 3^m covering) are merged by
-shot-count-weighted mean, i.e. the one final division by N_a: `alg1_sums`
-returns the sums and the N_a, and `estimate_alg1` their `EstimateSet`.
+shot-count-weighted mean, i.e. the one final division by N_a: an
+`alg1_estimator` returns the sums and the N_a, and `estimate_alg1` their
+`EstimateSet`.
 
 Estimates are reported raw, not clamped to [-1, 1]; clamping would break
 the unbiasedness checks.
@@ -192,64 +194,83 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
                   total_samples: int, rng: np.random.Generator
                   ) -> EstimateSet:
     """Run the k-ancilla estimation protocol and estimate all 4^n
-    eigenvalues: the `EstimateSet` of `alg1_sums`, arguments as there."""
-    return _estimate_set(k + covering.m, *alg1_sums(
-        channel_or_source, k, covering, total_samples, rng))
+    eigenvalues: the `EstimateSet` of the sums and counts of a fresh
+    `alg1_estimator(k, covering)`, arguments as there."""
+    return _estimate_set(k + covering.m, *alg1_estimator(k, covering)(
+        channel_or_source, total_samples, rng))
 
 
-def alg1_sums(channel_or_source, k: int, covering: Covering,
-              total_samples: int, rng: np.random.Generator
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-label float64 sums and int64 counts of the k-ancilla estimation
-    protocol over all 4^n labels, whose quotient is lambda_hat; a label left
-    unsampled is a UsageError.  `channel_or_source` is a PauliChannel
-    (rounds are simulated) or a callable (group_index, group, rounds, rng)
-    -> (v_array, e_array) for injecting a fixed shot stream."""
-    source, n, rounds = _resolve(channel_or_source, k, covering, total_samples)
-    if n > DENSE_MAX_QUBITS:
-        raise CapabilityError(
-            f"dense estimates limited to n <= {DENSE_MAX_QUBITS}"
-        )
-    m = covering.m
-    law_channel = channel_or_source if isinstance(
-        channel_or_source, PauliChannel) and law_pays(4**k << m, rounds) \
-        else None
-    groups = covering.groups
-    if len(groups) == 1 and m == 0:
-        # one trivial group: its transform is already in label order and
-        # every label is seen in every round
-        hist = _histograms(law_channel, source, k, groups, 0, rounds, rng)
-        return wht_forward(hist[0]), np.full(4**n, rounds, dtype=np.int64)
-    sums = np.zeros(4**n)
-    counts = np.zeros(4**n, dtype=np.int64)
-    for start, block in label_chunks(k, covering):
-        hists = _histograms(law_channel, source, k,
-                            groups[start:start + len(block)], start, rounds,
-                            rng, block,
-                            block is covering.label_blocks.get(k))
-        # transformed[g, (u << m) | alpha], in the order of block[g]
-        transformed = wht_forward(hists, syndrome_digits=m)
-        np.add.at(sums, block.ravel(), transformed.ravel())
-        np.add.at(counts, block.ravel(), rounds)
-    _require_sampled(n, counts)
-    return sums, counts
+def alg1_estimator(k: int, covering: Covering):
+    """The k-ancilla estimation protocol on `covering`, as a function
+    (channel_or_source, total_samples, rng) -> (sums, counts): per-label
+    float64 sums and int64 counts over all 4^n labels, whose quotient is
+    lambda_hat; a label left unsampled is a UsageError.  `channel_or_source`
+    is a PauliChannel (rounds are simulated) or a callable (group_index,
+    group, rounds, rng) -> (v_array, e_array) for injecting a fixed shot
+    stream.  For a covering that fits one label chunk, the function builds
+    the chunk's block once and keeps each channel's laws on it, read-only,
+    once it has drawn from them; a larger covering keeps nothing."""
+    groups, m = covering.groups, covering.m
+    whole, kept = None, {}  # one chunk's block; channel -> its laws on it
+
+    def laws(law_channel, part, block=None):
+        """The stacked laws of the groups `part` on their label `block`, kept
+        read-only when that is `whole`; None on the per-shot path."""
+        if law_channel is None:
+            return None
+        if whole is None or block is not whole:
+            return outcome_distribution_alg1(law_channel, k, part, block)
+        if law_channel not in kept:
+            kept[law_channel] = outcome_distribution_alg1(law_channel, k,
+                                                          part, block)
+            kept[law_channel].setflags(write=False)
+        return kept[law_channel]
+
+    def estimate(channel_or_source, total_samples, rng):
+        nonlocal whole
+        source, n, rounds = _resolve(channel_or_source, k, covering,
+                                     total_samples)
+        if n > DENSE_MAX_QUBITS:
+            raise CapabilityError(
+                f"dense estimates limited to n <= {DENSE_MAX_QUBITS}"
+            )
+        law_channel = channel_or_source if isinstance(
+            channel_or_source, PauliChannel) and law_pays(4**k << m, rounds) \
+            else None
+        if len(groups) == 1 and m == 0:
+            # one trivial group: its transform is already in label order and
+            # every label is seen in every round
+            hist = _histograms(laws(law_channel, groups), source, k, groups,
+                               0, rounds, rng)
+            return wht_forward(hist[0]), np.full(4**n, rounds, dtype=np.int64)
+        sums = np.zeros(4**n)
+        counts = np.zeros(4**n, dtype=np.int64)
+        for start, block in label_chunks(k, covering) if whole is None \
+                else [(0, whole)]:
+            if len(block) == len(groups):  # the covering fits one chunk
+                whole = block
+                whole.setflags(write=False)
+            part = groups[start:start + len(block)]
+            hists = _histograms(laws(law_channel, part, block), source, k,
+                                part, start, rounds, rng)
+            # transformed[g, (u << m) | alpha], in the order of block[g]
+            transformed = wht_forward(hists, syndrome_digits=m)
+            np.add.at(sums, block.ravel(), transformed.ravel())
+            np.add.at(counts, block.ravel(), rounds)
+        _require_sampled(n, counts)
+        return sums, counts
+
+    return estimate
 
 
-def _histograms(law_channel, source, k, groups, start, rounds, rng,
-                block=None, kept=False) -> np.ndarray:
+def _histograms(laws, source, k, groups, start, rounds, rng) -> np.ndarray:
     """(G, cells) int64 outcome histograms of `groups`, the covering's groups
-    from index `start` on, in group order: drawn from the exact laws of
-    `law_channel` in one `draw_histograms` call unless it is None, else
-    binned from the rounds `source` returns.  `block` is the groups' stacked
-    label block, if built; `kept` says it is the covering's cached block,
-    on which the channel keeps its laws for the next estimate."""
+    from index `start` on, in group order: drawn from their stacked `laws`
+    in one `draw_histograms` call unless those are None, else binned from
+    the rounds `source` returns."""
     m = groups[0].m
     cells = 4**k << m
-    if law_channel is not None:
-        def build():
-            return outcome_distribution_alg1(law_channel, k, groups, block)
-
-        laws = law_channel._memo_laws(block, build) if kept else build()
+    if laws is not None:
         return draw_histograms(laws, rounds, rng).reshape(len(groups), cells)
     hists = np.empty((len(groups), cells), dtype=np.int64)
     for hist, (gi, group) in zip(hists, enumerate(groups, start)):

@@ -12,7 +12,8 @@
 Each function takes validated values and returns plain results.  Every
 trial and every SPAM rate draws from its own `derive_rng(seed, ...)` stream
 and runs in key order, one after another.  A sweep probe takes a trial's
-largest error from `alg1_sums`, as `EstimateSet.max_abs_error` would.
+largest error, as `EstimateSet.max_abs_error` would, from the sums and
+counts of one `alg1_estimator` per k, which builds each channel's laws once.
 
 A discrimination trial applies one rule in both modes: a shot keeps the
 candidates of its group that commute with its error, the one Bell group
@@ -29,7 +30,7 @@ import numpy as np
 from .channels import PauliChannel
 from .errors import PauliBenchError
 from .estimation import (
-    alg1_sums,
+    alg1_estimator,
     benchmark_alg2,
     required_samples,
     two_sample_consistency,
@@ -65,6 +66,7 @@ def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
         for t in range(trials)
     ]
     probes = trials_run = 0
+    estimate = alg1_estimator(k, cov)
 
     def probe(rounds: int, early_stop: bool = True) -> tuple[bool, int]:
         # trials run in order and stop at the one that decides pass/fail
@@ -74,7 +76,7 @@ def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
         for t in range(trials):
             trials_run += 1
             rng = derive_rng(seed, "sweep-shots", k, rounds, t)
-            sums, counts = alg1_sums(channels[t], k, cov, rounds * size, rng)
+            sums, counts = estimate(channels[t], rounds * size, rng)
             error = np.max(np.abs(sums / counts - channels[t].eigenvalues))
             successes += bool(error <= epsilon)
             if early_stop and (successes >= needed

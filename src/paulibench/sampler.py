@@ -14,12 +14,11 @@ labels, which is exact for Pauli noise:
       p(v, e) = 2^-(n+k) sum_{u, alpha} lambda[u | s_alpha << 2k]
                                         (-1)^(<u,v> + alpha.e),
 
-  one `wht_forward(..., syndrome_digits=m)` call over the group's
-  `group_labels` block (`outcome_distribution_alg1`); the suite checks it
-  against the dense matrix oracle.  Given a sequence of groups, the same
-  call transforms their stacked blocks at once; the estimator passes the
-  chunks of `label_chunks`, so the law it samples is the code the oracle
-  checks.
+  one `wht_forward(..., syndrome_digits=m)` call over the group's label
+  block (`outcome_distribution_alg1`); the suite checks it against the
+  dense matrix oracle.  Given a sequence of groups, the same call
+  transforms their stacked blocks at once; the estimator passes the chunks
+  of `label_chunks`, so the law it samples is the code the oracle checks.
 
 * Benchmarking shot of sequence length m: Pauli gates conjugate Pauli
   errors to themselves up to phase, so the Bell outcome is the XOR of the
@@ -61,7 +60,8 @@ _DIST_ARRAY_LIMIT = 1 << 26
 # cells of one stacked label block: 2^16 keeps a chunk at 512 KiB of labels
 # and its laws, histograms and transforms at as much again each, where a
 # whole n=10 MUB covering (1025 x 1024 cells, 8.4 MB per array) would raise
-# the estimator's peak; a covering that fits is built once and kept
+# the estimator's peak; `estimation.alg1_estimator` keeps the block of a
+# covering that fits
 LABEL_CHUNK_CELLS = 1 << 16
 
 
@@ -161,48 +161,25 @@ def simulate_rounds_alg1(ch: PauliChannel, k: int, group: StabilizerGroup,
     return v, group.syndromes(a >> np.uint64(2 * k))
 
 
-def _generators_of(groups) -> np.ndarray:
-    return np.array([grp.generators for grp in groups],
-                    dtype=np.uint64).reshape(len(groups), groups[0].m)
-
-
 def _label_block(k: int, generators: np.ndarray) -> np.ndarray:
-    """(G, 4^k, 2^m) int64 `group_labels` of the groups generated by the
-    rows of the (G, m) array `generators`, from their `element_block`."""
+    """(G, 4^k, 2^m) int64 labels u | s_alpha << 2k at [g, u, alpha] of the
+    groups generated by the rows of the (G, m) array `generators`, laid out
+    like the output of `wht_forward(..., syndrome_digits=m)`."""
     elems = element_block(generators)
     return np.arange(4**k, dtype=np.int64)[:, None] | (elems[:, None, :]
                                                       << (2 * k))
 
 
-def group_labels(k: int, group: StabilizerGroup) -> np.ndarray:
-    """(4^k, 2^m) int64 labels u | s_alpha << 2k at row u, column alpha:
-    the eigenvalues one group's rounds estimate, laid out like the flat
-    (u << m) | alpha output of `wht_forward(..., syndrome_digits=m)`."""
-    return _label_block(k, _generators_of((group,)))[0]
-
-
 def label_chunks(k: int, covering: Covering):
     """Yield (start, block) over the covering's groups in order: `block` is
-    the (G, 4^k, 2^m) stack of the `group_labels` of groups[start:start+G],
-    with at most LABEL_CHUNK_CELLS cells unless one group alone has more.
-    Each block is built from its rows of `covering.generator_array` by XOR
-    doubling (`stabilizer.element_block`).
-
-    A covering that fits in one chunk builds its block once per k and keeps
-    it, read-only, in `covering.label_blocks`; larger ones are rebuilt chunk
-    by chunk, so no more than one chunk is held."""
+    the `_label_block` of groups[start:start+G], with at most
+    LABEL_CHUNK_CELLS cells unless one group alone has more, built from its
+    rows of `covering.generator_array` as it is reached, so no more than one
+    chunk is held."""
     gens = covering.generator_array
     per_chunk = max(1, LABEL_CHUNK_CELLS // (4**k << covering.m))
-    if len(gens) > per_chunk:
-        for start in range(0, len(gens), per_chunk):
-            yield start, _label_block(k, gens[start:start + per_chunk])
-        return
-    block = covering.label_blocks.get(k)
-    if block is None:
-        block = _label_block(k, gens)
-        block.setflags(write=False)
-        covering.label_blocks[k] = block
-    yield 0, block
+    for start in range(0, len(gens), per_chunk):
+        yield start, _label_block(k, gens[start:start + per_chunk])
 
 
 def outcome_distribution_alg1(ch: PauliChannel, k: int, group,
@@ -212,11 +189,11 @@ def outcome_distribution_alg1(ch: PauliChannel, k: int, group,
 
     `group` may also be a sequence of G groups, whose laws come as one
     (G, 4^k, 2^m) array.  Dense channels transform the eigenvalues on
-    `full`, the `group_labels` block of the group or the stack of the
-    groups' blocks (`label_chunks`), built here when not given, in one
-    `wht_forward` call; sparse channels bin the syndromes of their support,
-    group by group.  A table of more than 2^26 cells, which only a sparse
-    channel on a large register can ask for, is a CapabilityError.
+    `full`, the groups' stacked `_label_block` (a chunk of `label_chunks`),
+    built here when not given, in one `wht_forward` call; sparse channels
+    bin the syndromes of their support, group by group.  A table of more
+    than 2^26 cells, which only a sparse channel on a large register can
+    ask for, is a CapabilityError.
     """
     stacked = not isinstance(group, StabilizerGroup)
     groups = tuple(group) if stacked else (group,)
@@ -230,7 +207,9 @@ def outcome_distribution_alg1(ch: PauliChannel, k: int, group,
             lam = np.broadcast_to(ch.eigenvalues, (len(groups), cells))
         else:
             if full is None:
-                full = _label_block(k, _generators_of(groups))
+                full = _label_block(k, np.array(
+                    [grp.generators for grp in groups],
+                    dtype=np.uint64).reshape(len(groups), m))
             lam = ch.eigenvalues[full.reshape(-1, cells)]
         law = wht_forward(lam, syndrome_digits=m)
         law /= cells

@@ -33,9 +33,10 @@ checks every row in one pass of array ops with the messages
 w(c) = sum_s parity(c & t_s) 2^s is M_c[i][j] for every i + j = s, and
 column j of S_c has z bits (w(c) >> j) mod 2^m; every field element c is
 one entry of a numpy vector, and no temporary outgrows the generator
-array.  `element_block` turns generator rows into their (G, 2^m) element
-blocks by XOR doubling, the array form of `StabilizerGroup.elements`; the
-estimator's label blocks and the ancilla-free discrimination are built
+array.  A `Covering` keeps no value but that array.  `element_block`
+turns generator rows into their (G, 2^m) element blocks by XOR doubling,
+the array form of `StabilizerGroup.elements`; the estimator's label blocks
+(which the estimator keeps) and the ancilla-free discrimination are built
 from it.  `verify_covering` stays on the scalar `elements` and `symp`, so
 it checks the array code rather than repeating it.  Membership is read off
 `elements`.
@@ -43,7 +44,7 @@ it checks the array code rather than repeating it.  Membership is read off
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -189,10 +190,6 @@ class Covering:
 
     m: int
     groups: tuple[StabilizerGroup, ...]
-    # the estimator's stacked label block per ancilla count k, kept by
-    # `sampler.label_chunks` when the whole covering fits in one chunk
-    label_blocks: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     def __post_init__(self):
         for g in self.groups:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import tracemalloc
 from itertools import product
@@ -205,7 +206,7 @@ def test_config_errors(tmp_path, capsys):
     path = write_config(tmp_path, "est.json", _EST)
     assert run_cli("estimate", "--config", path, "--out", str(taken)) == 2
     assert run_cli("verify", "--out", str(taken / "x")) == 2
-    # a name longer than the file system allows: refused at the first write
+    # a name longer than the file system allows: refused before the run
     assert run_cli("estimate", "--config", path, "--out",
                    str(tmp_path / ("a" * 300))) == 2
     for threads in ("0", "-3"):
@@ -232,6 +233,75 @@ def test_out_below_a_file_is_refused_before_the_run(tmp_path, monkeypatch):
         assert run_cli("estimate", "--config", path, "--out", str(out)) == 2
         assert run_cli("verify", "--out", str(out)) == 2
     assert taken.read_text() == ""
+
+
+def test_long_out_name_is_refused_before_the_run(tmp_path, monkeypatch):
+    # one probe for every unusable --out: the missing directories are made
+    # and removed again before the command runs, so nothing is left
+    calls = []
+    monkeypatch.setattr(cli, "estimate_alg1",
+                        lambda *args: calls.append(args))
+    path = write_config(tmp_path, "est.json", _EST)
+    for out in (tmp_path / ("a" * 300), tmp_path / "b" / "c" / ("a" * 300)):
+        assert run_cli("estimate", "--config", path, "--out", str(out)) == 2
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["est.json"]
+
+
+def test_huge_integers_are_refused_before_any_work(tmp_path, capsys):
+    # no traceback, no 4^n of a huge n, no int64 overflow: exit 2 or 3 with
+    # one short line
+    huge = 10**30
+    factor = {"kind": "tensor", "factors": [{"kind": "identity", "n": huge},
+                                            {"kind": "identity"}]}
+    cases = [("estimate", dict(_EST, n=8000, k=0), 3),
+             ("estimate", dict(_EST, n=huge, k=0), 3),
+             ("benchmark", dict(_BENCH, n=8000), 3),
+             ("benchmark", dict(_BENCH, n=huge), 3),
+             ("estimate", dict(_EST, samples=huge), 2),
+             ("benchmark", dict(_BENCH, shots_per_m=huge), 2),
+             ("benchmark", dict(_BENCH, m_list=[0, huge]), 2),
+             ("estimate", dict(_EST, channel=factor), 2),
+             ("benchmark", dict(_BENCH, n=2, gate=factor), 2)]
+    capsys.readouterr()
+    for i, (command, cfg, code) in enumerate(cases):
+        path = write_config(tmp_path, f"big{i}.json", cfg)
+        assert run_cli(command, "--config", path, "--out",
+                       str(tmp_path / "o")) == code, cfg
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200, err
+    # two lengths of 2^62 shots would overflow a label's int64 shot count
+    path = write_config(tmp_path, "shots.json", dict(_BENCH,
+                                                     shots_per_m=1 << 62))
+    assert run_cli("benchmark", "--config", path, "--out",
+                   str(tmp_path / "o")) == 2
+    assert "shots_per_m must be at most" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # an integer literal past Python's int-to-str digit limit
+    path = tmp_path / "digits.json"
+    path.write_text('{"experiment": "estimate", "n": ' + "7" * 5000 + "}")
+    assert run_cli("estimate", "--config", str(path)) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_experiment_is_the_subcommand_as_typed(tmp_path, capsys):
+    # one spelling per subcommand: the underscore form is refused, and a
+    # config without "experiment" records the subcommand as typed
+    cfg = {key: val for key, val in _SWEEP.items() if key != "experiment"}
+    path = write_config(tmp_path, "under.json",
+                        dict(cfg, experiment="sweep_ancilla"))
+    assert run_cli("sweep-ancilla", "--config", path, "--out",
+                   str(tmp_path / "under")) == 2
+    assert "does not match" in capsys.readouterr().err
+    path = write_config(tmp_path, "bare.json", cfg)
+    assert run_cli("sweep-ancilla", "--config", path, "--out",
+                   str(tmp_path / "bare")) == 0
+    meta = json.loads((tmp_path / "bare" / "run.json").read_text())
+    recorded = dict(cfg, experiment="sweep-ancilla", seed=0)
+    assert meta["config"] == recorded
+    canonical = json.dumps(recorded, sort_keys=True, separators=(",", ":"))
+    assert meta["config_sha256"] == hashlib.sha256(
+        canonical.encode()).hexdigest()
 
 
 def test_capability_exit_code(tmp_path):

@@ -22,7 +22,8 @@ from paulibench import dense_oracle as oracle
 from paulibench.cli import _CSV_CHUNK_ROWS, RunWriter
 from paulibench.estimation import (
     EstimateSet,
-    alg1_sums,
+    _estimate_set,
+    alg1_estimator,
     estimate_alg1_reference,
     two_sample_consistency,
 )
@@ -123,8 +124,8 @@ def test_histogram_path_equals_literal_loop(n, k):
 def _per_group_estimate(channel_or_source, k, covering, total, rng):
     """`estimate_alg1` as one law, draw, transform and `np.add.at` per
     covering group: the unbatched form the batched estimator must equal."""
-    from paulibench.estimation import _estimate_set, _resolve
-    from paulibench.sampler import group_labels, law_pays
+    from paulibench.estimation import _resolve
+    from paulibench.sampler import _label_block, law_pays
 
     source, n, rounds = _resolve(channel_or_source, k, covering, total)
     m = covering.m
@@ -134,7 +135,7 @@ def _per_group_estimate(channel_or_source, k, covering, total, rng):
     sums = np.zeros(4**n)
     counts = np.zeros(4**n, dtype=np.int64)
     for gi, group in enumerate(covering.groups):
-        full = group_labels(k, group)
+        full = _label_block(k, covering.generator_array[gi:gi + 1])[0]
         if from_law:
             ch = channel_or_source
             if ch.is_sparse:
@@ -200,11 +201,13 @@ def test_batched_estimate_equals_per_group_loop(case, chunk_cells,
     rng_seed = 50 + sorted(_BATCH_CASES).index(case)
     batched = estimate_alg1(build(), k, cover, total,
                             np.random.default_rng(rng_seed))
-    again = estimate_alg1(build(), k, cover, total,
-                          np.random.default_rng(rng_seed))  # a kept block
+    # one estimator twice on one channel: the second call on what it kept
+    channel, estimate = build(), alg1_estimator(k, cover)
+    kept = [_estimate_set(k + cover.m, *estimate(
+        channel, total, np.random.default_rng(rng_seed))) for _ in range(2)]
     looped = _per_group_estimate(build(), k, cover, total,
                                  np.random.default_rng(rng_seed))
-    for est in (batched, again):
+    for est in (batched, *kept):
         assert est.lambda_hat.tobytes() == looped.lambda_hat.tobytes()
         assert est.n_shots.tobytes() == looped.n_shots.tobytes()
         assert est.stderr.tobytes() == looped.stderr.tobytes()
@@ -212,10 +215,11 @@ def test_batched_estimate_equals_per_group_loop(case, chunk_cells,
 
 @pytest.mark.parametrize("chunk_cells", [None, 4 * 8])
 def test_sweep_probe_error_is_max_abs_error(chunk_cells, monkeypatch):
-    # the sweep probe's largest error from alg1_sums equals the EstimateSet's
-    # max_abs_error bit for bit, at every k of n <= 4 (the k = n group
-    # included), on the per-shot path (one round) and the law path (as many
-    # rounds as cells), with the default chunks and chunks of a few groups
+    # the sweep probe's largest error from one estimator per k equals the
+    # EstimateSet's max_abs_error bit for bit, at every k of n <= 4 (the
+    # k = n group included), on the per-shot path (one round) and the law
+    # path (as many rounds as cells), with the default chunks and chunks of
+    # a few groups
     from paulibench import sampler
 
     if chunk_cells is not None:
@@ -226,11 +230,11 @@ def test_sweep_probe_error_is_max_abs_error(chunk_cells, monkeypatch):
         for k in range(n + 1):
             cov = mub_covering(n - k)
             cells = 4**k << (n - k)
-            for rounds in (1, cells):
+            estimate = alg1_estimator(k, cov)
+            for rounds in (1, cells, cells):
                 assert law_pays(cells, rounds) == (rounds == cells)
                 total = rounds * len(cov.groups)
-                sums, counts = alg1_sums(ch, k, cov, total,
-                                         np.random.default_rng(7))
+                sums, counts = estimate(ch, total, np.random.default_rng(7))
                 probe = np.max(np.abs(sums / counts - truth))
                 est = estimate_alg1(ch, k, cov, total,
                                     np.random.default_rng(7))
@@ -243,40 +247,79 @@ def test_unsampled_label_is_refused():
     # a covering of one Z group never sees X or Y
     z_only = Covering(1, (StabilizerGroup(1, (parse_bits("Z", 1),)),))
     ch = PauliChannel.depolarizing(1, 0.1)
-    for estimator in (alg1_sums, estimate_alg1, estimate_alg1_reference):
+
+    def sums(ch, k, cov, total, rng):
+        return alg1_estimator(k, cov)(ch, total, rng)
+
+    for estimator in (sums, estimate_alg1, estimate_alg1_reference):
         with pytest.raises(UsageError, match="label X unsampled"):
             estimator(ch, 0, z_only, 20, np.random.default_rng(0))
 
 
-def test_label_chunks_keep_only_a_covering_that_fits(monkeypatch):
+def _cold(channel, k, m, total, seed):
+    return estimate_alg1(channel, k, mub_covering(m), total,
+                         np.random.default_rng(seed))
+
+
+def _same(est, cold):
+    return all(getattr(est, name).tobytes() == getattr(cold, name).tobytes()
+               for name in ("lambda_hat", "n_shots", "stderr"))
+
+
+def test_estimator_keeps_only_a_covering_that_fits(monkeypatch):
+    # an estimator builds the label block of a covering that fits one chunk
+    # once, read-only, for all its calls; a covering of several chunks is
+    # rebuilt chunk by chunk on every call and nothing is frozen or kept
     from paulibench import sampler
 
-    cov = mub_covering(3)  # 9 groups of 4 * 8 cells at k = 1
-    (start, block), = sampler.label_chunks(1, cov)
-    assert start == 0 and block.shape == (9, 4, 8)
-    assert cov.label_blocks[1] is block and not block.flags.writeable
-    for gi, group in enumerate(cov.groups):
-        assert np.array_equal(block[gi], sampler.group_labels(1, group))
-    monkeypatch.setattr(sampler, "LABEL_CHUNK_CELLS", 4 * 32)
-    fresh = mub_covering(3)
-    chunks = list(sampler.label_chunks(1, fresh))
-    assert [(lo, len(blk)) for lo, blk in chunks] == [(0, 4), (4, 4), (8, 1)]
-    assert np.array_equal(np.concatenate([blk for _, blk in chunks]), block)
-    assert fresh.label_blocks == {}
+    def channel():
+        return PauliChannel.random_dirichlet(4, np.random.default_rng(42))
+
+    calls = [(1, 1), (32, 2), (32, 3)]  # per-shot, then twice from the laws
+    colds = [_cold(channel(), 1, 3, 9 * rounds, seed)
+             for rounds, seed in calls]
+    built, label_block = [], sampler._label_block
+
+    def counted(*args):
+        built.append(label_block(*args))
+        return built[-1]
+
+    monkeypatch.setattr(sampler, "_label_block", counted)
+    ch = channel()
+    for chunk_cells, sizes in ((None, [9]), (4 * 32, [4, 4, 1] * 3)):
+        if chunk_cells is not None:
+            monkeypatch.setattr(sampler, "LABEL_CHUNK_CELLS", chunk_cells)
+        del built[:]
+        estimate = alg1_estimator(1, mub_covering(3))  # 9 groups of 4 x 8
+        for (rounds, seed), cold in zip(calls, colds):
+            assert _same(_estimate_set(4, *estimate(
+                ch, 9 * rounds, np.random.default_rng(seed))), cold)
+        assert [len(block) for block in built] == sizes
+        assert all(block.flags.writeable == (chunk_cells is not None)
+                   for block in built)
 
 
-def test_channel_keeps_the_laws_of_a_kept_block(monkeypatch):
-    # a channel's laws on a covering that fits one chunk are built once and
-    # handed out read-only; another covering object or another k rebuilds,
-    # and a covering of several chunks keeps nothing
+def test_estimator_keeps_each_channels_laws(monkeypatch):
+    # on a covering that fits one chunk, an estimator builds each channel's
+    # laws once and hands them out read-only; a fresh estimator rebuilds,
+    # and on a covering of several chunks nothing is kept
     from paulibench import estimation, sampler
 
+    def channels():
+        return [PauliChannel.random_dirichlet(3, np.random.default_rng(seed))
+                for seed in (41, 43)]
+
+    # (channel, rounds, seed); 7 rounds of 8 cells take the per-shot path
+    calls = [(0, 100, 1), (1, 100, 2), (0, 300, 3), (1, 7, 4), (1, 300, 5)]
+    colds = [_cold(channels()[i], 0, 3, 9 * rounds, seed)
+             for i, rounds, seed in calls]
+    chunked_colds = [_cold(channels()[0], 0, 3, 900, seed) for seed in (7, 8)]
     builds, drawn = [], []
     build, draw = estimation.outcome_distribution_alg1, draw_histograms
 
-    def counted_build(*args):
-        builds.append(args[1])
-        return build(*args)
+    def counted_build(ch, *args):
+        builds.append(ch)
+        return build(ch, *args)
 
     def recorded_draw(laws, draws, rng):
         drawn.append(laws)
@@ -285,33 +328,25 @@ def test_channel_keeps_the_laws_of_a_kept_block(monkeypatch):
     monkeypatch.setattr(estimation, "outcome_distribution_alg1",
                         counted_build)
     monkeypatch.setattr(estimation, "draw_histograms", recorded_draw)
-
-    def channel():
-        return PauliChannel.random_dirichlet(3, np.random.default_rng(41))
-
-    ch, cov = channel(), mub_covering(3)  # k = 0: 9 groups of 8 cells
-    first = estimate_alg1(ch, 0, cov, 9 * 100, np.random.default_rng(1))
-    second = estimate_alg1(ch, 0, cov, 9 * 300, np.random.default_rng(2))
-    assert builds == [0]
-    assert drawn[0] is drawn[1] and not drawn[0].flags.writeable
-    for est, rounds, seed in ((first, 100, 1), (second, 300, 2)):
-        cold = estimate_alg1(channel(), 0, mub_covering(3), 9 * rounds,
-                             np.random.default_rng(seed))
-        assert est.lambda_hat.tobytes() == cold.lambda_hat.tobytes()
-        assert est.n_shots.tobytes() == cold.n_shots.tobytes()
-        assert est.stderr.tobytes() == cold.stderr.tobytes()
-    del builds[:]
-    estimate_alg1(ch, 0, mub_covering(3), 9 * 100, np.random.default_rng(3))
-    estimate_alg1(ch, 1, mub_covering(2), 5 * 100, np.random.default_rng(4))
-    estimate_alg1(ch, 1, mub_covering(2), 5 * 100, np.random.default_rng(4))
-    assert builds == [0, 1, 1]
-    del builds[:]
+    chs = channels()
+    estimate = alg1_estimator(0, mub_covering(3))  # 9 groups of 8 cells
+    for (i, rounds, seed), cold in zip(calls, colds):
+        assert _same(_estimate_set(3, *estimate(
+            chs[i], 9 * rounds, np.random.default_rng(seed))), cold)
+    assert builds == chs
+    assert len(drawn) == 4 and drawn[0] is drawn[2] and drawn[1] is drawn[3]
+    assert not any(laws.flags.writeable for laws in drawn)
+    del builds[:], drawn[:]
+    alg1_estimator(0, mub_covering(3))(chs[0], 900, np.random.default_rng(6))
+    assert builds == chs[:1]  # a fresh estimator rebuilds
+    del builds[:], drawn[:]
     monkeypatch.setattr(sampler, "LABEL_CHUNK_CELLS", 4 * 8)
-    several = mub_covering(3)
-    estimate_alg1(ch, 0, several, 9 * 100, np.random.default_rng(5))
-    estimate_alg1(ch, 0, several, 9 * 100, np.random.default_rng(5))
-    assert builds == [0] * 6  # chunks of 4, 4 and 1 groups, twice
-    assert all(laws.flags.writeable for laws in drawn[-6:])
+    several = alg1_estimator(0, mub_covering(3))
+    for seed, cold in zip((7, 8), chunked_colds):
+        assert _same(_estimate_set(3, *several(
+            chs[0], 900, np.random.default_rng(seed))), cold)
+    assert builds == chs[:1] * 6  # chunks of 4, 4 and 1 groups, twice
+    assert all(laws.flags.writeable for laws in drawn)
 
 
 def test_stacked_laws_equal_per_group_laws():

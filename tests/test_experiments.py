@@ -227,7 +227,7 @@ def test_probe_stops_at_the_deciding_trial(monkeypatch):
         # passing budgets fail two trials, failing ones pass six
         return t not in (1, 4) if rounds >= threshold else t not in (0, 2, 5, 6)
 
-    def stub(channel, k_, cov_, total, rng):
+    def stub(channel, total, rng):
         # (sums, counts) whose quotient misses the truth by 0 or by 1
         if not probes or channel is probes[0][0][0]:
             probes.append([])
@@ -237,7 +237,8 @@ def test_probe_stops_at_the_deciding_trial(monkeypatch):
         counts = np.ones(4**n, dtype=np.int64)
         return channel.eigenvalues + error, counts
 
-    monkeypatch.setattr(experiments, "alg1_sums", stub)
+    monkeypatch.setattr(experiments, "alg1_estimator",
+                        lambda k_, cov_: stub)
     rounds_min, confirmed, n_probes, trials_run = experiments.sweep_min_rounds(
         n, k, cov, epsilon, trials, frac, 1.0, seed=0)
     assert rounds_min == threshold

@@ -8,7 +8,8 @@ at their seeds.  The digests were recorded with the numpy version below;
 numpy does not promise the same streams across versions, so another
 version skips rather than fails.  Four of the runs are also pinned as
 written with `--format json`.  The README sweep pins its bisection work
-as well, and `verify --level quick` its report, less the seconds.
+and its law builds, block builds and draws as well, and
+`verify --level quick` its report, less the seconds.
 """
 
 import hashlib
@@ -166,6 +167,11 @@ README_SWEEP_DIGEST = \
     "57c9b7b7e2ce0c757e7134352c2aeda5ca4eaed48a512cc09fde90ebff3c850c"
 README_SWEEP_WORK = {"0": (433, 12, 188), "2": (451, 12, 183),
                      "4": (417, 12, 163), "6": (401, 12, 176)}
+# the README sweep's outcome-law builds, label-block builds and stacked
+# histogram draws: each trial channel's laws are built once per k that
+# reaches the law path (k = 0 and 2), each covering's block once per k
+# (k = 6 is one trivial group, which needs none)
+README_SWEEP_BUILDS = {"laws": 40, "blocks": 3, "draws": 365}
 # verify.txt of `verify --level quick`, with each check's seconds removed
 VERIFY_QUICK_DIGEST = \
     "084fb5b7943dcf45d576da077f68d5dd38a66a764ef4eaba7f33158c5f3d454d"
@@ -185,6 +191,27 @@ def test_readme_sweep_golden(tmp_path):
     assert {k: (summary[k]["rounds_min"], summary[k]["probes"],
                 summary[k]["trials_run"])
             for k in README_SWEEP_WORK} == README_SWEEP_WORK
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}")
+def test_readme_sweep_builds_and_draws(tmp_path, monkeypatch):
+    from paulibench import estimation, sampler
+
+    counts = dict.fromkeys(README_SWEEP_BUILDS, 0)
+    for module, name, key in ((estimation, "outcome_distribution_alg1",
+                               "laws"), (sampler, "_label_block", "blocks"),
+                              (estimation, "draw_histograms", "draws")):
+        def counted(*args, _fn=getattr(module, name), _key=key):
+            counts[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(README_SWEEP))
+    assert main(["sweep-ancilla", "--config", str(path), "--out",
+                 str(tmp_path / "sweep")]) == 0
+    assert counts == README_SWEEP_BUILDS
 
 
 @pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
