@@ -42,7 +42,6 @@ CDF; an estimator keeps what it derives from one, such as outcome laws.
 
 from __future__ import annotations
 
-import json
 from numbers import Integral
 from typing import Iterable, Sequence
 
@@ -54,7 +53,6 @@ from .pauli import format_bits, parse_bits, symp, symp_u64
 DENSE_MAX_QUBITS = 13
 NORMALIZATION_TOL = 1e-12
 EIGENVALUE_TOL = 1e-12
-_JSON_FLOAT = "{:.17g}"
 
 
 def _pauli_digits(length: int, syndrome_digits: int) -> int:
@@ -385,15 +383,14 @@ class PauliChannel:
     # --- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON-compatible dict; probabilities use 17 significant digits."""
+        """JSON-compatible dict; `json.dumps` writes each probability with
+        the fewest digits that read back as the same double."""
         if self.is_sparse:
-            entries = [
-                [format_bits(int(lbl), self.n), float(_JSON_FLOAT.format(pr))]
-                for lbl, pr in zip(self.support_labels, self.support_probs)
-            ]
+            entries = [[format_bits(int(lbl), self.n), pr] for lbl, pr
+                       in zip(self.support_labels, self.support_probs.tolist())]
             return {"n": self.n, "format": "sparse", "entries": entries}
-        dense = [float(_JSON_FLOAT.format(x)) for x in self.error_rates]
-        return {"n": self.n, "format": "dense", "entries": dense}
+        return {"n": self.n, "format": "dense",
+                "entries": self.error_rates.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PauliChannel":
@@ -408,13 +405,6 @@ class PauliChannel:
         if fmt == "dense":
             return cls.from_error_rates(n, entries)
         raise UsageError(f"unknown channel format {fmt!r}")
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "PauliChannel":
-        return cls.from_json(json.loads(text))
 
     def __repr__(self):
         kind = "sparse" if self.is_sparse else "dense"

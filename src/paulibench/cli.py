@@ -54,8 +54,10 @@ from .experiments import (
     discriminate,
     spam_sweep,
     sweep_min_rounds,
+    sweep_trial_bytes,
 )
 from .pauli import format_bits, label_column
+from .sampler import NoiseModel
 from .seeding import derive_rng
 from .stabilizer import mub_covering, pauli_basis_covering
 from .verify import run_checks
@@ -183,12 +185,14 @@ def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
     except OSError as exc:
         raise ConfigError(f"cannot read channel file: {exc}") from None
     try:
-        ch = PauliChannel.loads(text)
-    except (TypeError, ValueError) as exc:
+        obj = json.loads(text)
+        # the file's n as `from_json` reads it, checked before any 4^n
+        file_n = int(obj["n"])
+        if file_n == n:
+            return PauliChannel.from_json(obj)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed channel file: {exc}") from None
-    if ch.n != n:
-        raise ConfigError(f"channel file has n={ch.n}, config says {n}")
-    return ch
+    raise ConfigError(f"channel file has n={file_n}, config says {n}")
 
 
 def _covering(kind: str, m: int):
@@ -461,23 +465,22 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
     explicit_spam = "prep" in cfg or "meas" in cfg
     if explicit_spam and "spam_sweep" in cfg:
         raise ConfigError("give either prep/meas channels or a SPAM rate, not both")
-    if "spam_sweep" in cfg:
-        rates = [_float(r, "spam_sweep entry")
-                 for r in _list(cfg["spam_sweep"], "spam_sweep")]
-    else:
-        rates = [0.0]
+    rates = [_float(r, "spam_sweep entry")
+             for r in _list(cfg.get("spam_sweep", [0.0]), "spam_sweep")]
     _require_memory(n, lambda n: dense_benchmark_bytes(
         n, len(set(m_list)), len(rates)), f"a dense benchmark on n={n} qubits")
 
     with writer.stage("channel"):
         gate = build_channel(cfg["gate"], n, derive_rng(seed, "gate-channel"))
-        spam = tuple(build_channel(cfg[side], n,
-                                   derive_rng(seed, f"{side}-channel"))
-                     if side in cfg else PauliChannel.identity(n)
-                     for side in ("prep", "meas")) if explicit_spam else None
+        spam = [build_channel(cfg[side], n, derive_rng(seed, f"{side}-channel"))
+                if side in cfg else PauliChannel.identity(n)
+                for side in ("prep", "meas")] if explicit_spam else []
+        # prep/meas channels make one model, written with spam_rate 0
+        models = [(_FLOAT.format(rate), NoiseModel(n, gate, *spam) if spam
+                   else NoiseModel.with_depolarizing_spam(gate, rate))
+                  for rate in rates]
     with writer.stage("benchmark"):
-        results, consistency = spam_sweep(gate, rates, m_list, shots, seed,
-                                          spam)
+        results, consistency = spam_sweep(models, m_list, shots, seed)
     with writer.stage("write"):
         # one block per SPAM rate, built as the writer reaches it, so one
         # rate's columns are held at a time
@@ -485,21 +488,22 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
         writer.write_table(
             "estimates",
             ["spam_rate", "label", "lambda_hat", "n_shots", "stderr"],
-            ([_repeated(_FLOAT.format(rate), labels.size), labels,
+            ([_repeated(rate, labels.size), labels,
               res.estimates.lambda_hat, res.estimates.n_shots,
-              res.estimates.stderr] for rate, res in zip(rates, results)))
+              res.estimates.stderr]
+             for (rate, _), res in zip(models, results)))
         writer.write_table(
             "decays", ["spam_rate", "label", "m", "f_mean", "shots"],
-            ([_repeated(_FLOAT.format(rate), res.f_mean.size),
+            ([_repeated(rate, res.f_mean.size),
               np.repeat(labels, res.lengths.size),
               np.tile(res.lengths, labels.size), res.f_mean.T.ravel(),
               np.tile(res.shots, labels.size)]
-             for rate, res in zip(rates, results)))
+             for (rate, _), res in zip(models, results)))
     summary: dict = {
         "fit_errors": {
-            _FLOAT.format(rate): {format_bits(lbl, n): msg
-                                  for lbl, msg in res.fit_errors.items()}
-            for rate, res in zip(rates, results) if res.fit_errors
+            rate: {format_bits(lbl, n): msg
+                   for lbl, msg in res.fits.errors.items()}
+            for (rate, _), res in zip(models, results) if res.fits.errors
         },
     }
     if consistency is not None:
@@ -529,6 +533,8 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
         raise ConfigError(f"success_fraction must lie in (0, 1), got {frac}")
     alpha = _float(cfg.get("channel_alpha", 1.0), "channel_alpha")
     covering_kind = cfg.get("covering", "mub")
+    _require_memory(n, lambda n: trials * sweep_trial_bytes(n),
+                    f"a sweep of {trials} trials on n={n} qubits")
 
     table = np.empty((len(k_list), 6), dtype=np.int64)
     summary = {}

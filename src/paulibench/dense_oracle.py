@@ -133,13 +133,6 @@ def check_density(rho: np.ndarray, tol: float = DENSITY_TOL):
         raise UsageError(f"negative eigenvalue {eigs.min():g}")
 
 
-def bell_state_vector(v: int, k: int) -> np.ndarray:
-    """|Psi_v> = (P_v x I)|Psi+> on a 2k-qubit register pair: the row-major
-    flattening of P_v / sqrt(2^k)."""
-    _check_qubits(2 * k, "bell state")
-    return pauli_matrix(v, k).ravel() / np.sqrt(2**k)
-
-
 def bell_state_vectors(k: int) -> np.ndarray:
     """All 4^k Bell states |Psi_v> as rows."""
     _check_qubits(2 * k, "bell state")
@@ -147,8 +140,10 @@ def bell_state_vectors(k: int) -> np.ndarray:
 
 
 def build_bell(v: int, k: int) -> np.ndarray:
-    """Projector onto |Psi_v>."""
-    vec = bell_state_vector(v, k)
+    """Projector onto |Psi_v> = (P_v x I)|Psi+> on a 2k-qubit register pair,
+    whose vector is the row-major flattening of P_v / sqrt(2^k)."""
+    _check_qubits(2 * k, "bell state")
+    vec = pauli_matrix(v, k).ravel() / np.sqrt(2**k)
     return np.outer(vec, vec.conj())
 
 
@@ -342,14 +337,6 @@ def teleport_branches(choi: np.ndarray, rho: np.ndarray
     return probs, states
 
 
-def teleport_apply(choi: np.ndarray, rho: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Sample one Bell branch and return the corrected output state."""
-    probs, states = teleport_branches(choi, rho)
-    b = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return states[b]
-
-
 # --- mutual-information bound -------------------------------------------------
 
 
@@ -417,13 +404,12 @@ def mutual_info_check(n: int, k: int, input_vec, povm) -> MutualInfoResult:
     return MutualInfoResult(info, 2.0**k / (2.0**n - 1.0), conditionals)
 
 
-def random_strategy(n: int, k: int, rng: np.random.Generator,
-                    n_outcomes: int | None = None):
+def random_strategy(n: int, k: int, rng: np.random.Generator):
     """Haar-ish pure input plus a random rank-1 POVM (Gaussian frame)."""
     dim = 2 ** (n + k)
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     vec /= np.linalg.norm(vec)
-    count = n_outcomes or 2 * dim
+    count = 2 * dim
     frame = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
     gram = np.einsum("jx,jy->xy", frame, frame.conj())
     evals, evecs = np.linalg.eigh(gram)
@@ -526,12 +512,6 @@ def alg2_constants(n: int, gate: DenseChannel, prep_rho: np.ndarray,
     return np.einsum("av,va->a", signs, inner)
 
 
-def alg2_constant(n: int, gate: DenseChannel, prep_rho: np.ndarray,
-                  meas_povm: np.ndarray, a: int) -> float:
-    """A_a of one label: `alg2_constants` at a."""
-    return float(alg2_constants(n, gate, prep_rho, meas_povm)[a])
-
-
 def alg2_expectations_dense(n: int, gate: DenseChannel, prep_rho: np.ndarray,
                             meas_povm: np.ndarray, lengths) -> np.ndarray:
     """E[F_a(m)] for every length m (rows) and label a (columns) by exact
@@ -556,14 +536,6 @@ def alg2_expectations_dense(n: int, gate: DenseChannel, prep_rho: np.ndarray,
         joint = signs @ overlap.T / 4**n  # Pr(net label t, outcome v)
         out[row] = ((signs @ joint) * signs).sum(axis=1)
     return out
-
-
-def alg2_expectation_dense(n: int, gate: DenseChannel, prep_rho: np.ndarray,
-                           meas_povm: np.ndarray, a: int, m: int) -> float:
-    """E[F_a(m)] of one label and length: `alg2_expectations_dense` at
-    (m, a)."""
-    return float(alg2_expectations_dense(n, gate, prep_rho, meas_povm,
-                                         [m])[0, a])
 
 
 def alg2_expectation_brute(n: int, gate: DenseChannel, prep_rho: np.ndarray,

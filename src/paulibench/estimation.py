@@ -375,20 +375,17 @@ def fit_decays(lengths, f_mean, shots, floor: float = DECAY_FLOOR) -> DecayFits:
 class BenchmarkResult:
     """Estimates with the decay data and fits behind them.
 
-    Column b of `f_mean` (lengths x labels) and entry b of `a_hat`, `n_used`
-    and `residual` belong to label b, whose fitted lambda and stderr are in
-    `estimates`; `shots` is per length.  Labels
-    whose fit failed are NaN there and keyed in `fit_errors`.
+    Column b of `f_mean` (lengths x labels) and entry b of each `fits`
+    array belong to label b, whose fitted lambda and stderr are also in
+    `estimates`; `shots` is per length.  Labels whose fit failed are NaN
+    there and keyed in `fits.errors`.
     """
 
     estimates: EstimateSet
     lengths: np.ndarray
     f_mean: np.ndarray
     shots: np.ndarray
-    a_hat: np.ndarray
-    n_used: np.ndarray
-    residual: np.ndarray
-    fit_errors: dict[int, str]
+    fits: DecayFits
 
 
 def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
@@ -428,8 +425,7 @@ def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
     fits = fit_decays(lengths, f_rows, shots)
     n_shots = np.full(4**n, int(shots.sum()), dtype=np.int64)
     estimates = EstimateSet(n, fits.lambda_hat, n_shots, fits.stderr_lambda)
-    return BenchmarkResult(estimates, lengths, f_rows, shots, fits.a_hat,
-                           fits.n_used, fits.residual, fits.errors)
+    return BenchmarkResult(estimates, lengths, f_rows, shots, fits)
 
 
 def two_sample_consistency(estimate_sets) -> tuple[float, int, float]:

@@ -6,8 +6,8 @@
 * `discriminate`      shots to tell the fully-depolarizing channel from a
                       random spike channel, with a Bell ancilla or without
                       (the ancilla-free Omega(2^(n/3)) lower bound)
-* `spam_sweep`        SPAM-robust benchmarking of one gate across SPAM
-                      strengths, with the two-sample consistency test
+* `spam_sweep`        SPAM-robust benchmarking of one gate under several
+                      SPAM models, with the two-sample consistency test
 
 Each function takes validated values and returns plain results.  Every
 trial and every SPAM rate draws from its own `derive_rng(seed, ...)` stream
@@ -36,7 +36,7 @@ from .estimation import (
     two_sample_consistency,
 )
 from .pauli import format_bits, symp_u64
-from .sampler import NoiseModel
+from .sampler import LABEL_CHUNK_CELLS, NoiseModel
 from .seeding import derive_rng
 from .stabilizer import Covering, element_block, mub_covering
 
@@ -49,6 +49,19 @@ DISCRIMINATE_MODES = ("bell", "ancilla-free")
 # peak RSS by about 2 MB; this one by 0.1 MB
 SHOT_BLOCK = 64
 SHOT_BLOCK_CELLS = 1 << 14
+# bytes per label of the dense channel a `sweep_min_rounds` trial keeps to
+# the end: error rates, eigenvalues and sampling CDF.  Peak RSS of 20- and
+# 220-trial sweeps at n = 8, k = 8 (per-shot path) differed by 1536 KiB, 24
+# B per label, per trial; at n = 7 and 6, k = 0 (law path, no CDF) by 385
+# and 99 KiB, 16 B per label plus the kept laws; rounded up
+SWEEP_TRIAL_BYTES_PER_LABEL = 32
+
+
+def sweep_trial_bytes(n: int) -> int:
+    """Bytes one `sweep_min_rounds` trial on n qubits holds to the end: its
+    channel and the laws kept of it (at most LABEL_CHUNK_CELLS doubles).
+    Pure arithmetic, so a sweep can be refused before any channel exists."""
+    return SWEEP_TRIAL_BYTES_PER_LABEL * 4**n + 8 * LABEL_CHUNK_CELLS
 
 
 def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
@@ -211,17 +224,14 @@ def _alive_members(members, states, i: int) -> np.ndarray:
     return members[np.where(done, states[r + 1], states[r])]
 
 
-def spam_sweep(gate: PauliChannel, rates: list[float], lengths: list[int],
-               shots_per_m: int, seed: int, spam: tuple | None = None) -> tuple:
-    """`benchmark_alg2` of `gate` under depolarizing SPAM at each rate, or
-    under the (prep, meas) channel pair `spam`, one stream per rate; returns
-    the results and, for several rates, their `two_sample_consistency`."""
-    results = []
-    for rate in rates:
-        model = NoiseModel.with_depolarizing_spam(gate, rate) if spam is None \
-            else NoiseModel(gate.n, gate, *spam)
-        rng = derive_rng(seed, "benchmark", "{:.17g}".format(rate))
-        results.append(benchmark_alg2(model, lengths, shots_per_m, rng))
+def spam_sweep(models: list[tuple[str, NoiseModel]], lengths: list[int],
+               shots_per_m: int, seed: int) -> tuple:
+    """`benchmark_alg2` of each (rate text, model) pair on its own stream,
+    `derive_rng(seed, "benchmark", rate text)`; returns the results and,
+    for several pairs, their `two_sample_consistency`."""
+    results = [benchmark_alg2(model, lengths, shots_per_m,
+                              derive_rng(seed, "benchmark", rate))
+               for rate, model in models]
     consistency = two_sample_consistency(
         [res.estimates for res in results]) if len(results) > 1 else None
     return results, consistency

@@ -136,11 +136,6 @@ class NoiseModel:
             spam = PauliChannel.depolarizing(gate.n, spam_rate)
         return cls(gate.n, gate, spam, spam)
 
-    @classmethod
-    def noiseless(cls, n: int) -> "NoiseModel":
-        ident = PauliChannel.identity(n)
-        return cls(n, ident, ident, ident)
-
 
 def _check_round(ch: PauliChannel, k: int, group: StabilizerGroup):
     if not 0 <= k <= ch.n:

@@ -381,7 +381,7 @@ def test_invalid_inputs_rejected_not_renormalized():
 def test_json_round_trip_sparse_bit_exact():
     rng = np.random.default_rng(21)
     ch = PauliChannel.random_sparse(5, 9, rng)
-    back = PauliChannel.loads(ch.dumps())
+    back = PauliChannel.from_json(json.loads(json.dumps(ch.to_json())))
     assert back.n == ch.n
     assert np.array_equal(back.support_labels, ch.support_labels)
     assert np.array_equal(back.support_probs, ch.support_probs)

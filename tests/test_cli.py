@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from paulibench import PauliChannel, estimate_alg1, mub_covering
-from paulibench import cli
+from paulibench import cli, experiments
 from paulibench.cli import build_channel, main
 from paulibench.estimation import dense_benchmark_bytes, dense_estimate_bytes
 from paulibench.pauli import format_bits
@@ -103,7 +103,7 @@ def test_estimate_spike_channel(tmp_path):
 
 def test_estimate_channel_from_file(tmp_path):
     chan_path = tmp_path / "chan.json"
-    chan_path.write_text(PauliChannel.depolarizing(2, 0.2).dumps())
+    chan_path.write_text(json.dumps(PauliChannel.depolarizing(2, 0.2).to_json()))
     cfg = write_config(tmp_path, "cfg.json", {
         "experiment": "estimate", "n": 2, "k": 2,
         "channel": {"kind": "file", "path": str(chan_path)},
@@ -114,6 +114,33 @@ def test_estimate_channel_from_file(tmp_path):
     rows = read_csv(out / "estimates.csv")
     values = [float(r["lambda_hat"]) for r in rows if r["label"] != "II"]
     assert abs(np.mean(values) - (1 - 0.2 * 16 / 15)) < 0.05
+
+
+def test_channel_file_n_is_checked_before_building(tmp_path, monkeypatch,
+                                                   capsys):
+    # a file's n that is not the config's is refused before any 4^n
+    def never(*args):
+        raise AssertionError("the channel was built")
+
+    monkeypatch.setattr(PauliChannel, "from_sparse", never)
+    monkeypatch.setattr(PauliChannel, "from_error_rates", never)
+    for file_n, fmt, entries in ((10**11, "sparse", [[0, 1.0]]),
+                                 (3, "dense", [1.0] + [0.0] * 63)):
+        chan_path = tmp_path / "chan.json"
+        chan_path.write_text(json.dumps(
+            {"n": file_n, "format": fmt, "entries": entries}))
+        cfg = write_config(tmp_path, "cfg.json", dict(
+            _EST, channel={"kind": "file", "path": str(chan_path)}))
+        assert run_cli("estimate", "--config", cfg, "--out",
+                       str(tmp_path / "run")) == 2
+        assert capsys.readouterr().err == (
+            f"config error: channel file has n={file_n}, config says 2\n")
+    # an n that is no integer at all, such as JSON's Infinity
+    chan_path.write_text('{"n": Infinity, "format": "sparse", "entries": []}')
+    assert run_cli("estimate", "--config", cfg, "--out",
+                   str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: malformed channel file: ")
 
 
 _EST = {"experiment": "estimate", "n": 2, "k": 0,
@@ -406,6 +433,24 @@ def test_benchmark_over_memory_limit_exits_3_before_allocating(
     monkeypatch.setattr(cli, "DENSE_MEMORY_LIMIT", need)
     assert run_cli("benchmark", "--config", cfg, "--out",
                    str(tmp_path / "run")) == 0
+
+
+def test_sweep_over_memory_exits_3_before_building_channels(
+        tmp_path, monkeypatch, capsys):
+    # every trial keeps its channel, so the trials are counted first
+    def never(*args):
+        raise AssertionError("a trial channel was built")
+
+    monkeypatch.setattr(experiments.PauliChannel, "random_dirichlet", never)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "sweep-ancilla", "n": 8, "k_list": [8],
+        "epsilon": 0.5, "trials": 10**6})
+    assert run_cli("sweep-ancilla", "--config", cfg, "--out",
+                   str(tmp_path / "run")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capability error: a sweep of 1000000 trials on "
+                          "n=8 qubits needs about ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_estimate_run_json_records_stages(tmp_path):

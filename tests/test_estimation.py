@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from paulibench import (
     Covering,
+    DecayFits,
     NoiseModel,
     PauliChannel,
     StabilizerGroup,
@@ -432,7 +434,9 @@ def test_law_draws_never_fill_zero_cells():
     # the identity channel's law-drawn estimates are exact
     est = estimate_alg1(PauliChannel.identity(3), 0, mub_covering(3), 900, rng)
     assert np.all(est.lambda_hat == 1.0)
-    res = benchmark_alg2(NoiseModel.noiseless(3), [0, 2, 5], 64, rng)
+    ident = PauliChannel.identity(3)
+    res = benchmark_alg2(NoiseModel(3, ident, ident, ident), [0, 2, 5], 64,
+                         rng)
     assert np.all(res.estimates.lambda_hat == 1.0)
 
 
@@ -574,9 +578,11 @@ def test_batch_fit_matches_matrix_wls():
 
 def test_benchmark_noiseless_exact():
     rng = np.random.default_rng(6)
-    res = benchmark_alg2(NoiseModel.noiseless(2), [0, 1, 2, 4], 200, rng)
+    ident = PauliChannel.identity(2)
+    res = benchmark_alg2(NoiseModel(2, ident, ident, ident), [0, 1, 2, 4], 200,
+                         rng)
     assert np.all(res.estimates.lambda_hat == 1.0)
-    assert not res.fit_errors
+    assert not res.fits.errors
 
 
 def test_benchmark_spam_only_slope_zero():
@@ -729,6 +735,22 @@ def test_benchmark_fit_failure_reported_not_fatal():
     model = NoiseModel(1, gate, PauliChannel.identity(1), PauliChannel.identity(1))
     res = benchmark_alg2(model, [0, 1, 2, 3], 4000, rng)
     assert res.estimates.lambda_hat[0] == 1.0
-    assert res.fit_errors  # some labels cannot be fit
-    for lbl in res.fit_errors:
+    assert res.fits.errors  # some labels cannot be fit
+    for lbl in res.fits.errors:
         assert np.isnan(res.estimates.lambda_hat[lbl])
+
+
+def test_benchmark_fits_are_those_of_its_decays():
+    # the result keeps the one fit of its own decay data, failures included
+    rng = np.random.default_rng(12)
+    gate = PauliChannel.spike(1, parse_bits("Z", 1), -1)
+    model = NoiseModel(1, gate, PauliChannel.identity(1),
+                       PauliChannel.depolarizing(1, 0.05))
+    res = benchmark_alg2(model, [0, 1, 2, 3], 4000, rng)
+    refit = fit_decays(res.lengths, res.f_mean, res.shots)
+    assert res.fits.errors and res.fits.errors == refit.errors
+    for field in dataclasses.fields(DecayFits):
+        if field.name != "errors":
+            np.testing.assert_array_equal(getattr(res.fits, field.name),
+                                          getattr(refit, field.name))
+    assert res.estimates.lambda_hat.tobytes() == refit.lambda_hat.tobytes()

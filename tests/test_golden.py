@@ -9,7 +9,9 @@ numpy does not promise the same streams across versions, so another
 version skips rather than fails.  Four of the runs are also pinned as
 written with `--format json`.  The README sweep pins its bisection work
 and its law builds, block builds and draws as well, and
-`verify --level quick` its report, less the seconds.
+`verify --level quick` and `--level full` their reports, less the
+seconds.  The `to_json` text of a dense and a sparse channel is pinned
+too; it draws no random number, so it runs on every numpy.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import re
 import numpy as np
 import pytest
 
+from paulibench import PauliChannel
 from paulibench.cli import main
 
 NUMPY_VERSION = "2.4.6"
@@ -172,9 +175,18 @@ README_SWEEP_WORK = {"0": (433, 12, 188), "2": (451, 12, 183),
 # reaches the law path (k = 0 and 2), each covering's block once per k
 # (k = 6 is one trivial group, which needs none)
 README_SWEEP_BUILDS = {"laws": 40, "blocks": 3, "draws": 365}
-# verify.txt of `verify --level quick`, with each check's seconds removed
-VERIFY_QUICK_DIGEST = \
-    "084fb5b7943dcf45d576da077f68d5dd38a66a764ef4eaba7f33158c5f3d454d"
+# verify.txt of `verify --level quick` and `--level full`, with each
+# check's seconds removed
+VERIFY_DIGESTS = {
+    "quick": "084fb5b7943dcf45d576da077f68d5dd38a66a764ef4eaba7f33158c5f3d454d",
+    "full": "81967a61bac48f5c1a4fa3d443800b5116bda5aeb96df68e47691619b3bb4eb9",
+}
+# json.dumps(channel.to_json()) of a dense channel and of a sparse one whose
+# probabilities include a subnormal and -0.0
+TO_JSON_DIGESTS = {
+    "dense": "93ad8db58b059a51d7c4861184c169f353cb80d58f62dbe090ecdceecab37c9f",
+    "sparse": "285e6a928cd94092bb64befde098d5a9b140a56b500138bfe59940f9c810af78",
+}
 
 
 @pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
@@ -214,11 +226,33 @@ def test_readme_sweep_builds_and_draws(tmp_path, monkeypatch):
     assert counts == README_SWEEP_BUILDS
 
 
-@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
-                    reason=f"digests recorded with numpy {NUMPY_VERSION}")
-def test_verify_quick_report_golden(tmp_path, capsys):
-    assert main(["verify", "--level", "quick", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+def verify_report_digest(tmp_path, level: str) -> str:
+    """sha256 of the verify.txt of `verify --level level`, less the
+    seconds."""
+    assert main(["verify", "--level", level, "--out", str(tmp_path)]) == 0
     report = re.sub(r", [0-9.]+s\)$", ")", (tmp_path / "verify.txt").read_text(),
                     flags=re.MULTILINE)
-    assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_QUICK_DIGEST
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}")
+def test_verify_quick_report_golden(tmp_path):
+    assert verify_report_digest(tmp_path, "quick") == VERIFY_DIGESTS["quick"]
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}")
+def test_verify_full_report_golden(tmp_path):
+    assert verify_report_digest(tmp_path, "full") == VERIFY_DIGESTS["full"]
+
+
+def test_to_json_text_golden():
+    channels = {
+        "dense": PauliChannel.from_error_rates(2, np.arange(1, 17) / 136),
+        "sparse": PauliChannel.from_sparse(3, [
+            ("III", 0.7), ("XYZ", 0.1), ("ZIY", 0.2), ("YYI", 5e-324),
+            ("IXI", -0.0)]),
+    }
+    assert {name: hashlib.sha256(json.dumps(ch.to_json()).encode()).hexdigest()
+            for name, ch in channels.items()} == TO_JSON_DIGESTS

@@ -179,7 +179,8 @@ def alg2_statistic(a, v, gate_xor):
 
 def test_alg2_noiseless():
     rng = np.random.default_rng(7)
-    model = NoiseModel.noiseless(2)
+    ident = PauliChannel.identity(2)
+    model = NoiseModel(2, ident, ident, ident)
     for m in (0, 1, 3):
         batch = simulate_alg2_batch(model, m, rng, 200)
         assert np.array_equal(batch["v"], batch["gate_xor"])
@@ -222,7 +223,8 @@ def test_alg2_decay_example():
 
 def test_alg2_batch_xor_identity():
     rng = np.random.default_rng(10)
-    model = NoiseModel.noiseless(3)
+    ident = PauliChannel.identity(3)
+    model = NoiseModel(3, ident, ident, ident)
     batch = simulate_alg2_batch(model, 5, rng, 1000)
     assert np.all(batch["z"] == 0)
     assert np.array_equal(batch["v"], batch["gate_xor"])
@@ -254,10 +256,12 @@ def test_alg2_unbiasedness_grid(n):
 
 def test_negative_length_rejected():
     rng = np.random.default_rng(0)
+    ident = PauliChannel.identity(1)
+    model = NoiseModel(1, ident, ident, ident)
     with pytest.raises(UsageError):
-        simulate_alg2_batch(NoiseModel.noiseless(1), -1, rng, 10)
+        simulate_alg2_batch(model, -1, rng, 10)
     with pytest.raises(UsageError):
-        outcome_distribution_alg2(NoiseModel.noiseless(1), -1)
+        outcome_distribution_alg2(model, -1)
 
 
 def _reference_labels(k, group):
