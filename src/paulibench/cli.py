@@ -130,6 +130,12 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _distinct(values: list, what: str) -> list:
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{what} repeats an entry: {values!r}")
+    return values
+
+
 _CHANNEL_KINDS = {
     "identity": ((), ()),
     "depolarizing": (("rate",), ()),
@@ -525,22 +531,24 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
     n = _int(cfg["n"], "n", 1)
     if n > 8:
         raise CapabilityError("sweep-ancilla limited to n <= 8 (dense truth)")
-    k_list = [_int(k, "k_list entry", 0, n) for k in _list(cfg["k_list"], "k_list")]
+    k_list = _distinct([_int(k, "k_list entry", 0, n)
+                        for k in _list(cfg["k_list"], "k_list")], "k_list")
     epsilon = _float(cfg["epsilon"], "epsilon")
     trials = _int(cfg.get("trials", 20), "trials", 1)
     frac = _float(cfg.get("success_fraction", 0.9), "success_fraction")
     if not 0.0 < frac < 1.0:
         raise ConfigError(f"success_fraction must lie in (0, 1), got {frac}")
     alpha = _float(cfg.get("channel_alpha", 1.0), "channel_alpha")
-    covering_kind = cfg.get("covering", "mub")
-    _require_memory(n, lambda n: trials * sweep_trial_bytes(n),
+    with writer.stage("covering"):
+        covs = [_covering(cfg.get("covering", "mub"), n - k) for k in k_list]
+    # one k's trials are held at a time
+    _require_memory(n, lambda n: trials * max(
+        sweep_trial_bytes(n, k, cov) for k, cov in zip(k_list, covs)),
                     f"a sweep of {trials} trials on n={n} qubits")
 
     table = np.empty((len(k_list), 6), dtype=np.int64)
     summary = {}
-    for i, k in enumerate(k_list):
-        with writer.stage("covering"):
-            cov = _covering(covering_kind, n - k)
+    for i, (k, cov) in enumerate(zip(k_list, covs)):
         size = len(cov.groups)
         with writer.stage("sweep"):
             rounds, confirmed, probes, trials_run = sweep_min_rounds(
@@ -548,7 +556,7 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
         table[i] = k, size, rounds, rounds * size, confirmed, trials
         summary[str(k)] = {"rounds_min": rounds, "n_min": rounds * size,
                            "probes": probes, "trials_run": trials_run}
-    if len(set(k_list)) > 1:
+    if len(k_list) > 1:
         # least squares of log2 n_min against n - k; Theta(n 2^(n-k))
         # predicts 1
         summary["log2_n_min_slope"] = float(np.polyfit(
@@ -570,7 +578,8 @@ def cmd_discriminate(cfg: dict, seed: int, writer: RunWriter) -> dict:
         ("modes", "max_shots"),
         "discriminate config",
     )
-    n_list = [_int(n, "n_list entry", 1) for n in _list(cfg["n_list"], "n_list")]
+    n_list = _distinct([_int(n, "n_list entry", 1)
+                        for n in _list(cfg["n_list"], "n_list")], "n_list")
     if max(n_list) > 10:
         raise CapabilityError("discriminate limited to n <= 10")
     trials = _int(cfg["trials"], "trials", 1)
@@ -578,6 +587,7 @@ def cmd_discriminate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     for mode in modes:
         if mode not in DISCRIMINATE_MODES:
             raise ConfigError(f"unknown discriminate mode {mode!r}")
+    _distinct(modes, "modes")
     max_shots = _int(cfg.get("max_shots", 100_000), "max_shots", 1)
     blocks = []  # one per (mode, n)
     summary = {}

@@ -15,12 +15,13 @@ O(2^(n+k) (n+k)) work per group.  The groups are handled in chunks
 gives the random stream of one multinomial per group.  For a simulated
 channel the histograms are drawn from the exact outcome laws when a
 group's table has no more cells than it has rounds (`sampler.law_pays`);
-larger tables and injected shot streams sample every round.  An
-`alg1_estimator(k, covering)` keeps the label block of a covering that
-fits one chunk and each channel's laws on it, so repeated estimates of
-one channel (the `sweep-ancilla` probes) build them once; channels and
-coverings keep nothing of an estimate.  A covering of one trivial group
-(k = n) skips the accumulation: its transform is already in label order.
+larger tables and injected shot streams sample every round.  When it
+is made, an `alg1_estimator(k, covering)` builds the block of a covering
+that fits one chunk (`kept_law_cells`) and then keeps each channel's laws
+on it, so repeated estimates of one channel (the `sweep-ancilla` probes)
+build them once; channels and coverings keep nothing of an estimate.  A
+covering of one trivial group (k = n) skips the accumulation: its
+transform is already in label order.
 `estimate_alg1_reference` keeps the literal per-shot loop; on a shared shot
 stream both paths agree bit for bit (every partial sum is an integer below
 2^53), which the suite checks.
@@ -62,6 +63,7 @@ from .errors import CapabilityError, UsageError
 from .pauli import format_bits, symp
 from .sampler import (
     NoiseModel,
+    chunk_groups,
     draw_histograms,
     label_chunks,
     law_pays,
@@ -200,6 +202,13 @@ def estimate_alg1(channel_or_source, k: int, covering: Covering,
         channel_or_source, total_samples, rng))
 
 
+def kept_law_cells(k: int, covering: Covering) -> int:
+    """Cells of the laws an `alg1_estimator(k, covering)` keeps per channel:
+    all of them when the covering fits one label chunk and m > 0, else 0."""
+    size, m = len(covering.generator_array), covering.m
+    return size * 4**k << m if 0 < m and size <= chunk_groups(k, m) else 0
+
+
 def alg1_estimator(k: int, covering: Covering):
     """The k-ancilla estimation protocol on `covering`, as a function
     (channel_or_source, total_samples, rng) -> (sums, counts): per-label
@@ -207,27 +216,27 @@ def alg1_estimator(k: int, covering: Covering):
     lambda_hat; a label left unsampled is a UsageError.  `channel_or_source`
     is a PauliChannel (rounds are simulated) or a callable (group_index,
     group, rounds, rng) -> (v_array, e_array) for injecting a fixed shot
-    stream.  For a covering that fits one label chunk, the function builds
-    the chunk's block once and keeps each channel's laws on it, read-only,
-    once it has drawn from them; a larger covering keeps nothing."""
+    stream.  For a covering that fits one label chunk (`kept_law_cells`),
+    its block is built here and each channel's laws on it are kept once
+    drawn from, both read-only; a larger covering keeps nothing."""
     groups, m = covering.groups, covering.m
     whole, kept = None, {}  # one chunk's block; channel -> its laws on it
+    if kept_law_cells(k, covering):
+        _, whole = next(label_chunks(k, covering))
+        whole.setflags(write=False)
 
-    def laws(law_channel, part, block=None):
-        """The stacked laws of the groups `part` on their label `block`, kept
-        read-only when that is `whole`; None on the per-shot path."""
-        if law_channel is None:
+    def laws(channel, part, block=None):
+        """Stacked laws of `part` on `block`, kept if that is `whole`."""
+        if channel is None:  # the per-shot path
             return None
-        if whole is None or block is not whole:
-            return outcome_distribution_alg1(law_channel, k, part, block)
-        if law_channel not in kept:
-            kept[law_channel] = outcome_distribution_alg1(law_channel, k,
-                                                          part, block)
-            kept[law_channel].setflags(write=False)
-        return kept[law_channel]
+        if whole is None:
+            return outcome_distribution_alg1(channel, k, part, block)
+        if channel not in kept:
+            kept[channel] = outcome_distribution_alg1(channel, k, part, block)
+            kept[channel].setflags(write=False)
+        return kept[channel]
 
     def estimate(channel_or_source, total_samples, rng):
-        nonlocal whole
         source, n, rounds = _resolve(channel_or_source, k, covering,
                                      total_samples)
         if n > DENSE_MAX_QUBITS:
@@ -247,9 +256,6 @@ def alg1_estimator(k: int, covering: Covering):
         counts = np.zeros(4**n, dtype=np.int64)
         for start, block in label_chunks(k, covering) if whole is None \
                 else [(0, whole)]:
-            if len(block) == len(groups):  # the covering fits one chunk
-                whole = block
-                whole.setflags(write=False)
             part = groups[start:start + len(block)]
             hists = _histograms(laws(law_channel, part, block), source, k,
                                 part, start, rounds, rng)

@@ -32,11 +32,12 @@ from .errors import PauliBenchError
 from .estimation import (
     alg1_estimator,
     benchmark_alg2,
+    kept_law_cells,
     required_samples,
     two_sample_consistency,
 )
 from .pauli import format_bits, symp_u64
-from .sampler import LABEL_CHUNK_CELLS, NoiseModel
+from .sampler import NoiseModel
 from .seeding import derive_rng
 from .stabilizer import Covering, element_block, mub_covering
 
@@ -57,11 +58,12 @@ SHOT_BLOCK_CELLS = 1 << 14
 SWEEP_TRIAL_BYTES_PER_LABEL = 32
 
 
-def sweep_trial_bytes(n: int) -> int:
-    """Bytes one `sweep_min_rounds` trial on n qubits holds to the end: its
-    channel and the laws kept of it (at most LABEL_CHUNK_CELLS doubles).
-    Pure arithmetic, so a sweep can be refused before any channel exists."""
-    return SWEEP_TRIAL_BYTES_PER_LABEL * 4**n + 8 * LABEL_CHUNK_CELLS
+def sweep_trial_bytes(n: int, k: int, cov: Covering) -> int:
+    """Bytes one `sweep_min_rounds` trial on n qubits at k, with covering
+    `cov`, holds to the end: its channel and the laws its estimator keeps
+    of it (`kept_law_cells` doubles).  Pure arithmetic, so a sweep can be
+    refused before any channel exists."""
+    return SWEEP_TRIAL_BYTES_PER_LABEL * 4**n + 8 * kept_law_cells(k, cov)
 
 
 def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,

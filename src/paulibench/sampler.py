@@ -14,11 +14,11 @@ labels, which is exact for Pauli noise:
       p(v, e) = 2^-(n+k) sum_{u, alpha} lambda[u | s_alpha << 2k]
                                         (-1)^(<u,v> + alpha.e),
 
-  one `wht_forward(..., syndrome_digits=m)` call over the group's label
-  block (`outcome_distribution_alg1`); the suite checks it against the
-  dense matrix oracle.  Given a sequence of groups, the same call
-  transforms their stacked blocks at once; the estimator passes the chunks
-  of `label_chunks`, so the law it samples is the code the oracle checks.
+  one `wht_forward(..., syndrome_digits=m)` call over the stacked label
+  blocks of a sequence of groups (`outcome_distribution_alg1`, a (G, 4^k,
+  2^m) stack of laws); the suite checks it against the dense matrix
+  oracle.  The estimator passes the chunks of `label_chunks`, so the law
+  it samples is the code the oracle checks.
 
 * Benchmarking shot of sequence length m: Pauli gates conjugate Pauli
   errors to themselves up to phase, so the Bell outcome is the XOR of the
@@ -137,18 +137,19 @@ class NoiseModel:
         return cls(gate.n, gate, spam, spam)
 
 
-def _check_round(ch: PauliChannel, k: int, group: StabilizerGroup):
+def _check_round(ch: PauliChannel, k: int, group_ms):
     if not 0 <= k <= ch.n:
         raise UsageError(f"k={k} out of range for n={ch.n}")
-    if group.m != ch.n - k:
-        raise UsageError(f"group acts on {group.m} qubits, expected {ch.n - k}")
+    wrong = set(group_ms) - {ch.n - k}
+    if wrong:
+        raise UsageError(f"group acts on {min(wrong)} qubits, expected {ch.n - k}")
 
 
 def simulate_rounds_alg1(ch: PauliChannel, k: int, group: StabilizerGroup,
                          rng: np.random.Generator, rounds: int
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized batch of rounds; returns (v, e) uint64 arrays."""
-    _check_round(ch, k, group)
+    _check_round(ch, k, [group.m])
     if 2 * ch.n > 64:
         raise CapabilityError("vectorized simulation limited to n <= 32")
     a = np.asarray(ch.sample(rng, size=rounds), dtype=np.uint64)
@@ -165,38 +166,34 @@ def _label_block(k: int, generators: np.ndarray) -> np.ndarray:
                                                       << (2 * k))
 
 
+def chunk_groups(k: int, m: int) -> int:
+    """Groups in a `label_chunks` chunk: as many as fit LABEL_CHUNK_CELLS."""
+    return max(1, LABEL_CHUNK_CELLS // (4**k << m))
+
+
 def label_chunks(k: int, covering: Covering):
     """Yield (start, block) over the covering's groups in order: `block` is
-    the `_label_block` of groups[start:start+G], with at most
-    LABEL_CHUNK_CELLS cells unless one group alone has more, built from its
-    rows of `covering.generator_array` as it is reached, so no more than one
-    chunk is held."""
+    the `_label_block` of groups[start:start+G], G = `chunk_groups`, built
+    from its rows of `covering.generator_array` as it is reached, so no more
+    than one chunk is held."""
     gens = covering.generator_array
-    per_chunk = max(1, LABEL_CHUNK_CELLS // (4**k << covering.m))
+    per_chunk = chunk_groups(k, covering.m)
     for start in range(0, len(gens), per_chunk):
         yield start, _label_block(k, gens[start:start + per_chunk])
 
 
-def outcome_distribution_alg1(ch: PauliChannel, k: int, group,
-                              full: np.ndarray | None = None):
-    """Exact outcome distribution p(v, e) of one estimation round, as a
-    (4^k, 2^m) array.
-
-    `group` may also be a sequence of G groups, whose laws come as one
-    (G, 4^k, 2^m) array.  Dense channels transform the eigenvalues on
-    `full`, the groups' stacked `_label_block` (a chunk of `label_chunks`),
-    built here when not given, in one `wht_forward` call; sparse channels
-    bin the syndromes of their support, group by group.  A table of more
-    than 2^26 cells, which only a sparse channel on a large register can
-    ask for, is a CapabilityError.
-    """
-    stacked = not isinstance(group, StabilizerGroup)
-    groups = tuple(group) if stacked else (group,)
-    for grp in groups:
-        _check_round(ch, k, grp)
+def outcome_distribution_alg1(ch: PauliChannel, k: int, groups,
+                              full: np.ndarray | None = None) -> np.ndarray:
+    """Exact outcome laws p(v, e) of one estimation round on each of the G
+    `groups`, as a (G, 4^k, 2^m) array: dense channels transform the
+    eigenvalues on `full`, the groups' stacked `_label_block` (a chunk of
+    `label_chunks`, built here when not given), in one `wht_forward` call;
+    sparse channels bin the syndromes of their support, group by group.  A
+    table of more than 2^26 cells, which only a sparse channel on a large
+    register can ask for, is a CapabilityError."""
+    _check_round(ch, k, (grp.m for grp in groups))
     m = ch.n - k
     cells = 4**k << m
-    shape = (len(groups),) * stacked + (4**k, 2**m)
     if not ch.is_sparse:  # n <= DENSE_MAX_QUBITS, so cells <= 4^n fits
         if m == 0:  # the trivial group: its labels are the identity order
             lam = np.broadcast_to(ch.eigenvalues, (len(groups), cells))
@@ -208,19 +205,18 @@ def outcome_distribution_alg1(ch: PauliChannel, k: int, group,
             lam = ch.eigenvalues[full.reshape(-1, cells)]
         law = wht_forward(lam, syndrome_digits=m)
         law /= cells
-        return law.reshape(shape)
+        return law.reshape(len(groups), 4**k, 2**m)
     if cells > _DIST_ARRAY_LIMIT:
         raise CapabilityError(f"outcome table with {cells} cells too large")
-    if stacked:
-        return np.stack([outcome_distribution_alg1(ch, k, grp)
-                         for grp in groups]).reshape(shape)
     # cells <= 2^26, so 2n < 64 and the labels are uint64
     labels, probs = ch.support_labels, ch.support_probs
-    v = labels & np.uint64((1 << (2 * k)) - 1)
-    e = group.syndromes(labels >> np.uint64(2 * k))
-    idx = (v.astype(np.int64) << m) | e.astype(np.int64)
-    flat = np.bincount(idx, weights=probs, minlength=cells)
-    return flat.reshape(4**k, 2**m)
+    v = (labels & np.uint64((1 << (2 * k)) - 1)).astype(np.int64) << m
+    rest = labels >> np.uint64(2 * k)
+    law = np.empty((len(groups), cells))
+    for row, grp in zip(law, groups):
+        idx = v | grp.syndromes(rest).astype(np.int64)
+        row[:] = np.bincount(idx, weights=probs, minlength=cells)
+    return law.reshape(len(groups), 4**k, 2**m)
 
 
 def _eigenvalue_vector(ch: PauliChannel) -> np.ndarray:

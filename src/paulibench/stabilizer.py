@@ -25,21 +25,20 @@ Two coverings of the m-qubit Pauli labels are provided:
 * `pauli_basis_covering`: the 3^m groups generated by one of {X, Y, Z} per
   qubit; experimentally simpler, with overlapping coverage.
 
-Both are built as a (G, m) uint64 generator array, row i holding group i's
-generators, and go through one builder, `Covering.from_generators`, which
-checks every row in one pass of array ops with the messages
-`StabilizerGroup` raises.  The MUB array comes from the trace table of
-`gf2m.trace_masks`: Tr(c alpha^s) = parity(c & t_s), so bit s of
-w(c) = sum_s parity(c & t_s) 2^s is M_c[i][j] for every i + j = s, and
-column j of S_c has z bits (w(c) >> j) mod 2^m; every field element c is
-one entry of a numpy vector, and no temporary outgrows the generator
-array.  A `Covering` keeps no value but that array.  `element_block`
-turns generator rows into their (G, 2^m) element blocks by XOR doubling,
-the array form of `StabilizerGroup.elements`; the estimator's label blocks
-(which the estimator keeps) and the ancilla-free discrimination are built
-from it.  `verify_covering` stays on the scalar `elements` and `symp`, so
-it checks the array code rather than repeating it.  Membership is read off
-`elements`.
+A `Covering` is its (G, m) uint64 generator array, row i holding group
+i's generators; its constructor checks every row in one pass of array ops
+with the messages `StabilizerGroup` raises, and its `groups` are made from
+the checked rows when first asked for.  The MUB array comes from the
+trace table of `gf2m.trace_masks`: Tr(c alpha^s) = parity(c & t_s), so bit
+s of w(c) = sum_s parity(c & t_s) 2^s is M_c[i][j] for every i + j = s,
+and column j of S_c has z bits (w(c) >> j) mod 2^m; every field element c
+is one entry of a numpy vector, and no temporary outgrows the generator
+array.  `element_block` turns generator rows into their (G, 2^m) element
+blocks by XOR doubling, the array form of `StabilizerGroup.elements`; the
+estimator's label blocks (which the estimator keeps) and the ancilla-free
+discrimination are built from it.  `verify_covering` stays on the scalar
+`elements` and `symp`, so it checks the array code rather than repeating
+it.  Membership is read off `elements`.
 """
 
 from __future__ import annotations
@@ -70,20 +69,19 @@ def _echelon(rows: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _generator_rows(m: int, rows) -> np.ndarray:
-    """Tuples of generator ints as a (G, m) uint64 array; a tuple of the
-    wrong length or a value no uint64 holds raises `StabilizerGroup`'s
-    message."""
+    """Generator rows, an array or sequences of ints, as a new 2-D uint64
+    array; a value no uint64 holds raises `StabilizerGroup`'s message."""
     if m > _ARRAY_MAX_M:
         raise CapabilityError(
             f"stabilizer groups limited to m <= {_ARRAY_MAX_M}, got {m}")
-    for row in rows:
-        if len(row) != m:
-            raise UsageError(f"expected {m} generators, got {len(row)}")
     try:
-        return np.array(rows, dtype=np.uint64).reshape(len(rows), m)
+        gens = np.array(rows, dtype=np.uint64)
     except OverflowError:
         bad = next(g for row in rows for g in row if g < 0 or g >> (2 * m))
         raise UsageError(f"generator {bad:#x} out of range for m={m}") from None
+    if gens.ndim != 2:
+        raise UsageError(f"generator array must be 2-D, got {gens.shape}")
+    return gens
 
 
 def _check_generators(m: int, gens: np.ndarray):
@@ -184,47 +182,32 @@ class StabilizerGroup:
         return elems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Covering:
-    """A family of stabilizer groups jointly containing every label."""
+    """Stabilizer groups jointly containing every label, group i generated
+    by row i of the (G, m) uint64 `generator_array`, checked and read-only."""
 
     m: int
-    groups: tuple[StabilizerGroup, ...]
+    generator_array: np.ndarray
 
     def __post_init__(self):
-        for g in self.groups:
-            if g.m != self.m:
-                raise UsageError(f"group on {g.m} qubits in m={self.m} covering")
-
-    @classmethod
-    def from_generators(cls, m: int, generators: np.ndarray) -> "Covering":
-        """The covering whose group i is generated by row i of the (G, m)
-        uint64 array `generators`.  Every row is checked as
-        `StabilizerGroup` checks its generators, in one pass over the array,
-        before the groups are made from it."""
-        gens = np.array(generators, dtype=np.uint64)
-        if gens.ndim != 2:
-            raise UsageError(f"generator array must be 2-D, got {gens.shape}")
-        _check_generators(m, gens)
-        groups = []
-        for row in gens.tolist():
-            # checked above, with the rest of the array
-            grp = object.__new__(StabilizerGroup)
-            object.__setattr__(grp, "m", m)
-            object.__setattr__(grp, "generators", tuple(row))
-            groups.append(grp)
-        cov = cls(m, tuple(groups))
+        gens = _generator_rows(self.m, self.generator_array)
+        _check_generators(self.m, gens)
         gens.setflags(write=False)
-        cov.__dict__["generator_array"] = gens  # the cached property's value
-        return cov
+        object.__setattr__(self, "generator_array", gens)
 
     @cached_property
-    def generator_array(self) -> np.ndarray:
-        """(G, m) uint64 array, row i the generators of groups[i];
-        read-only."""
-        gens = _generator_rows(self.m, [g.generators for g in self.groups])
-        gens.setflags(write=False)
-        return gens
+    def groups(self) -> tuple[StabilizerGroup, ...]:
+        """The groups, made from the checked rows without checking again."""
+        groups = []
+        for row in self.generator_array.tolist():
+            # attributes set before the next object is made: making all the
+            # objects first took about 740 B a group against 500 B
+            grp = object.__new__(StabilizerGroup)
+            object.__setattr__(grp, "m", self.m)
+            object.__setattr__(grp, "generators", tuple(row))
+            groups.append(grp)
+        return tuple(groups)
 
 
 def _spread_bits(x: np.ndarray) -> np.ndarray:
@@ -258,8 +241,8 @@ def mub_covering(m: int) -> Covering:
     if m < 0 or m > MAX_M:
         raise CapabilityError(f"mub_covering supports 0 <= m <= {MAX_M}, got {m}")
     if m == 0:
-        return Covering.from_generators(0, np.zeros((1, 0)))
-    return Covering.from_generators(m, _mub_generators(m))
+        return Covering(0, np.zeros((1, 0)))
+    return Covering(m, _mub_generators(m))
 
 
 def pauli_basis_covering(m: int) -> Covering:
@@ -275,7 +258,7 @@ def pauli_basis_covering(m: int) -> Covering:
         # base-3 digit of qubit q, read as the letter code X=1, Z=2, Y=3
         letter = word // np.uint64(3**(m - 1 - q)) % np.uint64(3) + np.uint64(1)
         gens[:, q] = letter << np.uint64(2 * q)
-    return Covering.from_generators(m, gens)
+    return Covering(m, gens)
 
 
 @dataclass

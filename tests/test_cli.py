@@ -197,12 +197,17 @@ CONFIG_ERRORS = [
     ("sweep-ancilla", dict(_SWEEP, success_fraction=1.0), 2),
     ("sweep-ancilla", dict(_SWEEP, channel_alpha=-1), 2),
     ("sweep-ancilla", dict(_SWEEP, n=9), 3),
+    # a repeated entry would run twice and write a duplicate row
+    ("sweep-ancilla", dict(_SWEEP, k_list=[1, 1, 2]), 2),
     ("discriminate", dict(_DISC, n_list=[]), 2),
     ("discriminate", dict(_DISC, n_list=["two"]), 2),
     ("discriminate", dict(_DISC, trials=0), 2),
     ("discriminate", dict(_DISC, modes="bell"), 2),
     ("discriminate", dict(_DISC, modes=["telepathy"]), 2),
     ("discriminate", dict(_DISC, n_list=[11]), 3),
+    # a repeated (mode, n) would write its rows twice under one summary key
+    ("discriminate", dict(_DISC, n_list=[2, 2]), 2),
+    ("discriminate", dict(_DISC, modes=["bell", "bell"]), 2),
 ]
 
 
@@ -451,6 +456,23 @@ def test_sweep_over_memory_exits_3_before_building_channels(
     assert err.startswith("capability error: a sweep of 1000000 trials on "
                           "n=8 qubits needs about ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_sweep_memory_plan_is_sized_from_the_coverings(tmp_path,
+                                                      monkeypatch):
+    # at n = 6 a trial plans its channel (128 KiB) and the laws its
+    # estimator keeps at the largest k (40 KiB at k = 4), so 3000 trials
+    # fit in 1 GiB; at n = 8 no covering fits a chunk and only the channel
+    # is planned
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 1 << 30)
+    monkeypatch.setattr(cli, "sweep_min_rounds",
+                        lambda n, k, cov, *args: (1, 1, 1, 1))
+    for n, trials, code in ((6, 3000, 0), (8, 512, 0), (8, 513, 3)):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "experiment": "sweep-ancilla", "n": n, "k_list": [0, 2, 4, n],
+            "epsilon": 0.2, "trials": trials})
+        assert run_cli("sweep-ancilla", "--config", cfg, "--out",
+                       str(tmp_path / f"run{n}-{trials}")) == code
 
 
 def test_estimate_run_json_records_stages(tmp_path):
@@ -762,7 +784,7 @@ def test_verify_fails_on_corrupted_covering(monkeypatch, capsys):
     def corrupted(m):
         cov = real(m)
         if m == 2:
-            return Covering(2, cov.groups[:-1])
+            return Covering(2, cov.generator_array[:-1])
         return cov
 
     monkeypatch.setattr(verify, "mub_covering", corrupted)

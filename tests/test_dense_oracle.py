@@ -219,12 +219,12 @@ def test_alg1_dense_matches_fast_path():
     z1 = StabilizerGroup(1, (parse_bits("Z", 1),))
     ch = PauliChannel.depolarizing(2, 0.3)
     dense = oracle.alg1_distribution_dense(ch, 1, z1)
-    fast = outcome_distribution_alg1(ch, 1, z1)
+    fast = outcome_distribution_alg1(ch, 1, [z1])[0]
     assert np.max(np.abs(dense - fast)) < 1e-12
     ch2 = PauliChannel.random_dirichlet(3, rng)
     for grp in mub_covering(2).groups[:2]:
         dense = oracle.alg1_distribution_dense(ch2, 1, grp)
-        fast = outcome_distribution_alg1(ch2, 1, grp)
+        fast = outcome_distribution_alg1(ch2, 1, [grp])[0]
         assert np.max(np.abs(dense - fast)) < 1e-10
 
 

@@ -10,7 +10,6 @@ from paulibench import (
     DecayFits,
     NoiseModel,
     PauliChannel,
-    StabilizerGroup,
     UsageError,
     benchmark_alg2,
     estimate_alg1,
@@ -141,7 +140,7 @@ def _per_group_estimate(channel_or_source, k, covering, total, rng):
         if from_law:
             ch = channel_or_source
             if ch.is_sparse:
-                law = outcome_distribution_alg1(ch, k, group)
+                law = outcome_distribution_alg1(ch, k, [group])[0]
             else:
                 law = wht_forward(ch.eigenvalues[full.ravel()],
                                   syndrome_digits=m) / cells
@@ -247,7 +246,7 @@ def test_sweep_probe_error_is_max_abs_error(chunk_cells, monkeypatch):
 
 def test_unsampled_label_is_refused():
     # a covering of one Z group never sees X or Y
-    z_only = Covering(1, (StabilizerGroup(1, (parse_bits("Z", 1),)),))
+    z_only = Covering(1, [[parse_bits("Z", 1)]])
     ch = PauliChannel.depolarizing(1, 0.1)
 
     def sums(ch, k, cov, total, rng):
@@ -293,6 +292,9 @@ def test_estimator_keeps_only_a_covering_that_fits(monkeypatch):
             monkeypatch.setattr(sampler, "LABEL_CHUNK_CELLS", chunk_cells)
         del built[:]
         estimate = alg1_estimator(1, mub_covering(3))  # 9 groups of 4 x 8
+        # the one block is built with the estimator; chunks only when called
+        assert [len(block) for block in built] == (
+            [9] if chunk_cells is None else [])
         for (rounds, seed), cold in zip(calls, colds):
             assert _same(_estimate_set(4, *estimate(
                 ch, 9 * rounds, np.random.default_rng(seed))), cold)
@@ -360,7 +362,7 @@ def test_stacked_laws_equal_per_group_laws():
         assert stacked.shape == (len(cov.groups), 4, 4)
         for law, group in zip(stacked, cov.groups):
             assert law.tobytes() == \
-                outcome_distribution_alg1(ch, 1, group).tobytes()
+                outcome_distribution_alg1(ch, 1, [group])[0].tobytes()
 
 
 def test_more_cells_than_draws_samples_every_shot():

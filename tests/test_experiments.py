@@ -38,6 +38,21 @@ def test_sweep_min_rounds_matches_cli_table(tmp_path):
     assert rows == expected
 
 
+def test_sweep_trial_bytes_plans_the_kept_laws():
+    # a trial holds its channel, 32 B per label, and the laws its estimator
+    # keeps: a covering's G x 4^k x 2^m doubles when it fits one chunk and
+    # m > 0, else none
+    channel = 32 * 4**6
+    assert [experiments.sweep_trial_bytes(6, k, mub_covering(6 - k))
+            for k in (0, 2, 4, 6)] == [channel + 8 * cells for cells in (
+                65 * 64, 17 * 16 * 16, 5 * 256 * 4, 0)]
+    assert max(experiments.sweep_trial_bytes(6, k, mub_covering(6 - k))
+               for k in (0, 2, 4, 6)) == (128 + 40) << 10
+    # at n = 8 no covering fits a chunk of 2^16 cells
+    assert {experiments.sweep_trial_bytes(8, k, mub_covering(8 - k))
+            for k in range(9)} == {2 << 20}
+
+
 def test_discriminate_matches_cli_table(tmp_path):
     n_list, trials, max_shots, seed = [2, 3], 6, 4000, 2
     rows = _cli_rows(tmp_path, "discriminate", {
