@@ -165,6 +165,8 @@ def _resolve(channel_or_source, k: int, covering: Covering,
         raise UsageError(
             f"covering acts on {covering.m} qubits, expected {n - k}"
         )
+    if not covering.groups:
+        raise UsageError("covering has no groups")
     if total_samples < len(covering.groups):
         raise UsageError(
             f"fewer samples ({total_samples}) than covering size "
@@ -334,18 +336,18 @@ class DecayFits:
     errors: dict[int, str]
 
 
-def fit_decays(lengths, f_mean, shots, floor: float = DECAY_FLOOR) -> DecayFits:
+def fit_decays(lengths, f_mean, shots) -> DecayFits:
     """Fit every column of the (lengths x labels) array `f_mean` at once by
     weighted least squares on log F, weighted by shots * F^2.
 
-    Each column keeps its own usable points, those with F > floor; a column
-    with fewer than two of them is a fit error that leaves the other
+    Each column keeps its own usable points, those with F > DECAY_FLOOR; a
+    column with fewer than two of them is a fit error that leaves the other
     columns untouched.  `shots` gives the shot count per length.
     """
     m = np.asarray(lengths, dtype=np.float64)[:, None]
     f = np.asarray(f_mean, dtype=np.float64)
     shots = np.asarray(shots, dtype=np.float64)[:, None]
-    usable = f > floor
+    usable = f > DECAY_FLOOR
     n_used = usable.sum(axis=0)
     f = np.where(usable, f, 1.0)
     y = np.log(f)

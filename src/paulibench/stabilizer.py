@@ -70,7 +70,9 @@ def _echelon(rows: tuple[int, ...]) -> tuple[int, ...]:
 
 def _generator_rows(m: int, rows) -> np.ndarray:
     """Generator rows, an array or sequences of ints, as a new 2-D uint64
-    array; a value no uint64 holds raises `StabilizerGroup`'s message."""
+    array; a value no uint64 holds raises `StabilizerGroup`'s message, and
+    ragged rows or a value that is not an integer raise UsageError too.  A
+    uint64 array is only copied."""
     if m > _ARRAY_MAX_M:
         raise CapabilityError(
             f"stabilizer groups limited to m <= {_ARRAY_MAX_M}, got {m}")
@@ -79,8 +81,14 @@ def _generator_rows(m: int, rows) -> np.ndarray:
     except OverflowError:
         bad = next(g for row in rows for g in row if g < 0 or g >> (2 * m))
         raise UsageError(f"generator {bad:#x} out of range for m={m}") from None
+    except (TypeError, ValueError):
+        raise UsageError("generator rows must be equal-length rows of "
+                         "integers") from None
     if gens.ndim != 2:
         raise UsageError(f"generator array must be 2-D, got {gens.shape}")
+    if getattr(rows, "dtype", None) != np.uint64 \
+            and not np.array_equal(gens, rows):
+        raise UsageError("generators must be non-negative integers")
     return gens
 
 
@@ -149,9 +157,9 @@ class StabilizerGroup:
     generators: tuple[int, ...]
 
     def __post_init__(self):
-        gens = tuple(int(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        _check_generators(self.m, _generator_rows(self.m, [gens]))
+        gens = _generator_rows(self.m, [self.generators])
+        _check_generators(self.m, gens)
+        object.__setattr__(self, "generators", tuple(gens[0].tolist()))
 
     def syndrome(self, c: int) -> int:
         """Packed syndrome of error label c: bit j = <g_j, c>."""

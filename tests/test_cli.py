@@ -831,3 +831,17 @@ def test_verify_fails_on_wrong_alg2_law(monkeypatch, capsys):
     assert run_cli("verify", "--level", "quick", "--seed", "1") == 4
     captured = capsys.readouterr()
     assert "[FAIL] alg2-outcome-distribution-vs-convolution" in captured.out
+
+
+def test_verify_row_tolerance_decides(monkeypatch):
+    # every check decides against its row's tolerance and reports it; only
+    # the exact covering check passes at a tolerance of -inf
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        (name, -np.inf, *rest) for name, _, *rest in verify.CHECKS))
+    results = verify.run_checks("quick", 0)
+    assert len(results) == len(verify.CHECKS)
+    for result in results:
+        exact = result.name == "stabilizer-coverings"
+        assert result.ok is exact
+        assert result.line().startswith("[PASS]" if exact else "[FAIL]")
+        assert "(tol -inf, " in result.line()

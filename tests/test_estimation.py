@@ -102,6 +102,17 @@ def test_too_few_samples_rejected():
         estimate_alg1(PauliChannel.identity(3), 1, mub_covering(2), 4, rng)
 
 
+def test_empty_covering_rejected():
+    # a covering of no groups is legal, but no estimate can be made from it
+    empty = Covering(2, np.zeros((0, 2)))
+    channel, rng = PauliChannel.identity(2), np.random.default_rng(2)
+    for run in (lambda: estimate_alg1(channel, 0, empty, 100, rng),
+                lambda: alg1_estimator(0, empty)(channel, 100, rng),
+                lambda: estimate_alg1_reference(channel, 0, empty, 100, rng)):
+        with pytest.raises(UsageError, match="covering has no groups"):
+            run()
+
+
 @pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (2, 2), (3, 1)])
 def test_histogram_path_equals_literal_loop(n, k):
     rng = np.random.default_rng(10 * n + k)

@@ -300,6 +300,30 @@ def test_batched_check_reports_the_first_bad_group():
         StabilizerGroup(33, (0,) * 33)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Covering(2, [[1, 4], [3]]), "equal-length rows"),
+    (lambda: Covering(2, [["X", 4]]), "equal-length rows"),
+    (lambda: Covering(2, [[1.5, 4]]), "non-negative integers"),
+    (lambda: Covering(2, np.array([[1.5, 4]])), "non-negative integers"),
+    (lambda: Covering(2, np.array([[-1, 4]])), "non-negative integers"),
+    (lambda: StabilizerGroup(2, (1.5, 4)), "non-negative integers"),
+], ids=["ragged", "text", "float-list", "float-array", "negative-array",
+        "group-float"])
+def test_malformed_generators_rejected(build, message):
+    with pytest.raises(UsageError, match=message):
+        build()
+
+
+def test_integral_generators_of_any_type_accepted():
+    # floats holding integers, numpy ints and Python ints build one group
+    xi, ix = parse_bits("XI", 2), parse_bits("IX", 2)
+    for gens in ([[float(xi), float(ix)]], np.array([[xi, ix]], dtype=np.int8),
+                 [[np.uint64(xi), ix]]):
+        assert Covering(2, gens).generator_array.tolist() == [[xi, ix]]
+    gens = StabilizerGroup(2, (np.int64(xi), 1.0 * ix)).generators
+    assert gens == (xi, ix) and {type(g) for g in gens} == {int}
+
+
 def test_from_generators_rejects_a_changed_covering():
     gens = mub_covering(2).generator_array.copy()
     gens[3] = [parse_bits("XI", 2), parse_bits("ZI", 2)]
