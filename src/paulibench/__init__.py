@@ -8,7 +8,6 @@ from .channels import (
 )
 from .errors import (
     CapabilityError,
-    ConfigError,
     FitError,
     PauliBenchError,
     UsageError,
@@ -46,7 +45,6 @@ __all__ = [
     "wht_forward",
     "wht_inverse",
     "CapabilityError",
-    "ConfigError",
     "FitError",
     "PauliBenchError",
     "UsageError",

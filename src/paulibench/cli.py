@@ -21,8 +21,8 @@ Outputs are byte-identical for a fixed (config, seed): all randomness is
 derived from (seed, structural key), and every run is serial; `--threads`
 is only recorded in run.json.
 
-Exit codes: 0 ok, 2 config error, 3 capability error, 4 verification
-failure.
+Exit codes: 0 ok, 2 config error (any `UsageError`), 3 capability error,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .channels import DENSE_MAX_QUBITS, PauliChannel
-from .errors import CapabilityError, ConfigError, UsageError
+from .errors import CapabilityError, UsageError
 from .estimation import (
     DEFAULT_LENGTHS,
     dense_benchmark_bytes,
@@ -80,38 +80,38 @@ def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise UsageError(f"cannot read config {path}: {exc}") from None
     try:
         obj = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or too many digits
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+        raise UsageError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
+        raise UsageError("config must be a JSON object")
     return obj
 
 
 def _require_keys(cfg: dict, required, optional, where: str):
     missing = [key for key in required if key not in cfg]
     if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
+        raise UsageError(f"{where}: missing keys {missing}")
     unknown = [key for key in cfg if key not in set(required) | set(optional)]
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
+        raise UsageError(f"{where}: unknown keys {unknown}")
 
 
 def _int(value, what: str, minimum: int | None = None,
          maximum: int | None = None) -> int:
     if isinstance(value, bool) or (isinstance(value, float)
                                    and not value.is_integer()):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+        raise UsageError(f"{what} must be an integer, got {value!r}")
     try:
         out = int(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None
     if minimum is not None and out < minimum:
-        raise ConfigError(f"{what} must be at least {minimum}, got {out}")
+        raise UsageError(f"{what} must be at least {minimum}, got {out}")
     if maximum is not None and out > maximum:
-        raise ConfigError(f"{what} must be at most {maximum}, got {out}")
+        raise UsageError(f"{what} must be at most {maximum}, got {out}")
     return out
 
 
@@ -121,18 +121,18 @@ def _float(value, what: str) -> float:
             raise TypeError
         return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+        raise UsageError(f"{what} must be a number, got {value!r}") from None
 
 
 def _list(value, what: str) -> list:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
+        raise UsageError(f"{what} must be a non-empty list, got {value!r}")
     return value
 
 
 def _distinct(values: list, what: str) -> list:
     if len(set(values)) < len(values):
-        raise ConfigError(f"{what} repeats an entry: {values!r}")
+        raise UsageError(f"{what} repeats an entry: {values!r}")
     return values
 
 
@@ -151,10 +151,10 @@ _CHANNEL_KINDS = {
 def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
     """Construct a channel from its config spec."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"channel spec must be an object with 'kind': {spec!r}")
+        raise UsageError(f"channel spec must be an object with 'kind': {spec!r}")
     kind = spec["kind"]
     if kind not in _CHANNEL_KINDS:
-        raise ConfigError(f"unknown channel kind {kind!r}")
+        raise UsageError(f"unknown channel kind {kind!r}")
     required, optional = _CHANNEL_KINDS[kind]
     _require_keys(spec, ("kind",) + required, optional, f"channel {kind}")
     if kind == "identity":
@@ -176,20 +176,20 @@ def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
         consumed = 0
         for sub in _list(spec["factors"], "tensor factors"):
             if not isinstance(sub, dict):
-                raise ConfigError(f"tensor factor must be an object: {sub!r}")
+                raise UsageError(f"tensor factor must be an object: {sub!r}")
             sub_n = _int(sub.get("n", 1), "tensor factor n", 1, n - consumed)
             inner = {key: val for key, val in sub.items() if key != "n"}
             factors.append(build_channel(inner, sub_n, rng))
             consumed += sub_n
         if consumed != n:
-            raise ConfigError(f"tensor factors cover {consumed} qubits, expected {n}")
+            raise UsageError(f"tensor factors cover {consumed} qubits, expected {n}")
         return PauliChannel.tensor(factors)
     if not isinstance(spec["path"], str):
-        raise ConfigError(f"channel file path must be a string: {spec['path']!r}")
+        raise UsageError(f"channel file path must be a string: {spec['path']!r}")
     try:
         text = Path(spec["path"]).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read channel file: {exc}") from None
+        raise UsageError(f"cannot read channel file: {exc}") from None
     try:
         obj = json.loads(text)
         # the file's n as `from_json` reads it, checked before any 4^n
@@ -197,8 +197,8 @@ def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
         if file_n == n:
             return PauliChannel.from_json(obj)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed channel file: {exc}") from None
-    raise ConfigError(f"channel file has n={file_n}, config says {n}")
+        raise UsageError(f"malformed channel file: {exc}") from None
+    raise UsageError(f"channel file has n={file_n}, config says {n}")
 
 
 def _covering(kind: str, m: int):
@@ -206,7 +206,7 @@ def _covering(kind: str, m: int):
         return mub_covering(m)
     if kind == "pauli-basis":
         return pauli_basis_covering(m)
-    raise ConfigError(f"unknown covering kind {kind!r}")
+    raise UsageError(f"unknown covering kind {kind!r}")
 
 
 def _memory_limit() -> int:
@@ -246,7 +246,7 @@ class RunWriter:
 
     def __init__(self, out_dir: str, fmt: str):
         if fmt not in ("csv", "json"):
-            raise ConfigError(f"--format must be csv or json, got {fmt!r}")
+            raise UsageError(f"--format must be csv or json, got {fmt!r}")
         self.dir = Path(out_dir)
         # an unusable directory is refused at once: make the missing ones,
         # then remove them again, deepest first
@@ -268,8 +268,8 @@ class RunWriter:
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"cannot create --out directory {self.dir}: "
-                              f"{exc.strerror}") from None
+            raise UsageError(f"cannot create --out directory {self.dir}: "
+                             f"{exc.strerror}") from None
         return self.dir / name
 
     @contextmanager
@@ -431,13 +431,14 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
         total = _int(cfg["samples"], "samples", maximum=_INT64_MAX)
     else:
         if "epsilon" not in cfg or "delta" not in cfg:
-            raise ConfigError("estimate config needs samples or epsilon+delta")
+            raise UsageError("estimate config needs samples or epsilon+delta")
         total = required_samples(n, k, _float(cfg["epsilon"], "epsilon"),
                                  _float(cfg["delta"], "delta"), len(cov.groups))
     with writer.stage("channel"):
         channel = build_channel(cfg["channel"], n, derive_rng(seed, "channel"))
     with writer.stage("estimate"):
         est = estimate_alg1(channel, k, cov, total, derive_rng(seed, "shots"))
+    del channel  # its 4^n arrays are not held through the 4^n-row write
     with writer.stage("write"):
         writer.write_table(
             "estimates", ["label", "lambda_hat", "n_shots", "stderr"],
@@ -462,7 +463,7 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
     m_list = [_int(m, "m_list entry", 0, _INT64_MAX)
               for m in _list(cfg.get("m_list", list(DEFAULT_LENGTHS)), "m_list")]
     if len(set(m_list)) < 2:
-        raise ConfigError(
+        raise UsageError(
             f"m_list needs two or more distinct lengths to fit a decay, "
             f"got {m_list}")
     # every label's shot count, shots_per_m per length, is an int64
@@ -470,9 +471,9 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
                  _INT64_MAX // len(set(m_list)))
     explicit_spam = "prep" in cfg or "meas" in cfg
     if explicit_spam and "spam_sweep" in cfg:
-        raise ConfigError("give either prep/meas channels or a SPAM rate, not both")
-    rates = [_float(r, "spam_sweep entry")
-             for r in _list(cfg.get("spam_sweep", [0.0]), "spam_sweep")]
+        raise UsageError("give either prep/meas channels or a SPAM rate, not both")
+    rates = _distinct([_float(r, "spam_sweep entry") for r in _list(
+        cfg.get("spam_sweep", [0.0]), "spam_sweep")], "spam_sweep")
     _require_memory(n, lambda n: dense_benchmark_bytes(
         n, len(set(m_list)), len(rates)), f"a dense benchmark on n={n} qubits")
 
@@ -537,7 +538,7 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
     trials = _int(cfg.get("trials", 20), "trials", 1)
     frac = _float(cfg.get("success_fraction", 0.9), "success_fraction")
     if not 0.0 < frac < 1.0:
-        raise ConfigError(f"success_fraction must lie in (0, 1), got {frac}")
+        raise UsageError(f"success_fraction must lie in (0, 1), got {frac}")
     alpha = _float(cfg.get("channel_alpha", 1.0), "channel_alpha")
     with writer.stage("covering"):
         covs = [_covering(cfg.get("covering", "mub"), n - k) for k in k_list]
@@ -586,7 +587,7 @@ def cmd_discriminate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     modes = _list(cfg.get("modes", list(DISCRIMINATE_MODES)), "modes")
     for mode in modes:
         if mode not in DISCRIMINATE_MODES:
-            raise ConfigError(f"unknown discriminate mode {mode!r}")
+            raise UsageError(f"unknown discriminate mode {mode!r}")
     _distinct(modes, "modes")
     max_shots = _int(cfg.get("max_shots", 100_000), "max_shots", 1)
     blocks = []  # one per (mode, n)
@@ -677,11 +678,11 @@ def main(argv=None) -> int:
             return cmd_verify(args.level, seed, writer)
         gnuplot = args.command == "sweep-ancilla" and args.gnuplot
         if gnuplot and args.format != "csv":
-            raise ConfigError("--gnuplot plots sweep.csv, so it needs "
-                              "--format csv")
+            raise UsageError("--gnuplot plots sweep.csv, so it needs "
+                             "--format csv")
         cfg = _load_config(args.config)
         if cfg.setdefault("experiment", args.command) != args.command:
-            raise ConfigError(
+            raise UsageError(
                 f"config experiment {cfg['experiment']!r} does not match "
                 f"subcommand {args.command!r}"
             )
@@ -701,7 +702,7 @@ def main(argv=None) -> int:
             writer.write_text("sweep.gp", _GNUPLOT_SWEEP)
         writer.finish(args.command, dict(cfg, seed=seed), seed, threads, summary)
         return 0
-    except (ConfigError, UsageError) as exc:
+    except UsageError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

@@ -346,10 +346,6 @@ class MutualInfoResult:
     bound: float
     conditionals: np.ndarray  # (channels, outcomes)
 
-    @property
-    def satisfied(self) -> bool:
-        return self.info_nats <= self.bound + 1e-9
-
 
 def spike_family_conditionals(n: int, k: int, input_vec: np.ndarray,
                               povm) -> np.ndarray:

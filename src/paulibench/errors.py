@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage/config problems exit with 2,
-capability (resource-limit) problems with 3, verification failures with 4.
+The CLI maps these onto exit codes: a UsageError (bad arguments or config)
+exits with 2, a CapabilityError with 3, a failed verification with 4.
 """
 
 
@@ -10,15 +10,11 @@ class PauliBenchError(Exception):
 
 
 class UsageError(PauliBenchError, ValueError):
-    """Invalid arguments: mismatched sizes, bad labels, invalid distributions."""
+    """Invalid arguments or config: bad sizes, labels, distributions, keys."""
 
 
 class CapabilityError(PauliBenchError):
     """Request exceeds a documented resource limit (qubit count, memory)."""
-
-
-class ConfigError(PauliBenchError):
-    """Malformed or inconsistent experiment configuration."""
 
 
 class FitError(PauliBenchError):

@@ -97,7 +97,8 @@ BENCHMARK_BYTES_PER_LENGTH = 48
 @dataclass
 class EstimateSet:
     """Eigenvalue estimates with shot counts for all 4^n labels: entry b of
-    each array belongs to label b."""
+    each array belongs to label b.  An `n_shots` equal for every label (k = n,
+    benchmarking) is a read-only broadcast view of one int64."""
 
     n: int
     lambda_hat: np.ndarray
@@ -253,7 +254,8 @@ def alg1_estimator(k: int, covering: Covering):
             # every label is seen in every round
             hist = _histograms(laws(law_channel, groups), source, k, groups,
                                0, rounds, rng)
-            return wht_forward(hist[0]), np.full(4**n, rounds, dtype=np.int64)
+            counts = np.broadcast_to(np.int64(rounds), (4**n,))
+            return wht_forward(hist[0]), counts
         sums = np.zeros(4**n)
         counts = np.zeros(4**n, dtype=np.int64)
         for start, block in label_chunks(k, covering) if whole is None \
@@ -431,7 +433,7 @@ def benchmark_alg2(model: NoiseModel, lengths, shots_per_m: int,
     f_rows = wht_forward(hists) / shots_per_m
     shots = np.full(lengths.size, shots_per_m, dtype=np.int64)
     fits = fit_decays(lengths, f_rows, shots)
-    n_shots = np.full(4**n, int(shots.sum()), dtype=np.int64)
+    n_shots = np.broadcast_to(shots.sum(), (4**n,))
     estimates = EstimateSet(n, fits.lambda_hat, n_shots, fits.stderr_lambda)
     return BenchmarkResult(estimates, lengths, f_rows, shots, fits)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import PauliChannel
-from .errors import PauliBenchError
+from .errors import PauliBenchError, UsageError
 from .estimation import (
     alg1_estimator,
     benchmark_alg2,
@@ -74,6 +74,8 @@ def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
     within `epsilon`; returns (rounds, successes of a full pass at it,
     probes, trials run), the last two counting the confirmation pass."""
     size = len(cov.groups)
+    # checks epsilon and success_fraction before any channel is built
+    base = required_samples(n, k, epsilon, 1.0 - success_fraction, size) // size
     needed = int(np.ceil(success_fraction * trials))
     channels = [
         PauliChannel.random_dirichlet(n, derive_rng(seed, "sweep-ch", k, t),
@@ -99,7 +101,6 @@ def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
                 break
         return successes >= needed, successes
 
-    base = required_samples(n, k, epsilon, 1.0 - success_fraction, size) // size
     hi = max(base, 2)
     while not probe(hi)[0]:
         hi *= 2
@@ -122,7 +123,10 @@ def sweep_min_rounds(n: int, k: int, cov: Covering, epsilon: float,
 
 def discriminate(n: int, mode: str, trials: int, max_shots: int,
                  seed: int) -> list[tuple[str, str, int]]:
-    """(truth, declared, shots) of each of `trials` trials in `mode`."""
+    """(truth, declared, shots) of each of `trials` trials in `mode`, one
+    of `DISCRIMINATE_MODES`."""
+    if mode not in DISCRIMINATE_MODES:
+        raise UsageError(f"unknown discriminate mode {mode!r}")
     if mode == "bell":
         members = np.arange(1, 4**n, dtype=np.uint64)[None]
     else:

@@ -9,6 +9,7 @@ import pytest
 
 from paulibench import PauliChannel, estimate_alg1, mub_covering
 from paulibench import cli, experiments
+from paulibench.experiments import spam_sweep
 from paulibench.cli import build_channel, main
 from paulibench.estimation import dense_benchmark_bytes, dense_estimate_bytes
 from paulibench.pauli import format_bits
@@ -188,6 +189,9 @@ CONFIG_ERRORS = [
     ("benchmark", dict(_BENCH, m_list=[0]), 2),
     ("benchmark", dict(_BENCH, m_list=[3, 3]), 2),
     ("benchmark", dict(_BENCH, shots_per_m=0), 2),
+    # a repeated rate would run twice on one stream; rates compare by value
+    ("benchmark", dict(_BENCH, spam_sweep=[0, 0.0, 0.05]), 2),
+    ("benchmark", dict(_BENCH, spam_sweep=[0.05, -0.0, 0]), 2),
     # the one-rate alias of spam_sweep is gone, so it is an unknown key
     ("benchmark", dict(_BENCH, spam_depolarizing=0.1), 2),
     ("sweep-ancilla", dict(_SWEEP, k_list=[]), 2),
@@ -406,6 +410,52 @@ def test_dense_benchmark_bytes_bound_a_small_run(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak <= dense_benchmark_bytes(5, 6, 3)
+
+
+def test_estimate_frees_its_channel_and_shares_constant_shot_counts(
+        tmp_path, monkeypatch):
+    # the estimated channel's 4^n arrays are freed before the 4^n-row
+    # write, and a shot count equal for every label is one read-only int64
+    freed, estimated, freed_at_write, n_shots = set(), [], [], []
+    monkeypatch.setattr(PauliChannel, "__del__",
+                        lambda self: freed.add(id(self)), raising=False)
+
+    def estimate(channel, *args):
+        # while the channel lives no other object has its id
+        estimated.append(id(channel))
+        freed.clear()
+        est = estimate_alg1(channel, *args)
+        n_shots.append(est.n_shots)
+        return est
+
+    def sweep(*args):
+        results, consistency = spam_sweep(*args)
+        n_shots.extend(res.estimates.n_shots for res in results)
+        return results, consistency
+
+    write_table = cli.RunWriter.write_table
+
+    def write(self, *args):
+        freed_at_write.append(estimated[-1] in freed)
+        return write_table(self, *args)
+
+    monkeypatch.setattr(cli, "estimate_alg1", estimate)
+    monkeypatch.setattr(cli, "spam_sweep", sweep)
+    monkeypatch.setattr(cli.RunWriter, "write_table", write)
+    for k in (0, 2):
+        cfg = write_config(tmp_path, f"k{k}.json", dict(
+            _EST, k=k, channel={"kind": "random-dirichlet"}))
+        assert run_cli("estimate", "--config", cfg, "--out",
+                       str(tmp_path / f"k{k}")) == 0
+    assert freed_at_write == [True, True]
+    assert not n_shots[1].flags.writeable  # k = n
+    n_shots.clear()
+    cfg = write_config(tmp_path, "bench.json",
+                       dict(_BENCH, spam_sweep=[0.0, 0.1]))
+    assert run_cli("benchmark", "--config", cfg, "--out",
+                   str(tmp_path / "bench")) == 0
+    assert len(n_shots) == 2
+    assert not any(counts.flags.writeable for counts in n_shots)
 
 
 def test_benchmark_over_memory_limit_exits_3_before_allocating(

@@ -12,6 +12,11 @@ from paulibench import dense_oracle as oracle
 from paulibench.pauli import parse_bits, symp
 from paulibench.sampler import outcome_distribution_alg1
 from paulibench.stabilizer import StabilizerGroup
+from paulibench.verify import CHECKS
+
+# how far I may exceed the bound, as the `verify` row states it
+MUTUAL_INFO_TOL = next(tol for name, tol, *_ in CHECKS
+                       if name == "mutual-information-bound")
 
 
 def test_pauli_matrices():
@@ -313,7 +318,7 @@ def test_mutual_info_worked_example():
     res = oracle.mutual_info_check(1, 0, vec, povm)
     assert res.bound == pytest.approx(1.0)
     assert res.info_nats == pytest.approx(np.log(2) / 3, abs=1e-12)
-    assert res.satisfied
+    assert res.info_nats <= res.bound + MUTUAL_INFO_TOL
     # independent plain-loop entropy evaluation over the 6 channels
     cond = res.conditionals
     mean = cond.mean(axis=0)
@@ -341,7 +346,7 @@ def test_mutual_info_random_strategies_obey_bound():
         for _ in range(25):
             vec, povm = oracle.random_strategy(n, k, rng)
             res = oracle.mutual_info_check(n, k, vec, povm)
-            assert res.info_nats <= res.bound + 1e-9
+            assert res.info_nats <= res.bound + MUTUAL_INFO_TOL
             closed = oracle.spike_conditionals_closed_form(n, k, vec, povm)
             assert np.max(np.abs(closed - res.conditionals)) < 1e-10
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paulibench import PauliChannel, cli, experiments, mub_covering
+from paulibench import (PauliChannel, UsageError, cli, experiments,
+                        mub_covering)
 from paulibench.cli import main
 from paulibench.pauli import format_bits, symp_u64
 from paulibench.seeding import derive_rng
@@ -273,6 +274,27 @@ def test_probe_stops_at_the_deciding_trial(monkeypatch):
         assert len(calls) < trials
     assert [r for _, r in confirmation] == [threshold] * trials
     assert confirmed == trials - 2
+
+
+def _never(*args):
+    raise AssertionError("work started")
+
+
+def test_discriminate_refuses_an_unknown_mode(monkeypatch):
+    # a mode outside DISCRIMINATE_MODES is refused before any trial runs
+    monkeypatch.setattr(experiments, "_discriminate_trial", _never)
+    with pytest.raises(UsageError, match="unknown discriminate mode 'bel'"):
+        experiments.discriminate(2, "bel", 2, 1000, 0)
+
+
+def test_sweep_checks_its_budget_before_building_channels(monkeypatch):
+    # an epsilon or success fraction that `required_samples` refuses is
+    # refused before any trial channel is built
+    monkeypatch.setattr(PauliChannel, "random_dirichlet", _never)
+    cov = mub_covering(2)
+    for epsilon, frac in ((0.0, 0.9), (1.5, 0.9), (0.5, 1.0)):
+        with pytest.raises(UsageError):
+            experiments.sweep_min_rounds(2, 0, cov, epsilon, 3, frac, 1.0, 0)
 
 
 def _imported_modules(path: Path, package: str) -> set[str]:
