@@ -25,19 +25,21 @@ transform over (v << m) | e indices is one `wht_forward` call with
 of bits costs the same float operations, in the same order, as two radix-2
 stages, so the result is bit-identical to one stage per syndrome bit.
 
-Channels come in two representations:
+Channels keep their error rates in one of two forms, and every exact
+outcome law reads the one eigenvalue vector `PauliChannel.eigenvalues`:
 
 * dense: the full length-4^n error-rate vector, allowed for
-  n <= DENSE_MAX_QUBITS (4^13 doubles is about half a GiB).  The eigenvalue
-  vector is computed at construction, never lazily, so instances can be
-  shared across threads without synchronization.
-* sparse: an explicit support list of (label, probability); eigenvalues are
-  available per label in O(|support|) via `eigenvalue`.
+  n <= DENSE_MAX_QUBITS (4^13 doubles is about half a GiB), which is
+  checked before any 4^n array is made; eigenvalues come at construction.
+* sparse: an explicit support list of (label, probability), on any n;
+  `eigenvalue` and `probability` read the support per label, and the first
+  read of `eigenvalues` transforms it, for n <= DENSE_MAX_QUBITS.
 
 Inputs that are not a probability distribution (negative entries or total
 mass off by more than NORMALIZATION_TOL) are rejected, never silently
-renormalized.  A channel is immutable and keeps no value but its sampling
-CDF; an estimator keeps what it derives from one, such as outcome laws.
+renormalized.  A channel is immutable; beside its error rates it keeps its
+eigenvalues and sampling CDF, each made once (runs are serial).  An
+estimator keeps what it derives from one, such as outcome laws.
 """
 
 from __future__ import annotations
@@ -131,6 +133,13 @@ def wht_inverse(lam: np.ndarray) -> np.ndarray:
     return _digit_transform(lam, 0) / lam.shape[-1]
 
 
+def _check_dense(n: int):
+    """Refuse a 4^n array above DENSE_MAX_QUBITS, before allocating one."""
+    if n > DENSE_MAX_QUBITS:
+        raise CapabilityError(f"dense channels limited to n <= "
+                              f"{DENSE_MAX_QUBITS}, got {n}")
+
+
 def _validate_probs(probs: np.ndarray):
     if np.any(probs < -NORMALIZATION_TOL):
         worst = float(probs.min())
@@ -162,9 +171,9 @@ class PauliChannel:
     __slots__ = (
         "n",
         "error_rates",
-        "eigenvalues",
         "support_labels",
         "support_probs",
+        "_eigenvalues",
         "_cdf",
     )
 
@@ -172,9 +181,9 @@ class PauliChannel:
                  support_labels=None, support_probs=None):
         self.n = n
         self.error_rates = error_rates
-        self.eigenvalues = eigenvalues
         self.support_labels = support_labels
         self.support_probs = support_probs
+        self._eigenvalues = eigenvalues
         self._cdf = None
         if error_rates is not None:
             error_rates.setflags(write=False)
@@ -189,10 +198,7 @@ class PauliChannel:
     @classmethod
     def from_error_rates(cls, n: int, p: Sequence[float]) -> "PauliChannel":
         """Dense channel from the full length-4^n error-rate vector."""
-        if n > DENSE_MAX_QUBITS:
-            raise CapabilityError(
-                f"dense channels limited to n <= {DENSE_MAX_QUBITS}, got {n}"
-            )
+        _check_dense(n)
         p = np.asarray(p, dtype=np.float64)
         if p.shape != (4**n,):
             raise UsageError(f"expected {4**n} error rates, got shape {p.shape}")
@@ -206,6 +212,7 @@ class PauliChannel:
     @classmethod
     def from_eigenvalues(cls, n: int, lam: Sequence[float]) -> "PauliChannel":
         """Dense channel from the full eigenvalue vector (must be physical)."""
+        _check_dense(n)
         lam = np.asarray(lam, dtype=np.float64)
         if lam.shape != (4**n,):
             raise UsageError(f"expected {4**n} eigenvalues, got shape {lam.shape}")
@@ -254,6 +261,7 @@ class PauliChannel:
 
         For every nonzero label the eigenvalue is 1 - rate * 4^n/(4^n - 1).
         """
+        _check_dense(n)
         if not 0.0 <= rate <= 1.0:
             raise UsageError(f"rate must lie in [0, 1], got {rate}")
         p = np.full(4**n, rate / (4**n - 1))
@@ -263,6 +271,7 @@ class PauliChannel:
     @classmethod
     def fully_depolarizing(cls, n: int) -> "PauliChannel":
         """Uniform error rates; every nonidentity eigenvalue is zero."""
+        _check_dense(n)
         return cls.from_error_rates(n, np.full(4**n, 4.0**-n))
 
     @classmethod
@@ -271,6 +280,7 @@ class PauliChannel:
 
         Its error rates are p_b = 4^-n (1 + s(-1)^<a,b>).
         """
+        _check_dense(n)
         a = _label_bits(a, n)
         if a == 0:
             raise UsageError("spike label must be nonzero (lambda_0 stays 1)")
@@ -283,26 +293,23 @@ class PauliChannel:
 
     @classmethod
     def tensor(cls, factors: Sequence["PauliChannel"]) -> "PauliChannel":
-        """Tensor product of dense channels; qubit 0 of the first factor
-        stays qubit 0 of the product."""
+        """Dense tensor product of dense or sparse channels; qubit 0 of the
+        first factor stays qubit 0 of the product."""
         if not factors:
             raise UsageError("tensor of zero channels")
-        for ch in factors:
-            if ch.error_rates is None:
-                raise UsageError("tensor requires dense factors")
         n = sum(ch.n for ch in factors)
-        if n > DENSE_MAX_QUBITS:
-            raise CapabilityError(f"tensor result n={n} exceeds dense limit")
-        p = factors[0].error_rates
+        _check_dense(n)
+        p = factors[0]._dense_rates()
         for ch in factors[1:]:
             # combined label = low bits from the earlier factors
-            p = np.outer(ch.error_rates, p).ravel()
+            p = np.outer(ch._dense_rates(), p).ravel()
         return cls.from_error_rates(n, p)
 
     @classmethod
     def random_dirichlet(cls, n: int, rng: np.random.Generator,
                          alpha: float = 1.0) -> "PauliChannel":
         """Dense channel with Dirichlet(alpha) error rates."""
+        _check_dense(n)
         if not 0.0 < alpha < np.inf:
             raise UsageError(f"alpha must be positive and finite, got {alpha}")
         p = rng.dirichlet(np.full(4**n, alpha))
@@ -331,11 +338,33 @@ class PauliChannel:
     def is_sparse(self) -> bool:
         return self.error_rates is None
 
+    def _dense_rates(self) -> np.ndarray:
+        """The full error-rate vector; a sparse channel scatters its support
+        into a new one, for n <= DENSE_MAX_QUBITS."""
+        if not self.is_sparse:
+            return self.error_rates
+        _check_dense(self.n)
+        p = np.zeros(4**self.n)
+        p[self.support_labels.astype(np.intp)] = self.support_probs
+        return p
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """All 4^n eigenvalues, read-only, with lambda_0 pinned to 1.  A
+        sparse channel transforms its support on the first read and keeps
+        the result; above DENSE_MAX_QUBITS that is a CapabilityError."""
+        if self._eigenvalues is None:
+            lam = wht_forward(self._dense_rates())
+            lam[0] = 1.0
+            lam.setflags(write=False)
+            self._eigenvalues = lam
+        return self._eigenvalues
+
     def eigenvalue(self, b: int | str) -> float:
         """lambda_b; O(|support|) for sparse channels, a lookup for dense."""
         b = _label_bits(b, self.n)
-        if self.eigenvalues is not None:
-            return float(self.eigenvalues[b])
+        if not self.is_sparse:
+            return float(self._eigenvalues[b])
         if b == 0:
             # pinned to 1 as in the dense eigenvalues; the probabilities sum
             # to 1 only within rounding
@@ -348,21 +377,15 @@ class PauliChannel:
         signs = 1.0 - 2.0 * symp_u64(self.support_labels, np.uint64(b)).astype(np.float64)
         return float(self.support_probs @ signs)
 
-    def probability(self, a: int) -> float:
-        """p_a."""
-        if self.error_rates is not None:
+    def probability(self, a: int | str) -> float:
+        """p_a; a binary search of the sorted support for sparse channels."""
+        a = _label_bits(a, self.n)
+        if not self.is_sparse:
             return float(self.error_rates[a])
-        for lbl, pr in zip(self.support_labels, self.support_probs):
-            if int(lbl) == a:
-                return float(pr)
-        return 0.0
-
-    def _cumulative(self) -> np.ndarray:
-        # benign race: idempotent pure computation, assignment is atomic
-        if self._cdf is None:
-            probs = self.support_probs if self.is_sparse else self.error_rates
-            self._cdf = np.cumsum(np.clip(probs, 0.0, None))
-        return self._cdf
+        labels = self.support_labels
+        i = int(np.searchsorted(labels, a))
+        found = i < len(labels) and int(labels[i]) == a
+        return float(self.support_probs[i]) if found else 0.0
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw error labels a ~ p; returns an int, or a label array.
@@ -370,7 +393,10 @@ class PauliChannel:
         Inverse CDF: the label index of a uniform u is the number of CDF
         entries <= u.
         """
-        cdf = self._cumulative()
+        if self._cdf is None:
+            probs = self.support_probs if self.is_sparse else self.error_rates
+            self._cdf = np.cumsum(np.clip(probs, 0.0, None))
+        cdf = self._cdf
         u = rng.random(size=1 if size is None else size)
         idx = np.searchsorted(cdf, u, side="right")
         np.minimum(idx, len(cdf) - 1, out=idx)

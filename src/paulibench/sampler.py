@@ -32,18 +32,18 @@ labels, which is exact for Pauli noise:
   eigenbasis, so z has law wht_inverse(lambda_prep lambda_gate^(m+1)
   lambda_meas) (`outcome_distribution_alg2`).
 
-Both estimators use a batch only through its histogram, so they draw
-histograms from the exact laws whenever `law_pays`: the table has no more
-cells than the batch has draws, and fits in memory.  Both laws are dense
-arrays of at most 2^26 cells; asking for a larger one is a CapabilityError.
-One `draw_histograms` (multinomial) call draws a whole stack of tables,
-in order, exactly as one call per table would: channel estimation draws a
-chunk of groups' laws at once, benchmarking all its sequence lengths;
-there are no per-group draws.  Otherwise they sample every shot with
-`simulate_rounds_alg1` / `simulate_alg2_batch`, which are vectorized over
-shots and return uint64 label arrays, so a single shot is a batch of size
-1.  Callers own the RNG; see `seeding.derive_rng` for the reproducibility
-contract.
+Both laws read a channel only through `PauliChannel.eigenvalues`, however
+its error rates are stored; above DENSE_MAX_QUBITS that is a
+CapabilityError.  Both estimators use a batch only through its histogram,
+so they draw histograms from the exact laws whenever `law_pays`: the table
+has no more cells than the batch has draws.  One `draw_histograms`
+(multinomial) call draws a whole stack of tables, in order, exactly as one
+call per table would: channel estimation draws a chunk of groups' laws at
+once, benchmarking all its sequence lengths; there are no per-group draws.
+Otherwise they sample every shot with `simulate_rounds_alg1` /
+`simulate_alg2_batch`, which are vectorized over shots and return uint64
+label arrays, so a single shot is a batch of size 1.  Callers own the RNG;
+see `seeding.derive_rng` for the reproducibility contract.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .channels import PauliChannel, wht_forward, wht_inverse
 from .errors import CapabilityError, UsageError
 from .stabilizer import Covering, StabilizerGroup, element_block
 
-_DIST_ARRAY_LIMIT = 1 << 26
 # cells of one stacked label block: 2^16 keeps a chunk at 512 KiB of labels
 # and its laws, histograms and transforms at as much again each, where a
 # whole n=10 MUB covering (1025 x 1024 cells, 8.4 MB per array) would raise
@@ -67,11 +66,10 @@ LABEL_CHUNK_CELLS = 1 << 16
 
 def law_pays(cells: int, draws: int) -> bool:
     """The path rule: draw a batch's histogram from its exact law when the
-    table has no more cells than the batch has draws and fits under
-    `_DIST_ARRAY_LIMIT`; sample every shot otherwise.  With more cells
-    than draws, building the law and a multinomial over every cell costs
-    more than the shots do."""
-    return cells <= draws and cells <= _DIST_ARRAY_LIMIT
+    table has no more cells than the batch has draws; sample every shot
+    otherwise.  With more cells than draws, building the law and a
+    multinomial over every cell costs more than the shots do."""
+    return cells <= draws
 
 
 def draw_histograms(laws: np.ndarray, draws: int, rng: np.random.Generator
@@ -185,47 +183,24 @@ def label_chunks(k: int, covering: Covering):
 def outcome_distribution_alg1(ch: PauliChannel, k: int, groups,
                               full: np.ndarray | None = None) -> np.ndarray:
     """Exact outcome laws p(v, e) of one estimation round on each of the G
-    `groups`, as a (G, 4^k, 2^m) array: dense channels transform the
-    eigenvalues on `full`, the groups' stacked `_label_block` (a chunk of
-    `label_chunks`, built here when not given), in one `wht_forward` call;
-    sparse channels bin the syndromes of their support, group by group.  A
-    table of more than 2^26 cells, which only a sparse channel on a large
-    register can ask for, is a CapabilityError."""
+    `groups`, as a (G, 4^k, 2^m) array: the channel's eigenvalues on
+    `full`, the groups' stacked `_label_block` (a chunk of `label_chunks`,
+    built here when not given), in one `wht_forward` call."""
     _check_round(ch, k, (grp.m for grp in groups))
+    lam = ch.eigenvalues
     m = ch.n - k
     cells = 4**k << m
-    if not ch.is_sparse:  # n <= DENSE_MAX_QUBITS, so cells <= 4^n fits
-        if m == 0:  # the trivial group: its labels are the identity order
-            lam = np.broadcast_to(ch.eigenvalues, (len(groups), cells))
-        else:
-            if full is None:
-                full = _label_block(k, np.array(
-                    [grp.generators for grp in groups],
-                    dtype=np.uint64).reshape(len(groups), m))
-            lam = ch.eigenvalues[full.reshape(-1, cells)]
-        law = wht_forward(lam, syndrome_digits=m)
-        law /= cells
-        return law.reshape(len(groups), 4**k, 2**m)
-    if cells > _DIST_ARRAY_LIMIT:
-        raise CapabilityError(f"outcome table with {cells} cells too large")
-    # cells <= 2^26, so 2n < 64 and the labels are uint64
-    labels, probs = ch.support_labels, ch.support_probs
-    v = (labels & np.uint64((1 << (2 * k)) - 1)).astype(np.int64) << m
-    rest = labels >> np.uint64(2 * k)
-    law = np.empty((len(groups), cells))
-    for row, grp in zip(law, groups):
-        idx = v | grp.syndromes(rest).astype(np.int64)
-        row[:] = np.bincount(idx, weights=probs, minlength=cells)
+    if m == 0:  # the trivial group: its labels are the identity order
+        lam = np.broadcast_to(lam, (len(groups), cells))
+    else:
+        if full is None:
+            full = _label_block(k, np.array(
+                [grp.generators for grp in groups],
+                dtype=np.uint64).reshape(len(groups), m))
+        lam = lam[full.reshape(-1, cells)]
+    law = wht_forward(lam, syndrome_digits=m)
+    law /= cells
     return law.reshape(len(groups), 4**k, 2**m)
-
-
-def _eigenvalue_vector(ch: PauliChannel) -> np.ndarray:
-    """All 4^n eigenvalues; a sparse channel transforms its support."""
-    if ch.eigenvalues is not None:
-        return ch.eigenvalues
-    p = np.zeros(4**ch.n)
-    p[ch.support_labels.astype(np.intp)] = ch.support_probs
-    return wht_forward(p)
 
 
 def outcome_distribution_alg2(model: NoiseModel, m: int) -> np.ndarray:
@@ -235,11 +210,8 @@ def outcome_distribution_alg2(model: NoiseModel, m: int) -> np.ndarray:
     errors."""
     if m < 0:
         raise UsageError(f"negative sequence length {m}")
-    if 4**model.n > _DIST_ARRAY_LIMIT:
-        raise CapabilityError(f"outcome table with {4**model.n} cells too large")
-    lam = (_eigenvalue_vector(model.prep) * _eigenvalue_vector(model.meas)
-           * _eigenvalue_vector(model.gate) ** (m + 1))
-    return wht_inverse(lam)
+    return wht_inverse(model.prep.eigenvalues * model.meas.eigenvalues
+                       * model.gate.eigenvalues ** (m + 1))
 
 
 def simulate_alg2_batch(model: NoiseModel, m: int, rng: np.random.Generator,

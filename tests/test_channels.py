@@ -290,6 +290,27 @@ def test_tensor_against_brute_force():
     assert product.eigenvalue(ix) == pytest.approx(single, abs=1e-13)
 
 
+def test_tensor_accepts_sparse_factors():
+    # a sparse factor enters as its scattered dense rates; dense factors
+    # keep the np.outer product bit for bit
+    rng = np.random.default_rng(12)
+    sparse = PauliChannel.random_sparse(2, 5, rng)
+    dense = PauliChannel.from_error_rates(2, _densify(sparse))
+    depol = PauliChannel.depolarizing(1, 0.1)
+    cases = [([PauliChannel.identity(1), depol],
+              [PauliChannel.from_error_rates(1, [1, 0, 0, 0]), depol]),
+             ([depol, sparse, depol], [depol, dense, depol])]
+    for factors, dense_factors in cases:
+        product = PauliChannel.tensor(factors)
+        twin = PauliChannel.tensor(dense_factors)
+        assert not product.is_sparse
+        assert np.array_equal(product.error_rates, twin.error_rates)
+        assert np.array_equal(product.eigenvalues, twin.eigenvalues)
+    rates = np.outer(depol.error_rates, np.outer(
+        dense.error_rates, depol.error_rates).ravel()).ravel()
+    assert np.array_equal(twin.error_rates, rates)
+
+
 @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2), (2, 1)])
 def test_tensor_eigenvalues_factorize(n1, n2):
     rng = np.random.default_rng(n1 * 10 + n2)
@@ -376,6 +397,64 @@ def test_invalid_inputs_rejected_not_renormalized():
     for alpha in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(UsageError):
             PauliChannel.random_dirichlet(1, np.random.default_rng(0), alpha)
+
+
+def test_dense_limit_is_checked_before_any_4n_array(monkeypatch):
+    # n = 20 would need 8 TiB per vector: every dense constructor, the
+    # sparse transform and the tensor product refuse before allocating
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated a 4^n array")
+
+    rng = np.random.default_rng(0)
+    refused = [
+        lambda: PauliChannel.from_error_rates(20, [1.0]),
+        lambda: PauliChannel.from_eigenvalues(20, [1.0]),
+        lambda: PauliChannel.depolarizing(20, 0.1),
+        lambda: PauliChannel.fully_depolarizing(20),
+        lambda: PauliChannel.spike(20, 1, 1),
+        lambda: PauliChannel.random_dirichlet(20, rng),
+        lambda: PauliChannel.tensor([PauliChannel.identity(10)] * 2),
+        lambda: PauliChannel.identity(20).eigenvalues,
+        lambda: PauliChannel.identity(14).eigenvalues,
+    ]
+    with monkeypatch.context() as patch:
+        for name in ("zeros", "full", "empty", "ones"):
+            patch.setattr(np, name, no_alloc)
+        for make in refused:
+            with pytest.raises(CapabilityError,
+                               match=r"limited to n <= 13, got (20|14)"):
+                make()
+
+
+def test_sparse_eigenvalues_are_made_once_and_read_only():
+    rng = np.random.default_rng(13)
+    sparse = PauliChannel.random_sparse(3, 7, rng)
+    lam = sparse.eigenvalues
+    assert lam is sparse.eigenvalues and not lam.flags.writeable
+    dense = PauliChannel.from_error_rates(3, _densify(sparse))
+    assert np.array_equal(lam, dense.eigenvalues) and lam[0] == 1.0
+    assert sparse.is_sparse
+    # per-label queries on a register too large to densify read the support
+    wide = PauliChannel.from_sparse(40, [(0, 0.75), (parse_bits("X" * 40, 40),
+                                                     0.25)])
+    assert wide.eigenvalue("Z" + "I" * 39) == pytest.approx(0.5, abs=1e-15)
+    assert wide.probability("X" * 40) == 0.25 and wide.probability(5) == 0.0
+    assert wide._eigenvalues is None
+
+
+def test_probability_checks_its_label():
+    dense = PauliChannel.depolarizing(1, 0.3)
+    sparse = PauliChannel.from_sparse(1, [(a, dense.probability(a))
+                                          for a in range(4)])
+    for ch in (dense, sparse):
+        assert ch.probability("Y") == pytest.approx(0.1, abs=1e-15)
+        assert ch.probability(0) == pytest.approx(0.7, abs=1e-15)
+        for bad in (-1, 4, True, 1.0, "XX"):
+            with pytest.raises(UsageError):
+                ch.probability(bad)
+    gap = PauliChannel.from_sparse(2, [(0, 0.5), (9, 0.5)])
+    assert [gap.probability(a) for a in range(16)] == [
+        0.5 if a in (0, 9) else 0.0 for a in range(16)]
 
 
 def test_json_round_trip_sparse_bit_exact():

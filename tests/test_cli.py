@@ -117,6 +117,34 @@ def test_estimate_channel_from_file(tmp_path):
     assert abs(np.mean(values) - (1 - 0.2 * 16 / 15)) < 0.05
 
 
+def test_estimate_tensor_of_sparse_factors(tmp_path):
+    # identity, random-sparse and sparse file factors enter a tensor as
+    # their dense rates: the product equals the one of dense twins
+    sparse_file = tmp_path / "sparse.json"
+    sparse_file.write_text(json.dumps(PauliChannel.from_sparse(
+        1, [("I", 0.75), ("Y", 0.25)]).to_json()))
+    dense_file = tmp_path / "dense.json"
+    dense_file.write_text(json.dumps({"n": 1, "format": "dense",
+                                      "entries": [1, 0, 0, 0]}))
+    depol = {"kind": "depolarizing", "rate": 0.1}
+    factors = {
+        "sparse": [{"kind": "identity"}, depol,
+                   {"kind": "file", "path": str(sparse_file)}],
+        "dense": [{"kind": "file", "path": str(dense_file)}, depol,
+                  {"kind": "file", "path": str(sparse_file)}],
+        "random": [{"kind": "random-sparse", "support": 3, "n": 2}, depol],
+    }
+    tables = {}
+    for name, spec in factors.items():
+        cfg = write_config(tmp_path, f"cfg-{name}.json", {
+            "experiment": "estimate", "n": 3, "k": 3, "samples": 2000,
+            "channel": {"kind": "tensor", "factors": spec}, "seed": 3})
+        out = tmp_path / name
+        assert run_cli("estimate", "--config", cfg, "--out", str(out)) == 0
+        tables[name] = (out / "estimates.csv").read_bytes()
+    assert tables["sparse"] == tables["dense"]
+
+
 def test_channel_file_n_is_checked_before_building(tmp_path, monkeypatch,
                                                    capsys):
     # a file's n that is not the config's is refused before any 4^n

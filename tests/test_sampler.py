@@ -121,12 +121,35 @@ def test_sparse_distribution_matches_dense():
         t1 = outcome_distribution_alg1(sparse, 1, [grp])[0]
         t2 = outcome_distribution_alg1(dense, 1, [grp])[0]
         assert np.max(np.abs(t1 - t2)) < 1e-12
-    # a table of more than 2^26 cells is refused, for a stack of one group
-    # as of two
+    # a sparse channel above the dense limit has no eigenvalue vector, so
+    # its law is refused, for a stack of one group as of two
     wide = PauliChannel.from_sparse(14, [(0, 0.5), (1 << 27, 0.5)])
     for group in ([Z1], [Z1, Z1]):
-        with pytest.raises(CapabilityError, match="134217728 cells too large"):
+        with pytest.raises(CapabilityError, match="limited to n <= 13, got 14"):
             outcome_distribution_alg1(wide, 13, group)
+
+
+def test_sparse_law_reads_the_dense_eigenvalues(monkeypatch):
+    # one law algorithm: a sparse channel's laws at every k are its dense
+    # twin's, bit for bit, and no support syndrome is computed
+    rng = np.random.default_rng(8)
+    sparse = PauliChannel.random_sparse(4, 20, rng)
+    p = np.zeros(4**4)
+    p[sparse.support_labels.astype(np.intp)] = sparse.support_probs
+    dense = PauliChannel.from_error_rates(4, p)
+
+    def refuse(self, labels):
+        raise AssertionError("a law binned support syndromes")
+
+    monkeypatch.setattr(StabilizerGroup, "syndromes", refuse)
+    for k in range(5):
+        groups = mub_covering(4 - k).groups
+        assert np.array_equal(outcome_distribution_alg1(sparse, k, groups),
+                              outcome_distribution_alg1(dense, k, groups))
+    model = NoiseModel(4, dense, sparse, sparse)
+    twin = NoiseModel(4, dense, dense, dense)
+    assert np.array_equal(outcome_distribution_alg2(model, 3),
+                          outcome_distribution_alg2(twin, 3))
 
 
 def test_empirical_frequencies_converge():
