@@ -15,8 +15,9 @@ Experiments are configured by a JSON file (--config) with flag overrides
 timings, per table its row count and write time, and per named stage
 (`RunWriter.stage`) its seconds.  Every table goes through one writer,
 `RunWriter.write_table`, as blocks of numpy columns (`benchmark` gives one
-block per SPAM rate), and CSV and JSON share one text layout; CSV floats
-are written with 17 significant digits.
+block per SPAM rate), and CSV and JSON share one text layout: each piece of
+rows is one record array with a field per column; CSV floats are written
+with 17 significant digits.
 Outputs are byte-identical for a fixed (config, seed): all randomness is
 derived from (seed, structural key), and every run is serial; `--threads`
 is only recorded in run.json.
@@ -83,7 +84,8 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or too many digits
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, too many digits, or nesting too deep to parse
         raise UsageError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise UsageError("config must be a JSON object")
@@ -196,7 +198,8 @@ def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
         file_n = int(obj["n"])
         if file_n == n:
             return PauliChannel.from_json(obj)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise UsageError(f"malformed channel file: {exc}") from None
     raise UsageError(f"channel file has n={file_n}, config says {n}")
 
@@ -286,9 +289,11 @@ class RunWriter:
         of equal-length numpy columns: ``S`` byte strings, floats or
         integers.  Blocks are taken one at a time and written in pieces of
         at most `_CSV_CHUNK_ROWS` rows, so no more than one piece is held as
-        text.  Both formats format each distinct value once (`_cells`)
-        and lay the cells out in one byte matrix (`_text_block`).  A CSV
-        float has 17 significant digits; the JSON text is
+        text.  Both formats format each distinct value once (`_cells`) and
+        lay a piece out as one record array, a field per column with the
+        separators folded in, whose bytes less their NUL padding go to the
+        file (`_text_block`).  A CSV float has 17 significant digits; the
+        JSON text is
         ``json.dumps([dict(zip(header, row)) ...], indent=1)`` of the rows
         as Python str, float and int values, as long as every ``S`` column
         is ASCII with no ``"``, ``\\`` or control character: true of every
@@ -310,8 +315,7 @@ class RunWriter:
             for block in blocks:
                 for lo in range(0, len(block[0]), _CSV_CHUNK_ROWS):
                     piece = [col[lo:lo + _CSV_CHUNK_ROWS] for col in block]
-                    fh.write(_text_block([_cells(col, csv) for col in piece],
-                                         seps, end))
+                    fh.write(_text_block(piece, seps, end, csv))
                     rows += len(piece[0])
             if not csv:  # the first row's leading "," becomes "["
                 fh.write(b"\n]\n" if rows else b"[]\n")
@@ -352,21 +356,24 @@ class RunWriter:
         self._path("run.json").write_text(json.dumps(meta, indent=1) + "\n")
 
 
-def _cells(col: np.ndarray, csv: bool) -> np.ndarray:
-    """A column as fixed-width, NUL-padded ASCII cells of CSV or JSON text.
+def _cells(col: np.ndarray, csv: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A float or integer column as ``(table, inverse)``: the ASCII text of
+    its distinct values, an ``S`` array, and each row's index into it, so
+    ``table[inverse]`` is the column's text.
 
     Each distinct number is formatted once: a float with 17 significant
     digits in CSV and as `json.dumps` writes it in JSON, an integer with
     `str` in both.  Floats are keyed on their bit pattern, not their value,
-    so -0.0 and 0.0 keep their own text.  Strings are written as they are
-    in CSV and quoted in JSON."""
-    if col.dtype.kind == "S":
-        if csv:
-            return np.ascontiguousarray(col)  # a broadcast column
-        return np.strings.add(np.strings.add(b'"', col), b'"')
-    if col.dtype.kind == "f":
-        bits = col.astype(np.float64, copy=False).view(np.uint64)
-        keys, inverse = np.unique(bits, return_inverse=True)
+    so -0.0 and 0.0 keep their own text.  A column of stride 0 (a broadcast
+    view of one value) is formatted once, without `np.unique`."""
+    is_float = col.dtype.kind == "f"
+    if is_float:
+        col = col.astype(np.float64, copy=False).view(np.uint64)
+    if col.strides == (0,) and col.size:
+        keys, inverse = col[:1], np.broadcast_to(np.intp(0), col.shape)
+    else:
+        keys, inverse = np.unique(col, return_inverse=True)
+    if is_float:
         values = keys.view(np.float64)
         text = list(map(_FLOAT.format if csv else float.__repr__,
                         values.tolist()))
@@ -374,24 +381,49 @@ def _cells(col: np.ndarray, csv: bool) -> np.ndarray:
             for i in np.flatnonzero(~np.isfinite(values)).tolist():
                 text[i] = json.dumps(values[i].item())
     else:
-        keys, inverse = np.unique(col, return_inverse=True)
         text = list(map(str, keys.tolist()))
-    return np.array(text, dtype=np.bytes_)[inverse]
+    return np.array(text, dtype=np.bytes_), inverse
 
 
-def _text_block(cells: list[np.ndarray], seps: list[bytes],
-                end: bytes) -> bytes:
-    """Rows of equal-length cell columns, each row ``seps[0]``, its first
-    cell, ``seps[1]``, its second cell, ... and `end`: laid side by side in
-    one byte matrix, then the NUL padding dropped."""
-    rows = len(cells[0])
-    consts = [np.broadcast_to(np.frombuffer(text, np.uint8), (rows, len(text)))
-              for text in [*seps, end]]
-    flat = np.concatenate(
-        [part for const, c in zip(consts, cells) for part in
-         (const, c.view(np.uint8).reshape(rows, c.dtype.itemsize))]
-        + consts[-1:], axis=1).ravel()
-    return flat[flat != 0].tobytes()
+def _text_block(cols: list[np.ndarray], seps: list[bytes], end: bytes,
+                csv: bool) -> np.ndarray:
+    """Rows of equal-length columns as text, each row ``seps[0]``, its first
+    cell, ``seps[1]``, its second cell, ... and `end`, as one uint8 array.
+
+    The piece is one record array.  A number column's field is taken from
+    its distinct-text table (`_cells`), into which the text in front of the
+    column, and `end` after the last column, are folded; a table of one
+    text is assigned to every row.  An ``S`` column is assigned into its
+    field, behind a constant field of the text in front of it (in JSON,
+    with the opening quote).  The record's NUL padding is dropped at the
+    end."""
+    quote = b"" if csv else b'"'
+    fields = []  # [text, row indices into it, or None to assign it whole]
+    text = b""  # constant text not yet in a field
+    for sep, col in zip(seps, cols):
+        text += sep
+        if col.dtype.kind == "S":
+            fields += [[np.bytes_(text + quote), None], [col, None]]
+            text = quote
+        else:
+            table, inverse = _cells(col, csv)
+            fields.append([np.strings.add(text, table),
+                           inverse if len(table) > 1 else None])
+            text = b""
+    text += end
+    if cols[-1].dtype.kind == "S":
+        fields.append([np.bytes_(text), None])
+    else:
+        fields[-1][0] = np.strings.add(fields[-1][0], text)
+    rec = np.empty(len(cols[0]), [(f"f{i}", value.dtype)
+                                  for i, (value, _) in enumerate(fields)])
+    for i, (value, inverse) in enumerate(fields):
+        if inverse is None:
+            rec[f"f{i}"] = value
+        else:
+            np.take(value, inverse, out=rec[f"f{i}"], mode="clip")
+    flat = rec.view(np.uint8)
+    return flat[flat != 0]
 
 
 def _repeated(text: str, rows: int) -> np.ndarray:
@@ -407,7 +439,7 @@ def _git_describe():
             cwd=Path(__file__).parent,
         )
         return out.stdout.strip() or None
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or a timeout
         return None
 
 

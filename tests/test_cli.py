@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import subprocess
 import tracemalloc
 from itertools import product
 
@@ -280,6 +281,38 @@ def test_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 9 and err.count("config error: ") == 9, err
     assert "Traceback" not in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    # JSON nested past the parser's recursion limit, in a config or in a
+    # channel file, is a config error, refused before --out is made
+    deep = "[" * 100_000 + "]" * 100_000
+    (tmp_path / "deep.json").write_text(deep)
+    (tmp_path / "chan.json").write_text(
+        '{"n": 2, "format": "dense", "entries": ' + deep + "}")
+    channel_cfg = write_config(tmp_path, "file.json", dict(_EST, channel={
+        "kind": "file", "path": str(tmp_path / "chan.json")}))
+    capsys.readouterr()
+    for path, message in ((tmp_path / "deep.json", "is not valid JSON"),
+                          (channel_cfg, "malformed channel file")):
+        assert run_cli("estimate", "--config", str(path), "--out",
+                       str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+
+def test_git_describe_timeout_keeps_run_json(tmp_path, monkeypatch):
+    # a git that does not answer in time leaves run.json without a commit
+    def timeout(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(cli.subprocess, "run", timeout)
+    path = write_config(tmp_path, "est.json", _EST)
+    assert run_cli("estimate", "--config", path, "--out",
+                   str(tmp_path / "o")) == 0
+    assert json.loads((tmp_path / "o" / "run.json").read_text())["git"] is None
 
 
 def test_out_below_a_file_is_refused_before_the_run(tmp_path, monkeypatch):
@@ -810,6 +843,53 @@ def test_json_columns_span_blocks(tmp_path, monkeypatch):
     empty = writer.write_table("e", header, [])
     assert empty.read_text() == "[]\n"
     assert writer.tables["e.json"]["rows"] == 0
+
+
+def test_csv_columns_span_blocks(tmp_path, monkeypatch):
+    # the CSV branch, one piece of rows at a time: broadcast columns take
+    # the one-value path, and padded text and separators drop their NULs
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
+    rows = 29  # the last piece holds one row
+    lam = np.linspace(-1.0, 1.0, rows)
+    lam[[3, 7, 8, 9, 12]] = [np.nan, -0.0, np.inf, -np.inf, 5e-324]
+    header = ["rate", "tag", "lambda_hat", "zero", "shots", "delta", "big"]
+    columns = [
+        cli._repeated("0.05", rows),
+        np.array([b"XYZ"[: 1 + i % 3] for i in range(rows)]),  # padded S3
+        lam,
+        np.broadcast_to(np.float64(-0.0), (rows,)),
+        np.broadcast_to(np.int64(3500), (rows,)),
+        np.arange(rows, dtype=np.int64) * -7919,
+        np.array([2**64 - 1 - 3 * i for i in range(rows)], dtype=np.uint64),
+    ]
+
+    def cell(value):
+        if isinstance(value, bytes):
+            return value.decode()
+        return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+    table = list(zip(*(col.tolist() for col in columns)))
+    head = ",".join(header) + "\n"
+    expected = head + "".join(",".join(map(cell, row)) + "\n"
+                              for row in table)
+    writer = cli.RunWriter(str(tmp_path), "csv")
+    assert writer.write_table("t", header, [columns]).read_text() == expected
+    # several blocks, an empty one and one longer than a piece, in one file
+    cuts = [0, 2, 2, 20, 29]
+    path = writer.write_table("b", header, [
+        [col[lo:hi] for col in columns] for lo, hi in zip(cuts, cuts[1:])])
+    assert path.read_text() == expected
+    assert writer.tables["b.csv"]["rows"] == rows
+    # a table of no rows is its header
+    for blocks in ([], [[col[:0] for col in columns]]):
+        assert writer.write_table("e", header, blocks).read_text() == head
+        assert writer.tables["e.csv"]["rows"] == 0
+    # the same columns as JSON
+    json_rows = [dict(zip(header, (v.decode() if isinstance(v, bytes) else v
+                                   for v in row))) for row in table]
+    writer = cli.RunWriter(str(tmp_path), "json")
+    assert writer.write_table("t", header, [columns]).read_text() == (
+        json.dumps(json_rows, indent=1) + "\n")
 
 
 # per command: a small config, and each table with its row count
