@@ -25,6 +25,19 @@ transform over (v << m) | e indices is one `wht_forward` call with
 of bits costs the same float operations, in the same order, as two radix-2
 stages, so the result is bit-identical to one stage per syndrome bit.
 
+The kernel works through one float64 copy of its input in cache-sized
+blocks of `_BLOCK_CELLS` = 2^16 cells (512 KiB), in two phases.  The low
+digits (the syndrome bits and as many Pauli digits as fit one block) run
+all their stages on one block at a time against a block-sized scratch
+buffer; the remaining high digits run on one strip of columns at a time,
+copied into a small buffer and back.  So the 4^10-cell vector crosses
+memory twice instead of once per digit.  A block, its scratch buffer and
+a stage's two quarter-block temporaries take 1.25 MiB, which stays in a
+2 MiB L2 cache: smaller blocks pay more numpy calls per cell, larger ones
+spill.  Each output element gets the same float operations in the same
+order however the work is cut, so blocking changes no bit of any result;
+a last axis that fits one block is transformed whole, as before.
+
 Channels keep their error rates in one of two forms, and every exact
 outcome law reads the one eigenvalue vector `PauliChannel.eigenvalues`:
 
@@ -55,6 +68,8 @@ from .pauli import format_bits, parse_bits, symp, symp_u64
 DENSE_MAX_QUBITS = 13
 NORMALIZATION_TOL = 1e-12
 EIGENVALUE_TOL = 1e-12
+# the transform kernel's cache block in float64 cells, 512 KiB (see above)
+_BLOCK_CELLS = 2**16
 
 
 def _pauli_digits(length: int, syndrome_digits: int) -> int:
@@ -66,55 +81,104 @@ def _pauli_digits(length: int, syndrome_digits: int) -> int:
     return n
 
 
-def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
-    """The one transform kernel: walk the last axis digit by digit, from
-    the least significant.  The first `syndrome_digits` bits take the
-    Hadamard H, in pairs as one radix-4 H (x) H stage and an odd leftover
-    bit as one radix-2 stage; every base-4 digit above them takes the
-    radix-4 symplectic kernel.
+def _butterfly(a0, a1, a2, a3, b0, b1, b2, b3):
+    """The one radix-4 stage body: with t0, t1, t2, t3 = a0 + a1, a0 - a1,
+    a2 + a3, a2 - a3 it writes t0 + t2, t0 - t2, t1 + t3, t1 - t3 to b0,
+    b1, b2, b3.  The outputs must not overlap the inputs."""
+    t2 = a2 + a3
+    t3 = a2 - a3
+    np.subtract(a0, a1, b2)  # t1
+    np.add(a0, a1, b0)  # t0
+    np.subtract(b2, t3, b3)
+    np.add(b2, t3, b2)
+    np.subtract(b0, t2, b1)
+    np.add(b0, t2, b0)
+
+
+def _stages(src: np.ndarray, dst: np.ndarray, stages) -> np.ndarray:
+    """Run `stages` along the last axis of `src`, from the lowest digit up,
+    against `dst` of the same shape; returns the one that holds the result,
+    which is in input order.
 
     Each stage reads the lowest digit of one buffer and writes its results
     as contiguous rows, through `out=`, under the top digit of the other
-    (a Stockham autosort), so once every digit has gone round the order is
-    the input's again.  A pair of bits costs the same float operations, in
-    the same order, as two radix-2 stages, so the output is bit for bit the
-    same as walking the syndrome bits one at a time."""
-    length = vec.shape[-1]
-    n = _pauli_digits(length, syndrome_digits)
-    if not np.isfinite(vec).all():
-        raise UsageError("transform input has non-finite entries")
-    src = np.array(vec, dtype=np.float64)
-    dst = np.empty(src.shape)
+    (a Stockham autosort).  A stage is (j, k), the output slots of t0 - t2
+    and t1 + t3 in the radix-4 butterfly, or None for a radix-2 H."""
     lead = src.shape[:-1]
-    # (j, k): the slots of t0 - t2 and t1 + t3 in a radix-4 stage, swapped
-    # for H (x) H; None for the odd syndrome bit
-    stages = ([(2, 1)] * (syndrome_digits // 2)
-              + [None] * (syndrome_digits % 2) + [(1, 2)] * n)
+    length = src.shape[-1]
     for slots in stages:
         radix = 2 if slots is None else 4
         a = src.reshape(lead + (length // radix, radix))
         b = dst.reshape(lead + (radix, length // radix))
-        a0 = a[..., 0]
-        a1 = a[..., 1]
-        b0 = b[..., 0, :]
         if slots is None:
-            np.add(a0, a1, b0)
-            np.subtract(a0, a1, b[..., 1, :])
+            np.add(a[..., 0], a[..., 1], b[..., 0, :])
+            np.subtract(a[..., 0], a[..., 1], b[..., 1, :])
         else:
             j, k = slots
-            a2 = a[..., 2]
-            a3 = a[..., 3]
-            bk = b[..., k, :]
-            t2 = a2 + a3
-            t3 = a2 - a3
-            np.subtract(a0, a1, bk)  # t1
-            np.add(a0, a1, b0)  # t0
-            np.subtract(bk, t3, b[..., 3, :])
-            np.add(bk, t3, bk)
-            np.subtract(b0, t2, b[..., j, :])
-            np.add(b0, t2, b0)
+            _butterfly(a[..., 0], a[..., 1], a[..., 2], a[..., 3],
+                       b[..., 0, :], b[..., j, :], b[..., k, :], b[..., 3, :])
         src, dst = dst, src
     return src
+
+
+def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
+    """The one transform kernel: walk the last axis digit by digit, from
+    the least significant.  The first `syndrome_digits` bits take the
+    Hadamard H, in pairs as one radix-4 H (x) H stage (slots (2, 1)) and an
+    odd leftover bit as one radix-2 stage; every base-4 digit above them
+    takes the radix-4 symplectic kernel (slots (1, 2)).
+
+    The work happens in one float64 copy of `vec`, in blocks of
+    `_BLOCK_CELLS` cells.  Low digits: the syndrome bits and the most
+    Pauli digits that fit one block run their stages one block at a time,
+    against a block-sized scratch buffer, and each block is written back
+    in place.  High digits: the other Pauli digits run on each
+    (4^high, block) grid one strip of `_BLOCK_CELLS >> 2 high` columns at
+    a time; a strip is copied into a small buffer, transformed along its
+    first axis, and copied back.  A last axis that fits one block is one
+    low phase over the whole array.  At 2^16 cells a block and its scratch
+    stay in a 2 MiB L2 cache, so each phase streams the vector through
+    memory once.
+
+    Every output element gets the same float operations in the same order
+    however the work is cut, and a pair of bits costs the same operations,
+    in the same order, as two radix-2 stages, so the output is bit for bit
+    the same as walking the syndrome bits one at a time over the whole
+    vector."""
+    length = vec.shape[-1]
+    n = _pauli_digits(length, syndrome_digits)
+    if not np.isfinite(vec).all():
+        raise UsageError("transform input has non-finite entries")
+    work = np.array(vec, dtype=np.float64)
+    low = n
+    while low and 4**low << syndrome_digits > _BLOCK_CELLS:
+        low -= 1
+    block = 4**low << syndrome_digits
+    stages = ([(2, 1)] * (syndrome_digits // 2)
+              + [None] * (syndrome_digits % 2) + [(1, 2)] * low)
+    if block == length:
+        return _stages(work, np.empty(work.shape), stages)
+    scratch = np.empty(block)
+    for row in work.reshape(-1, block):
+        out = _stages(row, scratch, stages)
+        if out is not row:
+            row[...] = out
+    high = n - low
+    height = 4**high
+    width = max(1, _BLOCK_CELLS >> 2 * high)  # a power of 2 that divides block
+    src, dst = np.empty((2, height, width))
+    for grid in work.reshape(-1, height, block):
+        for col in range(0, block, width):
+            strip = grid[:, col:col + width]
+            src[...] = strip
+            for _ in range(high):
+                a = src.reshape(height // 4, 4, width)
+                b = dst.reshape(4, height // 4, width)
+                _butterfly(a[:, 0], a[:, 1], a[:, 2], a[:, 3],
+                           b[0], b[1], b[2], b[3])
+                src, dst = dst, src
+            strip[...] = src
+    return work
 
 
 def wht_forward(p: np.ndarray, *, syndrome_digits: int = 0) -> np.ndarray:

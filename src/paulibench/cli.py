@@ -32,10 +32,12 @@ import argparse
 import hashlib
 import json
 import os
+import reprlib
 import subprocess
 import sys
 import time
 from contextlib import contextmanager, suppress
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -92,28 +94,69 @@ def _load_config(path: str) -> dict:
     return obj
 
 
+# An echoed config value is cut to _ECHO_CHARS characters, so one bad value
+# cannot flood stderr; a value whose repr fits is shown as repr shows it.
+_ECHO_CHARS = 100
+
+
+class _Echo(reprlib.Repr):
+    """A bounded repr whose limits leave any repr of up to _ECHO_CHARS
+    characters as it is (such a value nests at most _ECHO_CHARS // 2 deep),
+    and which keeps a dict's key order, as repr does."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlevel = self.maxlist = self.maxdict = _ECHO_CHARS // 2
+        self.maxstring = self.maxlong = self.maxother = _ECHO_CHARS
+
+    def repr_dict(self, x, level):
+        if not x:
+            return "{}"
+        if level <= 0:
+            return "{" + self.fillvalue + "}"
+        pieces = [f"{self.repr1(key, level - 1)}: {self.repr1(val, level - 1)}"
+                  for key, val in islice(x.items(), self.maxdict)]
+        if len(x) > self.maxdict:
+            pieces.append(self.fillvalue)
+        return "{" + ", ".join(pieces) + "}"
+
+
+_ECHO = _Echo()
+
+
+def _shown(value) -> str:
+    """`repr(value)` for an error message, cut in depth and in length."""
+    text = _ECHO.repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return text[:_ECHO_CHARS - 3] + _ECHO.fillvalue
+
+
 def _require_keys(cfg: dict, required, optional, where: str):
     missing = [key for key in required if key not in cfg]
     if missing:
         raise UsageError(f"{where}: missing keys {missing}")
     unknown = [key for key in cfg if key not in set(required) | set(optional)]
     if unknown:
-        raise UsageError(f"{where}: unknown keys {unknown}")
+        raise UsageError(f"{where}: unknown keys {_shown(unknown)}")
 
 
 def _int(value, what: str, minimum: int | None = None,
          maximum: int | None = None) -> int:
     if isinstance(value, bool) or (isinstance(value, float)
                                    and not value.is_integer()):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
+        raise UsageError(f"{what} must be an integer, got {_shown(value)}")
     try:
         out = int(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+        raise UsageError(
+            f"{what} must be an integer, got {_shown(value)}") from None
     if minimum is not None and out < minimum:
-        raise UsageError(f"{what} must be at least {minimum}, got {out}")
+        raise UsageError(
+            f"{what} must be at least {minimum}, got {_shown(out)}")
     if maximum is not None and out > maximum:
-        raise UsageError(f"{what} must be at most {maximum}, got {out}")
+        raise UsageError(
+            f"{what} must be at most {maximum}, got {_shown(out)}")
     return out
 
 
@@ -123,18 +166,20 @@ def _float(value, what: str) -> float:
             raise TypeError
         return float(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{what} must be a number, got {value!r}") from None
+        raise UsageError(
+            f"{what} must be a number, got {_shown(value)}") from None
 
 
 def _list(value, what: str) -> list:
     if not isinstance(value, list) or not value:
-        raise UsageError(f"{what} must be a non-empty list, got {value!r}")
+        raise UsageError(
+            f"{what} must be a non-empty list, got {_shown(value)}")
     return value
 
 
 def _distinct(values: list, what: str) -> list:
     if len(set(values)) < len(values):
-        raise UsageError(f"{what} repeats an entry: {values!r}")
+        raise UsageError(f"{what} repeats an entry: {_shown(values)}")
     return values
 
 
@@ -153,10 +198,11 @@ _CHANNEL_KINDS = {
 def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
     """Construct a channel from its config spec."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise UsageError(f"channel spec must be an object with 'kind': {spec!r}")
+        raise UsageError("channel spec must be an object with 'kind': "
+                         f"{_shown(spec)}")
     kind = spec["kind"]
     if kind not in _CHANNEL_KINDS:
-        raise UsageError(f"unknown channel kind {kind!r}")
+        raise UsageError(f"unknown channel kind {_shown(kind)}")
     required, optional = _CHANNEL_KINDS[kind]
     _require_keys(spec, ("kind",) + required, optional, f"channel {kind}")
     if kind == "identity":
@@ -178,7 +224,8 @@ def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
         consumed = 0
         for sub in _list(spec["factors"], "tensor factors"):
             if not isinstance(sub, dict):
-                raise UsageError(f"tensor factor must be an object: {sub!r}")
+                raise UsageError(
+                    f"tensor factor must be an object: {_shown(sub)}")
             sub_n = _int(sub.get("n", 1), "tensor factor n", 1, n - consumed)
             inner = {key: val for key, val in sub.items() if key != "n"}
             factors.append(build_channel(inner, sub_n, rng))
@@ -187,7 +234,8 @@ def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
             raise UsageError(f"tensor factors cover {consumed} qubits, expected {n}")
         return PauliChannel.tensor(factors)
     if not isinstance(spec["path"], str):
-        raise UsageError(f"channel file path must be a string: {spec['path']!r}")
+        raise UsageError("channel file path must be a string: "
+                         f"{_shown(spec['path'])}")
     try:
         text = Path(spec["path"]).read_text()
     except OSError as exc:
@@ -201,7 +249,7 @@ def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:
         raise UsageError(f"malformed channel file: {exc}") from None
-    raise UsageError(f"channel file has n={file_n}, config says {n}")
+    raise UsageError(f"channel file has n={_shown(file_n)}, config says {n}")
 
 
 def _covering(kind: str, m: int):
@@ -209,7 +257,7 @@ def _covering(kind: str, m: int):
         return mub_covering(m)
     if kind == "pauli-basis":
         return pauli_basis_covering(m)
-    raise UsageError(f"unknown covering kind {kind!r}")
+    raise UsageError(f"unknown covering kind {_shown(kind)}")
 
 
 def _memory_limit() -> int:
@@ -249,7 +297,8 @@ class RunWriter:
 
     def __init__(self, out_dir: str, fmt: str):
         if fmt not in ("csv", "json"):
-            raise UsageError(f"--format must be csv or json, got {fmt!r}")
+            raise UsageError(
+                f"--format must be csv or json, got {_shown(fmt)}")
         self.dir = Path(out_dir)
         # an unusable directory is refused at once: make the missing ones,
         # then remove them again, deepest first
@@ -456,7 +505,7 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     n = _int(cfg["n"], "n", 1)
     k = _int(cfg["k"], "k", 0, n)
     _require_memory(n, dense_estimate_bytes,
-                    f"a dense estimate on n={n} qubits")
+                    f"a dense estimate on n={_shown(n)} qubits")
     with writer.stage("covering"):
         cov = _covering(cfg.get("covering", "mub"), n - k)
     if "samples" in cfg:
@@ -507,7 +556,8 @@ def cmd_benchmark(cfg: dict, seed: int, writer: RunWriter) -> dict:
     rates = _distinct([_float(r, "spam_sweep entry") for r in _list(
         cfg.get("spam_sweep", [0.0]), "spam_sweep")], "spam_sweep")
     _require_memory(n, lambda n: dense_benchmark_bytes(
-        n, len(set(m_list)), len(rates)), f"a dense benchmark on n={n} qubits")
+        n, len(set(m_list)), len(rates)),
+        f"a dense benchmark on n={_shown(n)} qubits")
 
     with writer.stage("channel"):
         gate = build_channel(cfg["gate"], n, derive_rng(seed, "gate-channel"))
@@ -577,7 +627,8 @@ def cmd_sweep_ancilla(cfg: dict, seed: int, writer: RunWriter) -> dict:
     # one k's trials are held at a time
     _require_memory(n, lambda n: trials * max(
         sweep_trial_bytes(n, k, cov) for k, cov in zip(k_list, covs)),
-                    f"a sweep of {trials} trials on n={n} qubits")
+                    f"a sweep of {_shown(trials)} trials on "
+                    f"n={_shown(n)} qubits")
 
     table = np.empty((len(k_list), 6), dtype=np.int64)
     summary = {}
@@ -619,7 +670,7 @@ def cmd_discriminate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     modes = _list(cfg.get("modes", list(DISCRIMINATE_MODES)), "modes")
     for mode in modes:
         if mode not in DISCRIMINATE_MODES:
-            raise UsageError(f"unknown discriminate mode {mode!r}")
+            raise UsageError(f"unknown discriminate mode {_shown(mode)}")
     _distinct(modes, "modes")
     max_shots = _int(cfg.get("max_shots", 100_000), "max_shots", 1)
     blocks = []  # one per (mode, n)
@@ -715,8 +766,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if cfg.setdefault("experiment", args.command) != args.command:
             raise UsageError(
-                f"config experiment {cfg['experiment']!r} does not match "
-                f"subcommand {args.command!r}"
+                f"config experiment {_shown(cfg['experiment'])} does not "
+                f"match subcommand {args.command!r}"
             )
         seed = _int(args.seed if args.seed is not None else cfg.get("seed", 0),
                     "seed", 0)

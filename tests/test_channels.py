@@ -11,6 +11,7 @@ from paulibench import (
     wht_forward,
     wht_inverse,
 )
+from paulibench import channels
 from paulibench.channels import _digit_transform
 from paulibench.pauli import parse_bits, symp
 
@@ -95,6 +96,13 @@ def staged_transform(vec, syndrome_digits):
     return out
 
 
+def assert_same_bits(vec, m):
+    got = _digit_transform(vec, m)
+    want = staged_transform(vec, m)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("m", range(8))
 def test_digit_transform_bit_identical_to_staged_reference(m):
     # the same float operations in the same order give the same bits
@@ -108,11 +116,30 @@ def test_digit_transform_bit_identical_to_staged_reference(m):
                 rng.integers(-1000, 1000, size=lead + (length,)),
             ]
             for vec in inputs:
-                got = _digit_transform(vec, m)
-                want = staged_transform(vec, m)
-                assert got.dtype == np.float64 and got.shape == want.shape
-                assert np.array_equal(got.view(np.uint64),
-                                      want.view(np.uint64))
+                assert_same_bits(vec, m)
+
+
+@pytest.mark.parametrize("m", range(8))
+@pytest.mark.parametrize("block", [1, 4, 16, 64, 256, 1024])
+def test_blocked_digit_transform_bit_identical(monkeypatch, block, m):
+    # small blocks reach both phases at small sizes: one-column strips, an
+    # odd syndrome bit inside a block, syndrome bits wider than a block and
+    # the one-block path
+    monkeypatch.setattr(channels, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(block + m)
+    for n in range(5):
+        for lead in [(), (3,), (2, 3)]:
+            shape = lead + (4**n << m,)
+            assert_same_bits(rng.normal(size=shape), m)
+            assert_same_bits(rng.integers(-1000, 1000, size=shape), m)
+
+
+@pytest.mark.parametrize("n,m", [(9, 0), (8, 1)])
+def test_default_block_bit_identical(n, m):
+    assert 4**n << m > channels._BLOCK_CELLS
+    rng = np.random.default_rng(n)
+    assert_same_bits(rng.normal(size=4**n << m), m)
+    assert_same_bits(rng.integers(-1000, 1000, size=4**n << m), m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 import subprocess
@@ -210,6 +211,12 @@ CONFIG_ERRORS = [
                                        "sign": 1}), 2)
       for label in (100, 2.5, -1, True, None)],
     ("estimate", dict(_EST, clamp="no"), 2),
+    # an echoed value is cut in length and in depth: a 1 MB string, and a
+    # list nested deep (the parser's limit, about 1000 less the stack in
+    # use, is past 500 here)
+    ("estimate", dict(_EST, n="x" * 1_000_000), 2),
+    ("estimate", dict(_EST, samples=functools.reduce(
+        lambda inner, _: [inner], range(500), 1)), 2),
     ("benchmark", dict(_BENCH, spam_sweep=[]), 2),
     ("benchmark", dict(_BENCH, spam_sweep=["high"]), 2),
     ("benchmark", dict(_BENCH, m_list=5), 2),
@@ -256,6 +263,7 @@ def test_config_errors(tmp_path, capsys):
         assert not (tmp_path / "o").exists(), cfg
         prefix = "config error: " if code == 2 else "capability error: "
         assert err.startswith(prefix) and err.count("\n") == 1, (cfg, err)
+        assert len(err) <= 200, err[:300]
     assert run_cli("estimate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)) == 2
     (tmp_path / "garbled.json").write_text("{not a channel")
@@ -281,6 +289,16 @@ def test_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 9 and err.count("config error: ") == 9, err
     assert "Traceback" not in err
+
+
+def test_echoed_values_are_repr_when_short_and_cut_when_long():
+    short = [{"rate": 0.1, "alpha": [1, {"b": None, "a": True}]}, [7] * 30,
+             "it's \u00e9", 2.5, -(10**40), [[[[[]]]]], {}]
+    for value in short:
+        assert cli._shown(value) == repr(value)
+    deep = functools.reduce(lambda inner, _: [inner], range(5000), 1)
+    for value in ("x" * 10**6, list(range(10**5)), {"k" * 1000: 1}, deep):
+        assert len(cli._shown(value)) <= 100
 
 
 def test_deeply_nested_json_exits_2(tmp_path, capsys):
