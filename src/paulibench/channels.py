@@ -62,7 +62,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, UsageError
+from .errors import CapabilityError, UsageError, _shown
 from .pauli import format_bits, parse_bits, symp, symp_u64
 
 DENSE_MAX_QUBITS = 13
@@ -223,7 +223,7 @@ def _label_bits(label: int | str, n: int) -> int:
         if 0 <= bits < 4**n:
             return bits
         raise UsageError(f"label {bits:#x} out of range for n={n}")
-    raise UsageError(f"label {label!r} out of range for n={n}")
+    raise UsageError(f"label {_shown(label)} out of range for n={n}")
 
 
 class PauliChannel:
@@ -494,7 +494,7 @@ class PauliChannel:
             return cls.from_sparse(n, [(lbl, pr) for lbl, pr in entries])
         if fmt == "dense":
             return cls.from_error_rates(n, entries)
-        raise UsageError(f"unknown channel format {fmt!r}")
+        raise UsageError(f"unknown channel format {_shown(fmt)}")
 
     def __repr__(self):
         kind = "sparse" if self.is_sparse else "dense"

@@ -17,7 +17,11 @@ timings, per table its row count and write time, and per named stage
 `RunWriter.write_table`, as blocks of numpy columns (`benchmark` gives one
 block per SPAM rate), and CSV and JSON share one text layout: each piece of
 rows is one record array with a field per column; CSV floats are written
-with 17 significant digits.
+with 17 significant digits (`"{:.17g}".format`).  A CSV float column of
+_G17_MIN_VALUES or more distinct values gets that text from one exact
+integer conversion of them (`_g17`) where 1e-10 <= |x| < 1e14, and from
+`format` for the rest (zeros, nan, infinities, subnormals, the values
+outside that window) and for smaller columns.
 Outputs are byte-identical for a fixed (config, seed): all randomness is
 derived from (seed, structural key), and every run is serial; `--threads`
 is only recorded in run.json.
@@ -29,22 +33,21 @@ Exit codes: 0 ok, 2 config error (any `UsageError`), 3 capability error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
-import reprlib
 import subprocess
 import sys
 import time
 from contextlib import contextmanager, suppress
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .channels import DENSE_MAX_QUBITS, PauliChannel
-from .errors import CapabilityError, UsageError
+from .errors import CapabilityError, UsageError, _shown
 from .estimation import (
     DEFAULT_LENGTHS,
     dense_benchmark_bytes,
@@ -92,44 +95,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(obj, dict):
         raise UsageError("config must be a JSON object")
     return obj
-
-
-# An echoed config value is cut to _ECHO_CHARS characters, so one bad value
-# cannot flood stderr; a value whose repr fits is shown as repr shows it.
-_ECHO_CHARS = 100
-
-
-class _Echo(reprlib.Repr):
-    """A bounded repr whose limits leave any repr of up to _ECHO_CHARS
-    characters as it is (such a value nests at most _ECHO_CHARS // 2 deep),
-    and which keeps a dict's key order, as repr does."""
-
-    def __init__(self):
-        super().__init__()
-        self.maxlevel = self.maxlist = self.maxdict = _ECHO_CHARS // 2
-        self.maxstring = self.maxlong = self.maxother = _ECHO_CHARS
-
-    def repr_dict(self, x, level):
-        if not x:
-            return "{}"
-        if level <= 0:
-            return "{" + self.fillvalue + "}"
-        pieces = [f"{self.repr1(key, level - 1)}: {self.repr1(val, level - 1)}"
-                  for key, val in islice(x.items(), self.maxdict)]
-        if len(x) > self.maxdict:
-            pieces.append(self.fillvalue)
-        return "{" + ", ".join(pieces) + "}"
-
-
-_ECHO = _Echo()
-
-
-def _shown(value) -> str:
-    """`repr(value)` for an error message, cut in depth and in length."""
-    text = _ECHO.repr(value)
-    if len(text) <= _ECHO_CHARS:
-        return text
-    return text[:_ECHO_CHARS - 3] + _ECHO.fillvalue
 
 
 def _require_keys(cfg: dict, required, optional, where: str):
@@ -413,17 +378,26 @@ def _cells(col: np.ndarray, csv: bool) -> tuple[np.ndarray, np.ndarray]:
     Each distinct number is formatted once: a float with 17 significant
     digits in CSV and as `json.dumps` writes it in JSON, an integer with
     `str` in both.  Floats are keyed on their bit pattern, not their value,
-    so -0.0 and 0.0 keep their own text.  A column of stride 0 (a broadcast
-    view of one value) is formatted once, without `np.unique`."""
+    so -0.0 and 0.0 keep their own text.  A column of one distinct key (a
+    constant column, a broadcast view among them) is formatted once,
+    without `np.unique`.  The CSV text of _G17_MIN_VALUES or more distinct
+    floats comes from one exact array conversion (`_g17`) for those with
+    1e-10 <= |x| < 1e14 and from `_FLOAT.format` for the rest; that of
+    fewer comes from one `_FLOAT.format` call per value, the faster of the
+    two there.  Both give the same bytes."""
     is_float = col.dtype.kind == "f"
     if is_float:
         col = col.astype(np.float64, copy=False).view(np.uint64)
-    if col.strides == (0,) and col.size:
+    # one distinct key, tested by min and max: no bool array the size of
+    # the piece is made
+    if col.size and col.min() == col.max():
         keys, inverse = col[:1], np.broadcast_to(np.intp(0), col.shape)
     else:
         keys, inverse = np.unique(col, return_inverse=True)
     if is_float:
         values = keys.view(np.float64)
+        if csv and values.size >= _G17_MIN_VALUES:
+            return _g17(values), inverse
         text = list(map(_FLOAT.format if csv else float.__repr__,
                         values.tolist()))
         if not csv:  # NaN, Infinity and -Infinity
@@ -432,6 +406,165 @@ def _cells(col: np.ndarray, csv: bool) -> tuple[np.ndarray, np.ndarray]:
     else:
         text = list(map(str, keys.tolist()))
     return np.array(text, dtype=np.bytes_), inverse
+
+
+# `_g17` takes every finite x with _G17_WINDOW[0] <= |x| < _G17_WINDOW[1]:
+# there the decimal exponent E of x lies in [-10, 13] (in [-10, 14] once
+# rounded), k = 16 - E in [2, 27] even where floor(log10|x|) is one off, so
+# 5^k < 2^63, and x = f * 2^q needs a right shift s = -(q + k) in [1, 63]
+_G17_WINDOW = (1e-10, 1e14)
+_G17_E_MIN, _G17_E_MAX = -10, 14
+# the crossover in distinct values below which `_FLOAT.format` per value is
+# the faster (`_cells`)
+_G17_MIN_VALUES = 192
+# values converted at a time: about 400 bytes each are held meanwhile, so a
+# piece of 65536 distinct values holds about 3 MB, not 25 MB
+_G17_SLICE = 1 << 13
+_G17_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+_G17_LOW32 = (1 << 32) - 1
+# A value's text is gathered from one row of characters: D's 17 digits as
+# groups (D // 10^16, then four groups of 4 digits), each a uint32 of four
+# ASCII digits (the first padded with 3 "0"s), then _G17_LITERALS, 4 to a
+# group.
+_G17_GROUPS = np.array([10**16, 10**12, 10**8, 10**4, 1],
+                       dtype=np.uint64)[:, None]
+_G17_LITERALS = b"-.e0123456789\0\0\0"
+_G17_ROW = 4 * len(_G17_GROUPS) + len(_G17_LITERALS)
+
+
+@functools.cache
+def _g17_tables():
+    """The constant tables of `_g17`, built on first use:
+
+    * ``chars``: the uint32 of each digit group 0..9999 (4 ASCII digits),
+      then of the literal groups;
+    * ``ends``: each digit group's end of significant digits within its 4
+      characters, and -99 for group 0 (no significant digit);
+    * ``layouts``: for each (E, number of significant digits nd, sign), in
+      row ``((E - _G17_E_MIN) * 17 + nd - 1) * 2 + sign``, the position of
+      each character of that layout's text in a value's row of characters
+      (above), then that of a NUL;
+    * ``sizes``: each layout's text length.
+
+    A layout follows `%g` at precision 17: fixed notation for
+    -4 <= E < 17, ``d.ddd...e±XX`` otherwise, trailing zeros stripped, then
+    a bare point, ``-`` in front when the sign bit is set."""
+    group = np.arange(10**4)
+    chars = np.empty((10**4 + len(_G17_LITERALS) // 4, 4), dtype=np.uint8)
+    chars[:10**4] = np.stack([group // p % 10 + 48 for p in (1000, 100, 10, 1)],
+                             axis=1)
+    chars[10**4:] = np.frombuffer(_G17_LITERALS, np.uint8).reshape(-1, 4)
+    trailing = sum(group % p == 0 for p in (10, 100, 1000))
+    ends = np.where(group == 0, -99, 4 - trailing).astype(np.int8)
+    # a literal's position: behind the digit groups
+    literal = {chr(c): 4 * len(_G17_GROUPS) + i
+               for i, c in enumerate(_G17_LITERALS)}
+    digits = list(range(3, 3 + 17))  # behind the first group's pad
+    layouts = []
+    for e in range(_G17_E_MIN, _G17_E_MAX + 1):
+        for nd in range(1, 18):
+            if e >= 0:
+                text = digits[:e + 1] + (["."] + digits[e + 1:nd]
+                                         if nd > e + 1 else [])
+            elif e >= -4:
+                text = ["0", "."] + ["0"] * (-e - 1) + digits[:nd]
+            else:
+                text = digits[:1] + (["."] + digits[1:nd] if nd > 1 else [])
+                text += list(f"e{e:+03d}")
+            text = [literal.get(c, c) for c in text]
+            layouts += [text, [literal["-"]] + text]
+    sizes = np.array(list(map(len, layouts)), dtype=np.intp)
+    width = int(sizes.max())
+    layouts = np.array([row + [literal["\0"]] * (width - len(row))
+                        for row in layouts], dtype=np.intp)
+    tables = (chars.view(np.uint32).ravel(), ends, layouts, sizes)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _g17_scaled(f, q, e):
+    """For each x = f * 2^q, f < 2^53, and decimal exponent e:
+    ``floor(x * 10^k)``, k = 16 - e, and 1 where rounding it half to even
+    goes up, else 0.  ``f * 5^k`` is formed exactly as the words
+    ``hi * 2^64 + lo`` from 32-bit partial products, then shifted right by
+    ``s = -(q + k)``; the round and sticky bits are in ``lo``."""
+    k = 16 - e
+    c = _G17_POW5[k]
+    f0, f1, c0, c1 = f & _G17_LOW32, f >> 32, c & _G17_LOW32, c >> 32
+    mid = f1 * c0 + f0 * c1  # < 2^53 + 2^63
+    carry_in = mid << 32
+    lo = f0 * c0 + carry_in  # mod 2^64
+    hi = f1 * c1 + (mid >> 32) + (lo < carry_in)
+    s = (-(q + k)).astype(np.uint64)
+    floor = (hi << (64 - s)) | (lo >> s)
+    below = (1 << s) - 1
+    # the bits below s, plus half less one, plus one when floor is odd,
+    # reach 2^s exactly when rounding goes up
+    up = ((lo & below) + (below >> 1) + (floor & 1)) >> s
+    return floor, up
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """``_FLOAT.format`` of each float64 of `values`, as an ``S`` array.
+
+    A finite x in _G17_WINDOW costs no Python call.  Its 17 significant
+    digits are the integer ``D = round_half_even(x * 10^(16 - E))``, E its
+    decimal exponent, computed exactly in uint64 words (`_g17_scaled`) with
+    E from ``floor(log10|x|)``; where that is one off next to a power of
+    ten, D falls outside [10^16, 10^17) and those rows are computed again
+    with E moved by one, and a rounding carry to 10^17 becomes 10^16 with
+    E + 1.  The text is gathered from D's digit characters by the layout of
+    its (E, significant digits, sign) (`_g17_tables`).  Every other value
+    (zeros, nan, infinities, subnormals, and those outside the window) goes
+    through `_FLOAT.format`, which stays the one definition of the text."""
+    if values.size > _G17_SLICE:
+        return np.concatenate([_g17(values[lo:lo + _G17_SLICE])
+                               for lo in range(0, values.size, _G17_SLICE)])
+    chars, ends, layouts, sizes = _g17_tables()
+    magnitude = np.abs(values)
+    fast = (magnitude >= _G17_WINDOW[0]) & (magnitude < _G17_WINDOW[1])
+    bits = values.view(np.uint64)[fast]
+    f = (bits & ((1 << 52) - 1)) | (1 << 52)
+    q = ((bits >> 52) & 0x7FF).astype(np.int64) - 1075
+    e = np.floor(np.log10(magnitude[fast])).astype(np.int64)
+    d, up = _g17_scaled(f, q, e)
+    low, high = d < 10**16, d >= 10**17
+    off = low | high
+    if off.any():
+        e[off] += high[off].astype(np.int64) - low[off]
+        d[off], up[off] = _g17_scaled(f[off], q[off], e[off])
+    d += up
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    # D's digit groups, then the literal groups: one column per value
+    groups = np.empty((_G17_ROW // 4, d.size), dtype=np.uint64)
+    digits = groups[:len(_G17_GROUPS)]
+    np.floor_divide(d, _G17_GROUPS, out=digits)
+    digits[1:] -= digits[:-1] * 10**4
+    groups[len(_G17_GROUPS):] = np.arange(
+        10**4, 10**4 + len(_G17_LITERALS) // 4, dtype=np.uint64)[:, None]
+    # significant digits: where the last group's significant digits end,
+    # less the first group's pad
+    nd = np.maximum.reduce(np.take(ends, digits) + np.arange(
+        0, 4 * len(_G17_GROUPS), 4)[:, None]) - 3
+    layout = ((e - _G17_E_MIN) * 17 + nd - 1) * 2 + (bits >> 63).astype(
+        np.int64)
+    width = sizes[layout].max(initial=1)
+    # each value's row of characters, and the position in it of each
+    # character of its text
+    rows = np.take(chars, groups.T).view(np.uint8).ravel()
+    index = np.take(layouts[:, :width], layout, axis=0)
+    index += np.arange(0, _G17_ROW * d.size, _G17_ROW)[:, None]
+    text = np.take(rows, index).view(f"S{width}").ravel()
+    if fast.all():
+        return text
+    rest = np.array(list(map(_FLOAT.format, values[~fast].tolist())),
+                    dtype=np.bytes_)
+    table = np.empty(values.size, dtype=f"S{max(width, rest.itemsize)}")
+    table[fast], table[~fast] = text, rest
+    return table
 
 
 def _text_block(cols: list[np.ndarray], seps: list[bytes], end: bytes,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, _shown
 
 # value -> letter for a single qubit's two-bit field (x bit is the low bit)
 LETTERS = "IXZY"
@@ -68,14 +68,15 @@ def format_bits(bits: int, n: int) -> str:
 def parse_bits(text: str, n: int) -> int:
     """Parse a letter string of length n to a raw label int."""
     if len(text) != n:
-        raise UsageError(f"label {text!r} has {len(text)} letters, expected {n}")
+        raise UsageError(
+            f"label {_shown(text)} has {len(text)} letters, expected {n}")
     bits = 0
     for i, ch in enumerate(text):
         try:
             bits |= _LETTER_BITS[ch] << (2 * i)
         except KeyError:
             raise UsageError(
-                f"invalid Pauli letter {ch!r} at position {i} in {text!r}"
+                f"invalid Pauli letter {ch!r} at position {i} in {_shown(text)}"
             ) from None
     return bits
 

@@ -217,6 +217,13 @@ CONFIG_ERRORS = [
     ("estimate", dict(_EST, n="x" * 1_000_000), 2),
     ("estimate", dict(_EST, samples=functools.reduce(
         lambda inner, _: [inner], range(500), 1)), 2),
+    # a spike label is echoed by the library, cut the same way: 1000
+    # letters, and a list of 1000 ints
+    ("estimate", dict(_EST, channel={"kind": "spike", "label": "X" * 1000,
+                                     "sign": 1}), 2),
+    ("estimate", dict(_EST, channel={"kind": "spike",
+                                     "label": list(range(1000)),
+                                     "sign": 1}), 2),
     ("benchmark", dict(_BENCH, spam_sweep=[]), 2),
     ("benchmark", dict(_BENCH, spam_sweep=["high"]), 2),
     ("benchmark", dict(_BENCH, m_list=5), 2),
@@ -289,6 +296,23 @@ def test_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 9 and err.count("config error: ") == 9, err
     assert "Traceback" not in err
+
+
+def test_channel_file_echoes_are_cut(tmp_path, capsys):
+    # a channel file's format and labels are echoed by the library, cut
+    # as a config value is
+    capsys.readouterr()
+    for i, obj in enumerate([
+            {"n": 2, "format": "q" * 1000, "entries": []},
+            {"n": 2, "format": "sparse", "entries": [["X" * 1000, 1.0]]}]):
+        (tmp_path / f"chan{i}.json").write_text(json.dumps(obj))
+        path = write_config(tmp_path, f"cfg{i}.json", dict(_EST, channel={
+            "kind": "file", "path": str(tmp_path / f"chan{i}.json")}))
+        assert run_cli("estimate", "--config", path, "--out",
+                       str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed channel file: ")
+        assert err.count("\n") == 1 and len(err) <= 200, err[:300]
 
 
 def test_echoed_values_are_repr_when_short_and_cut_when_long():
@@ -865,7 +889,9 @@ def test_json_columns_span_blocks(tmp_path, monkeypatch):
 
 def test_csv_columns_span_blocks(tmp_path, monkeypatch):
     # the CSV branch, one piece of rows at a time: broadcast columns take
-    # the one-value path, and padded text and separators drop their NULs
+    # the one-value path, and padded text and separators drop their NULs;
+    # written again with every float column, the one-value ones too, sent
+    # through the array conversion (`_g17`)
     monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
     rows = 29  # the last piece holds one row
     lam = np.linspace(-1.0, 1.0, rows)
@@ -890,24 +916,97 @@ def test_csv_columns_span_blocks(tmp_path, monkeypatch):
     head = ",".join(header) + "\n"
     expected = head + "".join(",".join(map(cell, row)) + "\n"
                               for row in table)
-    writer = cli.RunWriter(str(tmp_path), "csv")
-    assert writer.write_table("t", header, [columns]).read_text() == expected
-    # several blocks, an empty one and one longer than a piece, in one file
-    cuts = [0, 2, 2, 20, 29]
-    path = writer.write_table("b", header, [
-        [col[lo:hi] for col in columns] for lo, hi in zip(cuts, cuts[1:])])
-    assert path.read_text() == expected
-    assert writer.tables["b.csv"]["rows"] == rows
-    # a table of no rows is its header
-    for blocks in ([], [[col[:0] for col in columns]]):
-        assert writer.write_table("e", header, blocks).read_text() == head
-        assert writer.tables["e.csv"]["rows"] == 0
+    for least in (cli._G17_MIN_VALUES, 1):
+        monkeypatch.setattr(cli, "_G17_MIN_VALUES", least)
+        writer = cli.RunWriter(str(tmp_path), "csv")
+        assert writer.write_table("t", header, [columns]).read_text() == (
+            expected)
+        # several blocks, an empty one and one longer than a piece, in one
+        # file
+        cuts = [0, 2, 2, 20, 29]
+        path = writer.write_table("b", header, [
+            [col[lo:hi] for col in columns] for lo, hi in zip(cuts, cuts[1:])])
+        assert path.read_text() == expected
+        assert writer.tables["b.csv"]["rows"] == rows
+        # a table of no rows is its header
+        for blocks in ([], [[col[:0] for col in columns]]):
+            assert writer.write_table("e", header, blocks).read_text() == head
+            assert writer.tables["e.csv"]["rows"] == 0
     # the same columns as JSON
     json_rows = [dict(zip(header, (v.decode() if isinstance(v, bytes) else v
                                    for v in row))) for row in table]
     writer = cli.RunWriter(str(tmp_path), "json")
     assert writer.write_table("t", header, [columns]).read_text() == (
         json.dumps(json_rows, indent=1) + "\n")
+
+
+def test_one_value_columns_skip_unique(tmp_path, monkeypatch):
+    # a column of one distinct key is formatted once without np.unique,
+    # whether it is a broadcast view or a real array; keys are float bit
+    # patterns, so a column of -0.0 and 0.0 still needs it
+    rows = 40
+    header = ["shots", "repeat", "rate", "zero"]
+    columns = [np.full(rows, 3511), np.broadcast_to(np.int64(7), (rows,)),
+               np.full(rows, 0.05), np.broadcast_to(np.float64(-0.0), (rows,))]
+    table = list(zip(*(col.tolist() for col in columns)))
+
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", unique)
+    writer = cli.RunWriter(str(tmp_path), "csv")
+    assert writer.write_table("t", header, [columns]).read_text() == (
+        ",".join(header) + "\n" + "".join(
+            f"{a},{b},{c:.17g},{d:.17g}\n" for a, b, c, d in table))
+    writer = cli.RunWriter(str(tmp_path), "json")
+    assert writer.write_table("t", header, [columns]).read_text() == (
+        json.dumps([dict(zip(header, row)) for row in table], indent=1)
+        + "\n")
+    with pytest.raises(AssertionError, match="np.unique called"):
+        cli._cells(np.array([0.0, -0.0]), True)
+
+
+def test_g17_equals_format_bit_for_bit():
+    # the array conversion of CSV floats against "{:.17g}".format on over a
+    # million values, given a piece of distinct values at a time as
+    # `_cells` gives them
+    rng = np.random.default_rng(26)
+    size = 20_000
+    signs = rng.choice([-1.0, 1.0], size)
+    parts = [
+        # random bit patterns of both signs, nan and infinities among them
+        rng.integers(0, 2**64, 1 << 16, dtype=np.uint64).view(np.float64),
+        # subnormals, zeros, infinities, nan and the largest doubles
+        rng.integers(1, 2**52, size, dtype=np.uint64).view(np.float64) * signs,
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                  np.finfo(float).max, -np.finfo(float).max]),
+        # 8 ulps on either side of every power of ten from 1e-12 to 1e17
+        ((10.0 ** np.arange(-12, 18)).view(np.int64)[:, None]
+         + np.arange(-8, 9)).view(np.float64),
+        # integers next to 2^53, 10^16 and 10^17, and halfway cases
+        np.add.outer([2.0**53, 1e16, 1e17], np.arange(-64, 65)),
+        np.array([1e15 + 0.25, 1e15 + 0.75, 1e13 + 0.0625, 1e13 + 0.1875]),
+    ]
+    for e in range(-11, 15):
+        # every decade of the window, and one past each edge
+        parts.append(10.0**e * rng.uniform(1.0, 10.0, size) * signs)
+        # x * 10^(16 - e) is a whole number and a half exactly when x is an
+        # odd multiple of 2^(e - 17)
+        lo, hi = 10.0**e * 2.0**(17 - e), 10.0**(e + 1) * 2.0**(17 - e)
+        if hi > lo + 2:
+            odd = rng.integers(int(lo) + 1, int(hi), size) | 1
+            parts.append(np.ldexp(odd.astype(np.float64), e - 17) * signs)
+    values = np.concatenate([part.ravel() for part in parts])
+    assert values.size > 10**6
+    step = cli._CSV_CHUNK_ROWS
+    for lo in range(0, values.size, step):
+        piece = values[lo:lo + step]
+        expected = np.array(list(map("{:.17g}".format, piece.tolist())),
+                            dtype=np.bytes_)
+        got = cli._g17(piece)
+        wrong = np.flatnonzero(got != expected)
+        assert not wrong.size, (piece[wrong[:5]], got[wrong[:5]],
+                                expected[wrong[:5]])
 
 
 # per command: a small config, and each table with its row count
