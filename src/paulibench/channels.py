@@ -26,17 +26,14 @@ of bits costs the same float operations, in the same order, as two radix-2
 stages, so the result is bit-identical to one stage per syndrome bit.
 
 The kernel works through one float64 copy of its input in cache-sized
-blocks of `_BLOCK_CELLS` = 2^16 cells (512 KiB), in two phases.  The low
-digits (the syndrome bits and as many Pauli digits as fit one block) run
-all their stages on one block at a time against a block-sized scratch
-buffer; the remaining high digits run on one strip of columns at a time,
-copied into a small buffer and back.  So the 4^10-cell vector crosses
-memory twice instead of once per digit.  A block, its scratch buffer and
-a stage's two quarter-block temporaries take 1.25 MiB, which stays in a
-2 MiB L2 cache: smaller blocks pay more numpy calls per cell, larger ones
-spill.  Each output element gets the same float operations in the same
-order however the work is cut, so blocking changes no bit of any result;
-a last axis that fits one block is transformed whole, as before.
+pieces of at most `_BLOCK_CELLS` = 2^16 cells (512 KiB), in two phases
+that share one stage loop: the low digits run slab by slab of whole rows
+against one slab-sized scratch buffer, then any high digits strip by strip
+of columns.  So a 4^10-cell vector crosses memory twice instead of once per
+digit, and a stack of short rows needs scratch for one slab only.  A slab
+and its scratch stay in a 2 MiB L2 cache; smaller slabs pay more numpy
+calls per cell.  However the work is cut, each output element gets the
+same float operations in the same order, so no bit of any result changes.
 
 Channels keep their error rates in one of two forms, and every exact
 outcome law reads the one eigenvalue vector `PauliChannel.eigenvalues`:
@@ -96,27 +93,27 @@ def _butterfly(a0, a1, a2, a3, b0, b1, b2, b3):
 
 
 def _stages(src: np.ndarray, dst: np.ndarray, stages) -> np.ndarray:
-    """Run `stages` along the last axis of `src`, from the lowest digit up,
-    against `dst` of the same shape; returns the one that holds the result,
-    which is in input order.
+    """Run `stages` from the lowest digit up along axis -2 of `src` (of
+    trailing width 1 for the low digits, a strip's for the high ones),
+    against `dst` of the same shape; returns the one with the result.
 
     Each stage reads the lowest digit of one buffer and writes its results
     as contiguous rows, through `out=`, under the top digit of the other
     (a Stockham autosort).  A stage is (j, k), the output slots of t0 - t2
     and t1 + t3 in the radix-4 butterfly, or None for a radix-2 H."""
-    lead = src.shape[:-1]
-    length = src.shape[-1]
+    *lead, length, width = src.shape
     for slots in stages:
         radix = 2 if slots is None else 4
-        a = src.reshape(lead + (length // radix, radix))
-        b = dst.reshape(lead + (radix, length // radix))
+        a = src.reshape(*lead, length // radix, radix, width)
+        b = dst.reshape(*lead, radix, length // radix, width)
         if slots is None:
-            np.add(a[..., 0], a[..., 1], b[..., 0, :])
-            np.subtract(a[..., 0], a[..., 1], b[..., 1, :])
+            np.add(a[..., 0, :], a[..., 1, :], b[..., 0, :, :])
+            np.subtract(a[..., 0, :], a[..., 1, :], b[..., 1, :, :])
         else:
             j, k = slots
-            _butterfly(a[..., 0], a[..., 1], a[..., 2], a[..., 3],
-                       b[..., 0, :], b[..., j, :], b[..., k, :], b[..., 3, :])
+            _butterfly(a[..., 0, :], a[..., 1, :], a[..., 2, :], a[..., 3, :],
+                       b[..., 0, :, :], b[..., j, :, :], b[..., k, :, :],
+                       b[..., 3, :, :])
         src, dst = dst, src
     return src
 
@@ -128,17 +125,16 @@ def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
     odd leftover bit as one radix-2 stage; every base-4 digit above them
     takes the radix-4 symplectic kernel (slots (1, 2)).
 
-    The work happens in one float64 copy of `vec`, in blocks of
-    `_BLOCK_CELLS` cells.  Low digits: the syndrome bits and the most
-    Pauli digits that fit one block run their stages one block at a time,
-    against a block-sized scratch buffer, and each block is written back
-    in place.  High digits: the other Pauli digits run on each
+    The work happens in one float64 copy of `vec`, in two phases that both
+    run `_stages`.  Low digits: the syndrome bits and the most Pauli digits
+    that fit `_BLOCK_CELLS` cells, a block, run on slabs of at most
+    `_BLOCK_CELLS // block` whole blocks (at least one) against one
+    slab-sized scratch buffer, each slab written back in place.  High
+    digits, when there are any: the other Pauli digits run on each
     (4^high, block) grid one strip of `_BLOCK_CELLS >> 2 high` columns at
-    a time; a strip is copied into a small buffer, transformed along its
-    first axis, and copied back.  A last axis that fits one block is one
-    low phase over the whole array.  At 2^16 cells a block and its scratch
-    stay in a 2 MiB L2 cache, so each phase streams the vector through
-    memory once.
+    a time, copied into a small buffer and back.  At 2^16 cells a slab and
+    its scratch stay in a 2 MiB L2 cache, so each phase streams the vector
+    through memory once.
 
     Every output element gets the same float operations in the same order
     however the work is cut, and a pair of bits costs the same operations,
@@ -156,14 +152,16 @@ def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
     block = 4**low << syndrome_digits
     stages = ([(2, 1)] * (syndrome_digits // 2)
               + [None] * (syndrome_digits % 2) + [(1, 2)] * low)
-    if block == length:
-        return _stages(work, np.empty(work.shape), stages)
-    scratch = np.empty(block)
-    for row in work.reshape(-1, block):
-        out = _stages(row, scratch, stages)
-        if out is not row:
-            row[...] = out
+    rows = work.reshape(-1, block, 1)
+    slab = max(1, min(len(rows), _BLOCK_CELLS // block))
+    scratch = np.empty((slab, block, 1))
+    for src in np.split(rows, range(slab, len(rows), slab)):
+        out = _stages(src, scratch[:len(src)], stages)
+        if out is not src:
+            src[...] = out
     high = n - low
+    if not high:
+        return work
     height = 4**high
     width = max(1, _BLOCK_CELLS >> 2 * high)  # a power of 2 that divides block
     src, dst = np.empty((2, height, width))
@@ -171,13 +169,7 @@ def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
         for col in range(0, block, width):
             strip = grid[:, col:col + width]
             src[...] = strip
-            for _ in range(high):
-                a = src.reshape(height // 4, 4, width)
-                b = dst.reshape(4, height // 4, width)
-                _butterfly(a[:, 0], a[:, 1], a[:, 2], a[:, 3],
-                           b[0], b[1], b[2], b[3])
-                src, dst = dst, src
-            strip[...] = src
+            strip[...] = _stages(src, dst, [(1, 2)] * high)
     return work
 
 

@@ -21,7 +21,7 @@ with 17 significant digits (`"{:.17g}".format`).  A CSV float column of
 _G17_MIN_VALUES or more distinct values gets that text from one exact
 integer conversion of them (`_g17`) where 1e-10 <= |x| < 1e14, and from
 `format` for the rest (zeros, nan, infinities, subnormals, the values
-outside that window) and for smaller columns.
+outside that window) and for smaller columns; its tables are built at import.
 Outputs are byte-identical for a fixed (config, seed): all randomness is
 derived from (seed, structural key), and every run is serial; `--threads`
 is only recorded in run.json.
@@ -33,7 +33,6 @@ Exit codes: 0 ok, 2 config error (any `UsageError`), 3 capability error,
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -47,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .channels import DENSE_MAX_QUBITS, PauliChannel
-from .errors import CapabilityError, UsageError, _shown
+from .errors import CapabilityError, UsageError, _cut, _shown
 from .estimation import (
     DEFAULT_LENGTHS,
     dense_benchmark_bytes,
@@ -213,7 +212,9 @@ def build_channel(spec: dict, n: int, rng: np.random.Generator) -> PauliChannel:
             return PauliChannel.from_json(obj)
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:
-        raise UsageError(f"malformed channel file: {exc}") from None
+        # the library cuts its own echoes; CPython's and numpy's are cut here
+        text = str(exc) if isinstance(exc, UsageError) else _cut(str(exc))
+        raise UsageError(f"malformed channel file: {text}") from None
     raise UsageError(f"channel file has n={_shown(file_n)}, config says {n}")
 
 
@@ -432,19 +433,19 @@ _G17_LITERALS = b"-.e0123456789\0\0\0"
 _G17_ROW = 4 * len(_G17_GROUPS) + len(_G17_LITERALS)
 
 
-@functools.cache
 def _g17_tables():
-    """The constant tables of `_g17`, built on first use:
+    """The read-only tables of `_g17`, the module constants below, built at
+    import: made during the first table write, they would pin its heap.
 
-    * ``chars``: the uint32 of each digit group 0..9999 (4 ASCII digits),
-      then of the literal groups;
-    * ``ends``: each digit group's end of significant digits within its 4
-      characters, and -99 for group 0 (no significant digit);
-    * ``layouts``: for each (E, number of significant digits nd, sign), in
-      row ``((E - _G17_E_MIN) * 17 + nd - 1) * 2 + sign``, the position of
-      each character of that layout's text in a value's row of characters
-      (above), then that of a NUL;
-    * ``sizes``: each layout's text length.
+    * ``_G17_CHARS``: the uint32 of each digit group 0..9999 (4 ASCII
+      digits), then of the literal groups;
+    * ``_G17_ENDS``: each digit group's end of significant digits within
+      its 4 characters, and -99 for group 0 (no significant digit);
+    * ``_G17_LAYOUTS``: for each (E, number of significant digits nd,
+      sign), in row ``((E - _G17_E_MIN) * 17 + nd - 1) * 2 + sign``, the
+      position of each character of that layout's text in a value's row of
+      characters (above), then that of a NUL;
+    * ``_G17_SIZES``: each layout's text length.
 
     A layout follows `%g` at precision 17: fixed notation for
     -4 <= E < 17, ``d.ddd...e±XX`` otherwise, trailing zeros stripped, then
@@ -481,6 +482,9 @@ def _g17_tables():
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+_G17_CHARS, _G17_ENDS, _G17_LAYOUTS, _G17_SIZES = _g17_tables()
 
 
 def _g17_scaled(f, q, e):
@@ -521,7 +525,6 @@ def _g17(values: np.ndarray) -> np.ndarray:
     if values.size > _G17_SLICE:
         return np.concatenate([_g17(values[lo:lo + _G17_SLICE])
                                for lo in range(0, values.size, _G17_SLICE)])
-    chars, ends, layouts, sizes = _g17_tables()
     magnitude = np.abs(values)
     fast = (magnitude >= _G17_WINDOW[0]) & (magnitude < _G17_WINDOW[1])
     bits = values.view(np.uint64)[fast]
@@ -547,15 +550,15 @@ def _g17(values: np.ndarray) -> np.ndarray:
         10**4, 10**4 + len(_G17_LITERALS) // 4, dtype=np.uint64)[:, None]
     # significant digits: where the last group's significant digits end,
     # less the first group's pad
-    nd = np.maximum.reduce(np.take(ends, digits) + np.arange(
+    nd = np.maximum.reduce(np.take(_G17_ENDS, digits) + np.arange(
         0, 4 * len(_G17_GROUPS), 4)[:, None]) - 3
     layout = ((e - _G17_E_MIN) * 17 + nd - 1) * 2 + (bits >> 63).astype(
         np.int64)
-    width = sizes[layout].max(initial=1)
+    width = _G17_SIZES[layout].max(initial=1)
     # each value's row of characters, and the position in it of each
     # character of its text
-    rows = np.take(chars, groups.T).view(np.uint8).ravel()
-    index = np.take(layouts[:, :width], layout, axis=0)
+    rows = np.take(_G17_CHARS, groups.T).view(np.uint8).ravel()
+    index = np.take(_G17_LAYOUTS[:, :width], layout, axis=0)
     index += np.arange(0, _G17_ROW * d.size, _G17_ROW)[:, None]
     text = np.take(rows, index).view(f"S{width}").ravel()
     if fast.all():

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the bounded repr that
-error messages use to echo a value.
+error messages use to echo a value (or another exception's text).
 
 The CLI maps these onto exit codes: a UsageError (bad arguments or config)
 exits with 2, a CapabilityError with 3, a failed verification with 4.
@@ -55,9 +55,13 @@ class _Echo(reprlib.Repr):
 _ECHO = _Echo()
 
 
-def _shown(value) -> str:
-    """`repr(value)` for an error message, cut in depth and in length."""
-    text = _ECHO.repr(value)
+def _cut(text: str) -> str:
+    """`text` for an error message, cut to _ECHO_CHARS characters."""
     if len(text) <= _ECHO_CHARS:
         return text
     return text[:_ECHO_CHARS - 3] + _ECHO.fillvalue
+
+
+def _shown(value) -> str:
+    """`repr(value)` for an error message, cut in depth and in length."""
+    return _cut(_ECHO.repr(value))

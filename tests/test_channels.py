@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def test_digit_transform_bit_identical_to_staged_reference(m):
 def test_blocked_digit_transform_bit_identical(monkeypatch, block, m):
     # small blocks reach both phases at small sizes: one-column strips, an
     # odd syndrome bit inside a block, syndrome bits wider than a block and
-    # the one-block path
+    # slabs of several whole rows, the last of them short
     monkeypatch.setattr(channels, "_BLOCK_CELLS", block)
     rng = np.random.default_rng(block + m)
     for n in range(5):
@@ -140,6 +141,19 @@ def test_default_block_bit_identical(n, m):
     rng = np.random.default_rng(n)
     assert_same_bits(rng.normal(size=4**n << m), m)
     assert_same_bits(rng.integers(-1000, 1000, size=4**n << m), m)
+
+
+def test_stacked_transform_scratch_is_one_slab():
+    # a stack of rows that each fit a block is walked a slab of rows at a
+    # time, so beside its float64 copy it needs scratch for one slab only
+    vec = np.random.default_rng(5).normal(size=(1025, 1024))
+    tracemalloc.start()
+    try:
+        _digit_transform(vec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < vec.nbytes + (2 << 20)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

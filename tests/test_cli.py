@@ -2,9 +2,12 @@ import csv
 import functools
 import hashlib
 import json
+import os
 import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,11 +303,16 @@ def test_config_errors(tmp_path, capsys):
 
 def test_channel_file_echoes_are_cut(tmp_path, capsys):
     # a channel file's format and labels are echoed by the library, cut
-    # as a config value is
+    # as a config value is, and so is the text of CPython's and numpy's
+    # errors on its n and its probabilities
     capsys.readouterr()
     for i, obj in enumerate([
             {"n": 2, "format": "q" * 1000, "entries": []},
-            {"n": 2, "format": "sparse", "entries": [["X" * 1000, 1.0]]}]):
+            {"n": 2, "format": "sparse", "entries": [["X" * 1000, 1.0]]},
+            {"n": "n" * 1000, "format": "dense", "entries": []},
+            {"n": 2, "format": "dense", "entries": "x" * 1000},
+            {"n": 2, "format": "dense", "entries": ["x" * 1000] + [0.0] * 15},
+            {"n": 2, "format": "sparse", "entries": [["II", "x" * 1000]]}]):
         (tmp_path / f"chan{i}.json").write_text(json.dumps(obj))
         path = write_config(tmp_path, f"cfg{i}.json", dict(_EST, channel={
             "kind": "file", "path": str(tmp_path / f"chan{i}.json")}))
@@ -313,6 +321,28 @@ def test_channel_file_echoes_are_cut(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: malformed channel file: ")
         assert err.count("\n") == 1 and len(err) <= 200, err[:300]
+    # a short message keeps its exact bytes
+    (tmp_path / "short.json").write_text(json.dumps(
+        {"n": 2, "format": "sparse", "entries": [["II", "x"]]}))
+    path = write_config(tmp_path, "short_cfg.json", dict(_EST, channel={
+        "kind": "file", "path": str(tmp_path / "short.json")}))
+    assert run_cli("estimate", "--config", path, "--out",
+                   str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        "config error: malformed channel file: "
+        "could not convert string to float: 'x'\n")
+
+
+def test_g17_tables_are_built_read_only_at_import():
+    # the tables exist before any table is written: made in the middle of
+    # the first write, they would stay allocated on top of its freed heap
+    code = ("import paulibench.cli as cli\n"
+            "tables = (cli._G17_CHARS, cli._G17_ENDS, cli._G17_LAYOUTS,\n"
+            "          cli._G17_SIZES)\n"
+            "assert all(t.size and not t.flags.writeable for t in tables)\n")
+    src = str(Path(cli.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 def test_echoed_values_are_repr_when_short_and_cut_when_long():
