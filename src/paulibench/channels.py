@@ -26,14 +26,13 @@ of bits costs the same float operations, in the same order, as two radix-2
 stages, so the result is bit-identical to one stage per syndrome bit.
 
 The kernel works through one float64 copy of its input in cache-sized
-pieces of at most `_BLOCK_CELLS` = 2^16 cells (512 KiB), in two phases
-that share one stage loop: the low digits run slab by slab of whole rows
-against one slab-sized scratch buffer, then any high digits strip by strip
-of columns.  So a 4^10-cell vector crosses memory twice instead of once per
-digit, and a stack of short rows needs scratch for one slab only.  A slab
-and its scratch stay in a 2 MiB L2 cache; smaller slabs pay more numpy
-calls per cell.  However the work is cut, each output element gets the
-same float operations in the same order, so no bit of any result changes.
+pieces of at most `_BLOCK_CELLS` = 2^16 cells (512 KiB), which stay with
+their scratch in a 2 MiB L2 cache, in two phases that share one stage
+loop: the low digits run slab by slab of whole rows, then any high digits
+strip by strip of columns.  So a 4^10-cell vector crosses memory twice
+instead of once per digit, and a stack of short rows needs scratch for one
+slab only.  However the work is cut, each output element gets the same
+float operations in the same order, so no bit of any result changes.
 
 Channels keep their error rates in one of two forms, and every exact
 outcome law reads the one eigenvalue vector `PauliChannel.eigenvalues`:
@@ -67,6 +66,8 @@ NORMALIZATION_TOL = 1e-12
 EIGENVALUE_TOL = 1e-12
 # the transform kernel's cache block in float64 cells, 512 KiB (see above)
 _BLOCK_CELLS = 2**16
+# _DIGIT[t][d] picks digit d on the axis before the last t axes
+_DIGIT = [[(..., d) + (slice(None),) * t for d in range(4)] for t in range(3)]
 
 
 def _pauli_digits(length: int, syndrome_digits: int) -> int:
@@ -102,18 +103,21 @@ def _stages(src: np.ndarray, dst: np.ndarray, stages) -> np.ndarray:
     (a Stockham autosort).  A stage is (j, k), the output slots of t0 - t2
     and t1 + t3 in the radix-4 butterfly, or None for a radix-2 H."""
     *lead, length, width = src.shape
+    # axes of length 1 are left out: numpy loops over fewer axes faster
+    lead = tuple([size for size in lead if size > 1])
+    tail = (width,) if width > 1 else ()
+    a_at, b_at = _DIGIT[len(tail)], _DIGIT[len(tail) + 1]
     for slots in stages:
         radix = 2 if slots is None else 4
-        a = src.reshape(*lead, length // radix, radix, width)
-        b = dst.reshape(*lead, radix, length // radix, width)
+        a = src.reshape(lead + (length // radix, radix) + tail)
+        b = dst.reshape(lead + (radix, length // radix) + tail)
         if slots is None:
-            np.add(a[..., 0, :], a[..., 1, :], b[..., 0, :, :])
-            np.subtract(a[..., 0, :], a[..., 1, :], b[..., 1, :, :])
+            np.add(a[a_at[0]], a[a_at[1]], b[b_at[0]])
+            np.subtract(a[a_at[0]], a[a_at[1]], b[b_at[1]])
         else:
             j, k = slots
-            _butterfly(a[..., 0, :], a[..., 1, :], a[..., 2, :], a[..., 3, :],
-                       b[..., 0, :, :], b[..., j, :, :], b[..., k, :, :],
-                       b[..., 3, :, :])
+            _butterfly(a[a_at[0]], a[a_at[1]], a[a_at[2]], a[a_at[3]],
+                       b[b_at[0]], b[b_at[j]], b[b_at[k]], b[b_at[3]])
         src, dst = dst, src
     return src
 
@@ -125,27 +129,20 @@ def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
     odd leftover bit as one radix-2 stage; every base-4 digit above them
     takes the radix-4 symplectic kernel (slots (1, 2)).
 
-    The work happens in one float64 copy of `vec`, in two phases that both
-    run `_stages`.  Low digits: the syndrome bits and the most Pauli digits
-    that fit `_BLOCK_CELLS` cells, a block, run on slabs of at most
-    `_BLOCK_CELLS // block` whole blocks (at least one) against one
-    slab-sized scratch buffer, each slab written back in place.  High
-    digits, when there are any: the other Pauli digits run on each
-    (4^high, block) grid one strip of `_BLOCK_CELLS >> 2 high` columns at
-    a time, copied into a small buffer and back.  At 2^16 cells a slab and
-    its scratch stay in a 2 MiB L2 cache, so each phase streams the vector
-    through memory once.
-
-    Every output element gets the same float operations in the same order
-    however the work is cut, and a pair of bits costs the same operations,
-    in the same order, as two radix-2 stages, so the output is bit for bit
-    the same as walking the syndrome bits one at a time over the whole
-    vector."""
+    The work happens in one C-ordered float64 copy of `vec`, in two phases
+    that both run `_stages`.  Low digits: the syndrome bits and the most
+    Pauli digits that fit `_BLOCK_CELLS` cells, a block, run on slabs of
+    at most `_BLOCK_CELLS // block` whole blocks (at least one) against
+    one slab-sized scratch buffer, each slab written back in place.  High
+    digits, if any: the other Pauli digits run on each (4^high, block)
+    grid one strip of `_BLOCK_CELLS >> 2 high` columns at a time, copied
+    into a small buffer and back.  The output is bit for bit the same as
+    walking the syndrome bits one at a time over the whole vector."""
     length = vec.shape[-1]
     n = _pauli_digits(length, syndrome_digits)
     if not np.isfinite(vec).all():
         raise UsageError("transform input has non-finite entries")
-    work = np.array(vec, dtype=np.float64)
+    work = np.array(vec, dtype=np.float64, order="C")
     low = n
     while low and 4**low << syndrome_digits > _BLOCK_CELLS:
         low -= 1
@@ -155,7 +152,8 @@ def _digit_transform(vec: np.ndarray, syndrome_digits: int) -> np.ndarray:
     rows = work.reshape(-1, block, 1)
     slab = max(1, min(len(rows), _BLOCK_CELLS // block))
     scratch = np.empty((slab, block, 1))
-    for src in np.split(rows, range(slab, len(rows), slab)):
+    for start in range(0, len(rows), slab):
+        src = rows[start:start + slab]
         out = _stages(src, scratch[:len(src)], stages)
         if out is not src:
             src[...] = out

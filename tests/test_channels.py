@@ -135,6 +135,17 @@ def test_blocked_digit_transform_bit_identical(monkeypatch, block, m):
             assert_same_bits(rng.integers(-1000, 1000, size=shape), m)
 
 
+@pytest.mark.parametrize("block", [16, 1024, 2**16])
+def test_strided_stack_transform_matches_c_order(monkeypatch, block):
+    # a stack in another memory layout gives the bits of its C-ordered copy
+    monkeypatch.setattr(channels, "_BLOCK_CELLS", block)
+    x = np.random.default_rng(block).normal(size=(3, 2, 1024))
+    for vec in [x.transpose(1, 0, 2), x[:, :, ::-1], np.asfortranarray(x)]:
+        got = _digit_transform(vec, 2)
+        want = _digit_transform(np.ascontiguousarray(vec), 2)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("n,m", [(9, 0), (8, 1)])
 def test_default_block_bit_identical(n, m):
     assert 4**n << m > channels._BLOCK_CELLS
