@@ -251,9 +251,15 @@ class PauliChannel:
 
     @classmethod
     def from_error_rates(cls, n: int, p: Sequence[float]) -> "PauliChannel":
-        """Dense channel from the full length-4^n error-rate vector."""
+        """Dense channel from the full length-4^n error-rate vector, which
+        it copies."""
         _check_dense(n)
-        p = np.asarray(p, dtype=np.float64)
+        return cls._from_own_rates(n, np.array(p, dtype=np.float64))
+
+    @classmethod
+    def _from_own_rates(cls, n: int, p: np.ndarray) -> "PauliChannel":
+        """`from_error_rates` of a float64 vector the channel keeps as it
+        is: the constructors hand over the vectors they made."""
         if p.shape != (4**n,):
             raise UsageError(f"expected {4**n} error rates, got shape {p.shape}")
         _validate_probs(p)
@@ -261,7 +267,7 @@ class PauliChannel:
         lam[0] = 1.0
         if np.any(np.abs(lam) > 1.0 + EIGENVALUE_TOL):
             raise UsageError("eigenvalues exceed 1 beyond tolerance")
-        return cls(n, error_rates=p.copy(), eigenvalues=lam)
+        return cls(n, error_rates=p, eigenvalues=lam)
 
     @classmethod
     def from_eigenvalues(cls, n: int, lam: Sequence[float]) -> "PauliChannel":
@@ -272,7 +278,7 @@ class PauliChannel:
             raise UsageError(f"expected {4**n} eigenvalues, got shape {lam.shape}")
         if abs(lam[0] - 1.0) > EIGENVALUE_TOL:
             raise UsageError(f"lambda_0 must be 1, got {lam[0]!r}")
-        return cls.from_error_rates(n, wht_inverse(lam))
+        return cls._from_own_rates(n, wht_inverse(lam))
 
     @classmethod
     def from_sparse(cls, n: int,
@@ -320,13 +326,13 @@ class PauliChannel:
             raise UsageError(f"rate must lie in [0, 1], got {rate}")
         p = np.full(4**n, rate / (4**n - 1))
         p[0] = 1.0 - rate
-        return cls.from_error_rates(n, p)
+        return cls._from_own_rates(n, p)
 
     @classmethod
     def fully_depolarizing(cls, n: int) -> "PauliChannel":
         """Uniform error rates; every nonidentity eigenvalue is zero."""
         _check_dense(n)
-        return cls.from_error_rates(n, np.full(4**n, 4.0**-n))
+        return cls._from_own_rates(n, np.full(4**n, 4.0**-n))
 
     @classmethod
     def spike(cls, n: int, a: int | str, s: int) -> "PauliChannel":
@@ -367,7 +373,7 @@ class PauliChannel:
         if not 0.0 < alpha < np.inf:
             raise UsageError(f"alpha must be positive and finite, got {alpha}")
         p = rng.dirichlet(np.full(4**n, alpha))
-        return cls.from_error_rates(n, p)
+        return cls._from_own_rates(n, p)
 
     @classmethod
     def random_sparse(cls, n: int, support_size: int,

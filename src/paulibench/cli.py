@@ -12,12 +12,16 @@ Subcommands:
 Experiments are configured by a JSON file (--config) with flag overrides
 (--seed, --threads, --out, --format).  Every run writes a primary table
 (CSV by default) plus run metadata JSON with the resolved config, seed,
-timings, per table its row count and write time, and per named stage
-(`RunWriter.stage`) its seconds.  Every table goes through one writer,
-`RunWriter.write_table`, as blocks of numpy columns (`benchmark` gives one
-block per SPAM rate), and CSV and JSON share one text layout: each piece of
-rows is one record array with a field per column; CSV floats are written
-with 17 significant digits (`"{:.17g}".format`).  A CSV float column of
+timings, per table its row count, pieces, coded pieces and write time, and
+per named stage (`RunWriter.stage`) its seconds.  Every table goes through
+one writer, `RunWriter.write_table`, as blocks of numpy columns (`benchmark`
+gives one block per SPAM rate), and CSV and JSON share one text layout:
+each piece of rows is one record array with a field per column; CSV floats
+are written with 17 significant digits (`"{:.17g}".format`).  `estimate`
+gives one block per piece, and where the piece's labels share one shot
+count its number columns come as one coded group: a row text per distinct
+tally, formatted once and taken by each label's code
+(`estimation._tally_codes`).  A CSV float column of
 _G17_MIN_VALUES or more distinct values gets that text from one exact
 integer conversion of them (`_g17`) where 1e-10 <= |x| < 1e14, and from
 `format` for the rest (zeros, nan, infinities, subnormals, the values
@@ -49,6 +53,7 @@ from .channels import DENSE_MAX_QUBITS, PauliChannel
 from .errors import CapabilityError, UsageError, _cut, _shown
 from .estimation import (
     DEFAULT_LENGTHS,
+    _tally_codes,
     dense_benchmark_bytes,
     dense_estimate_bytes,
     estimate_alg1,
@@ -302,17 +307,22 @@ class RunWriter:
     def write_table(self, name: str, header: list[str], blocks):
         """Write a table given as an iterable of column blocks, each a list
         of equal-length numpy columns: ``S`` byte strings, floats or
-        integers.  Blocks are taken one at a time and written in pieces of
-        at most `_CSV_CHUNK_ROWS` rows, so no more than one piece is held as
-        text.  Both formats format each distinct value once (`_cells`) and
-        lay a piece out as one record array, a field per column with the
-        separators folded in, whose bytes less their NUL padding go to the
-        file (`_text_block`).  A CSV float has 17 significant digits; the
-        JSON text is
+        integers.  In place of a run of adjacent number columns a block
+        may hold one coded group ``(codes, columns)``, whose row r has the
+        cells ``column[codes[r]]`` (`estimation._tally_codes`).  Blocks are
+        taken one at a time and written in pieces of at most
+        `_CSV_CHUNK_ROWS` rows, so no more than one piece is held as text.
+        Both formats format each distinct value once (`_cells`) and lay a
+        piece out as one record array, a field per column or coded group
+        with the separators folded in, whose bytes less their NUL padding
+        go to the file (`_text_block`).  A CSV float has 17 significant
+        digits; the JSON text is
         ``json.dumps([dict(zip(header, row)) ...], indent=1)`` of the rows
         as Python str, float and int values, as long as every ``S`` column
         is ASCII with no ``"``, ``\\`` or control character: true of every
-        one the commands write (label, spam_rate, mode, truth, declared)."""
+        one the commands write (label, spam_rate, mode, truth, declared).
+        run.json records per table its rows, its `pieces` and how many of
+        those held a coded group (`coded_pieces`)."""
         start = time.perf_counter()
         path = self._path(f"{name}.{self.fmt}")
         csv = self.fmt == "csv"
@@ -323,15 +333,19 @@ class RunWriter:
                     + f"\n  {json.dumps(h)}: ".encode()
                     for i, h in enumerate(header)]
             end = b"\n }"
-        rows = 0
+        rows = pieces = coded = 0
         with path.open("wb") as fh:
             if csv:
                 fh.write((",".join(header) + "\n").encode())
             for block in blocks:
-                for lo in range(0, len(block[0]), _CSV_CHUNK_ROWS):
-                    piece = [col[lo:lo + _CSV_CHUNK_ROWS] for col in block]
+                for lo in range(0, _rows(block[0]), _CSV_CHUNK_ROWS):
+                    cut = slice(lo, lo + _CSV_CHUNK_ROWS)
+                    piece = [(col[0][cut], col[1]) if isinstance(col, tuple)
+                             else col[cut] for col in block]
                     fh.write(_text_block(piece, seps, end, csv))
-                    rows += len(piece[0])
+                    rows += _rows(piece[0])
+                    pieces += 1
+                    coded += any(isinstance(col, tuple) for col in piece)
             if not csv:  # the first row's leading "," becomes "["
                 fh.write(b"\n]\n" if rows else b"[]\n")
                 fh.seek(0)
@@ -339,6 +353,8 @@ class RunWriter:
         self.outputs.append(path.name)
         self.tables[path.name] = {
             "rows": rows,
+            "pieces": pieces,
+            "coded_pieces": coded,
             "write_s": round(time.perf_counter() - start, 6),
         }
         return path
@@ -570,7 +586,12 @@ def _g17(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def _text_block(cols: list[np.ndarray], seps: list[bytes], end: bytes,
+def _rows(col) -> int:
+    """The rows of a column, or of a coded group ``(codes, columns)``."""
+    return len(col[0] if isinstance(col, tuple) else col)
+
+
+def _text_block(cols: list, seps: list[bytes], end: bytes,
                 csv: bool) -> np.ndarray:
     """Rows of equal-length columns as text, each row ``seps[0]``, its first
     cell, ``seps[1]``, its second cell, ... and `end`, as one uint8 array.
@@ -578,30 +599,43 @@ def _text_block(cols: list[np.ndarray], seps: list[bytes], end: bytes,
     The piece is one record array.  A number column's field is taken from
     its distinct-text table (`_cells`), into which the text in front of the
     column, and `end` after the last column, are folded; a table of one
-    text is assigned to every row.  An ``S`` column is assigned into its
+    text is assigned to every row.  A coded group ``(codes, columns)``
+    fills one field: each short column is formatted by `_cells`, and the
+    texts of one code, with the separators between them, are joined into
+    one row text, taken by `codes`.  An ``S`` column is assigned into its
     field, behind a constant field of the text in front of it (in JSON,
     with the opening quote).  The record's NUL padding is dropped at the
     end."""
     quote = b"" if csv else b'"'
+    seps = iter(seps)
     fields = []  # [text, row indices into it, or None to assign it whole]
     text = b""  # constant text not yet in a field
-    for sep, col in zip(seps, cols):
-        text += sep
-        if col.dtype.kind == "S":
-            fields += [[np.bytes_(text + quote), None], [col, None]]
+    for col in cols:
+        if isinstance(col, tuple):  # one row text per code
+            codes, group = col
+            value = text
+            for short in group:
+                table, inverse = _cells(short, csv)
+                value = np.strings.add(value + next(seps), table[inverse])
+            fields.append([value, codes])
+            text = b""
+        elif col.dtype.kind == "S":
+            fields += [[np.bytes_(text + next(seps) + quote), None],
+                       [col, None]]
             text = quote
         else:
             table, inverse = _cells(col, csv)
-            fields.append([np.strings.add(text, table),
+            fields.append([np.strings.add(text + next(seps), table),
                            inverse if len(table) > 1 else None])
             text = b""
     text += end
-    if cols[-1].dtype.kind == "S":
-        fields.append([np.bytes_(text), None])
-    else:
+    last = cols[-1]
+    if isinstance(last, tuple) or last.dtype.kind != "S":
         fields[-1][0] = np.strings.add(fields[-1][0], text)
-    rec = np.empty(len(cols[0]), [(f"f{i}", value.dtype)
-                                  for i, (value, _) in enumerate(fields)])
+    else:
+        fields.append([np.bytes_(text), None])
+    rec = np.empty(_rows(cols[0]), [(f"f{i}", value.dtype)
+                                    for i, (value, _) in enumerate(fields)])
     for i, (value, inverse) in enumerate(fields):
         if inverse is None:
             rec[f"f{i}"] = value
@@ -629,6 +663,18 @@ def _git_describe():
 
 
 # --- subcommands ----------------------------------------------------------------
+
+
+def _estimate_blocks(est, labels: np.ndarray):
+    """The estimate table's blocks, one per piece, each built as the writer
+    reaches it: the piece's labels, then the coded group of its tallies
+    (`_tally_codes`) where it has one, else its three number columns."""
+    for lo in range(0, labels.size, _CSV_CHUNK_ROWS):
+        cut = slice(lo, lo + _CSV_CHUNK_ROWS)
+        group = _tally_codes(est, lo, cut.stop)
+        yield [labels[cut]] + (
+            [est.lambda_hat[cut], est.n_shots[cut], est.stderr[cut]]
+            if group is None else [group])
 
 
 def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
@@ -659,7 +705,7 @@ def cmd_estimate(cfg: dict, seed: int, writer: RunWriter) -> dict:
     with writer.stage("write"):
         writer.write_table(
             "estimates", ["label", "lambda_hat", "n_shots", "stderr"],
-            [[label_column(n), est.lambda_hat, est.n_shots, est.stderr]])
+            _estimate_blocks(est, label_column(n)))
     return {
         "samples": total,
         "rounds_per_group": total // len(cov.groups),

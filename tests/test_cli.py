@@ -86,6 +86,78 @@ def test_estimate_table_matches_row_by_row_reference(tmp_path):
         assert run_cli("estimate", "--config", cfg, "--out", str(out),
                        "--seed", str(seed), "--format", fmt) == 0
         assert (out / f"estimates.{fmt}").read_bytes() == text.encode()
+        # one shot count, 3000, in every label: every piece is coded
+        table = json.loads((out / "run.json").read_text())["tables"][
+            f"estimates.{fmt}"]
+        assert table["pieces"] == table["coded_pieces"] == 4
+
+
+@pytest.mark.parametrize("n, k, samples, coded", [
+    (4, 4, 100, 4),  # one shot count, 100, 202 bins: every piece coded
+    # the identity-syndrome labels 0-3 take 900 shots, the rest 100: the
+    # first piece is plain
+    (4, 1, 900, 3),
+    (4, 4, 1000, 0),  # 2002 bins, over 4 per label of a 64-row piece
+])
+def test_coded_estimate_write_equals_plain(tmp_path, monkeypatch, n, k,
+                                           samples, coded):
+    # the estimate table written from its tallies' codes has the bytes of
+    # the same table written as plain columns
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 64)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "estimate", "n": n, "k": k, "samples": samples,
+        "channel": {"kind": "random-dirichlet"}})
+    tally_codes = cli._tally_codes
+    for fmt in ("csv", "json"):
+        written = {}
+        for name, helper in (("coded", tally_codes),
+                             ("plain", lambda *args: None)):
+            monkeypatch.setattr(cli, "_tally_codes", helper)
+            out = tmp_path / f"{name}-{fmt}"
+            assert run_cli("estimate", "--config", cfg, "--out", str(out),
+                           "--seed", "5", "--format", fmt) == 0
+            table = json.loads((out / "run.json").read_text())["tables"][
+                f"estimates.{fmt}"]
+            written[name] = (out / f"estimates.{fmt}").read_bytes(), table
+        (coded_text, coded_table), (plain_text, plain_table) = (
+            written["coded"], written["plain"])
+        assert coded_text == plain_text
+        assert coded_table["pieces"] == plain_table["pieces"] == 4
+        assert (coded_table["coded_pieces"], plain_table["coded_pieces"]) \
+            == (coded, 0)
+
+
+@pytest.mark.parametrize("fmt, parent_peak", [("csv", 12_697_930),
+                                              ("json", 24_806_588)])
+def test_estimate_write_holds_one_piece_of_codes(tmp_path, monkeypatch, fmt,
+                                                 parent_peak):
+    # the traced peak of an n = 9, k = 9 estimate's write, above what the
+    # run holds when the write starts, stays within the plain writer's
+    # (12.70 and 24.81 MB, measured before the estimate table was written
+    # from its tallies) plus one piece's codes, 0.5 MiB: codes held across
+    # the four pieces would exceed it
+    write_table, extra = cli.RunWriter.write_table, []
+
+    def write(self, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        path = write_table(self, *args)
+        extra.append(tracemalloc.get_traced_memory()[1] - before)
+        return path
+
+    monkeypatch.setattr(cli.RunWriter, "write_table", write)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "experiment": "estimate", "n": 9, "k": 9, "samples": 3000,
+        "channel": {"kind": "random-dirichlet"}})
+    tracemalloc.start()
+    try:
+        assert run_cli("estimate", "--config", cfg, "--out", str(tmp_path),
+                       "--seed", "11", "--format", fmt) == 0
+    finally:
+        tracemalloc.stop()
+    table = json.loads((tmp_path / "run.json").read_text())["tables"]
+    assert table[f"estimates.{fmt}"]["coded_pieces"] == 4
+    assert extra[0] < parent_peak + cli._CSV_CHUNK_ROWS * 8
 
 
 def test_estimate_spike_channel(tmp_path):

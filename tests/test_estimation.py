@@ -24,6 +24,7 @@ from paulibench.cli import _CSV_CHUNK_ROWS, RunWriter
 from paulibench.estimation import (
     EstimateSet,
     _estimate_set,
+    _tally_codes,
     alg1_estimator,
     estimate_alg1_reference,
     two_sample_consistency,
@@ -705,6 +706,36 @@ def test_column_writer_matches_rows(tmp_path):
     assert path.read_text() == json.dumps(
         [dict(zip(header, row)) for row in py_rows[part]], indent=1) + "\n"
     assert writer.tables["estimates.json"]["rows"] == 100
+
+
+def test_tally_codes_give_back_every_bit():
+    # every tally -c..c of one shot count, and -0.0 beside 0.0: the short
+    # columns taken by the codes are the slice's cells, bit for bit; for
+    # 94 tallies s of c = 3000, (s / c) * c + c in doubles falls short of
+    # s + c, so a key cut to an integer without rint merges two tallies
+    n, c = 7, 3000
+    sums = (np.arange(4**n) * 7 % (2 * c + 1) - c).astype(np.float64)
+    sums[[10, 11, 3000]] = [-0.0, 0.0, -0.0]
+    est = _estimate_set(n, sums, np.broadcast_to(np.int64(c), (4**n,)))
+    assert np.signbit(est.lambda_hat[10]) and not np.signbit(
+        est.lambda_hat[11])
+    for lo, hi in ((0, 4**n), (9, 7000), (2900, 4500)):
+        codes, (lam, counts, stderr) = _tally_codes(est, lo, hi)
+        for column, got in ((est.lambda_hat, lam), (est.stderr, stderr)):
+            assert np.array_equal(got[codes].view(np.uint64),
+                                  column[lo:hi].view(np.uint64))
+        assert np.array_equal(counts[codes], est.n_shots[lo:hi])
+        # one entry per distinct tally, -0.0 and 0.0 apart
+        keys = sums[lo:hi] + c + 3 * c * np.signbit(sums[lo:hi])
+        assert lam.size == np.unique(keys).size
+    # 2c + 2 = 6002 bins are 4 per label of 1501 labels and over 4 per
+    # label of 1500; those, and mixed shot counts, are not coded
+    assert _tally_codes(est, 0, 1500) is None
+    assert _tally_codes(est, 0, 1501) is not None
+    counts = np.full(4**n, c)
+    counts[5] = c + 1
+    assert _tally_codes(_estimate_set(n, sums, counts), 0, 4**n) is None
+    assert _tally_codes(_estimate_set(n, sums, counts), 6, 4**n) is not None
 
 
 def _estimates(lam, stderr):
